@@ -19,8 +19,8 @@
 package revagg
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"ppcsim/internal/cache"
@@ -95,15 +95,9 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	}
 	var inflight []flight
 
-	// Forward ops under construction. Paired ops record both sides; drain
-	// ops are appended at the end.
-	type revOp struct {
-		fwdFetch layout.BlockID // B: evicted in reverse
-		needIdx  int
-		fwdEvict layout.BlockID // M: fetched in reverse
-		release  int
-	}
-	var pairs []revOp
+	// Paired forward ops in emission order: each fetches the block B the
+	// reverse pass evicts and evicts the block M it fetches in its place.
+	var pairs []Op
 
 	// Incremental first-missing scanner over the reverse sequence.
 	scanPos := 0
@@ -132,14 +126,14 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	}
 
 	push := func(d int, b layout.BlockID) {
-		heap.Push(&heaps[d], evEntry{b, int32(oracle.NextUse(b))})
+		heaps[d].push(evEntry{b, int32(oracle.NextUse(b))})
 	}
 	furthestOn := func(d int) (layout.BlockID, int) {
 		h := &heaps[d]
-		for h.Len() > 0 {
+		for len(*h) > 0 {
 			top := (*h)[0]
 			if st[top.block] != present || int(top.next) != oracle.NextUse(top.block) {
-				heap.Pop(h)
+				h.pop()
 				continue
 			}
 			return top.block, int(top.next)
@@ -194,11 +188,11 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 					}
 					// Emit the op: forward fetch of B serving needIdxOf(B),
 					// forward eviction of M with release n-1-p+1 = n-p.
-					pairs = append(pairs, revOp{
-						fwdFetch: b,
-						needIdx:  needIdxOf(b),
-						fwdEvict: m,
-						release:  n - p,
+					pairs = append(pairs, Op{
+						Fetch:   b,
+						NeedIdx: needIdxOf(b),
+						Evict:   m,
+						Release: n - p,
 					})
 					st[b] = absent
 					if u := oracle.NextUse(b); u < scanPos {
@@ -263,8 +257,8 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	// Drain: blocks still cached at the end of the reverse pass are the
 	// forward run's initial working set — fetched from a cold cache with
 	// no eviction, released immediately, ordered by the reference they
-	// serve.
-	var ops []Op
+	// serve. The cache holds exactly used blocks, present or in flight.
+	ops := make([]Op, 0, used+len(pairs))
 	for blk := 0; blk < nBlocks; blk++ {
 		if st[blk] == present || st[blk] == flying {
 			ops = append(ops, Op{
@@ -280,13 +274,7 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	// time runs backwards through forward time). An eviction of a block
 	// always precedes that block's next scheduled fetch in this order.
 	for i := len(pairs) - 1; i >= 0; i-- {
-		p := pairs[i]
-		ops = append(ops, Op{
-			Fetch:   p.fwdFetch,
-			NeedIdx: p.needIdx,
-			Evict:   p.fwdEvict,
-			Release: p.release,
-		})
+		ops = append(ops, pairs[i])
 	}
 	return &Schedule{Ops: ops}, nil
 }
@@ -299,21 +287,51 @@ type evEntry struct {
 
 type evictHeap []evEntry
 
-func (h evictHeap) Len() int            { return len(h) }
-func (h evictHeap) Less(i, j int) bool  { return h[i].next > h[j].next }
-func (h evictHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *evictHeap) Push(x interface{}) { *h = append(*h, x.(evEntry)) }
-func (h *evictHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// push and pop make exactly the sift comparisons of container/heap's
+// Push and Pop, so ties between equal keys (many blocks are never used
+// again) resolve the same way; being typed, they box nothing.
+//
+//ppcvet:hotpath
+func (h *evictHeap) push(e evEntry) {
+	*h = append(*h, e)
+	a := *h
+	for j := len(a) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || a[j].next <= a[i].next {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+// pop removes the top entry.
+//
+//ppcvet:hotpath
+func (h *evictHeap) pop() {
+	a := *h
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].next > a[j].next {
+			j = j2
+		}
+		if a[j].next <= a[i].next {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	*h = a[:n]
 }
 
 // Stats for diagnostics (read after a run; not part of the public API).
 type Stats struct {
-	ForcedIssues int // OnStall force-issues of scheduled ops
+	ForcedIssues int // scheduled ops OnStall issued for a stalled block
 	AdHocIssues  int // OnStall fetches with no scheduled op
 	FallbackEvts int // evictions that deviated from the schedule
 }
@@ -321,6 +339,13 @@ type Stats struct {
 // Policy replays a reverse aggressive schedule against the real disk
 // model: whenever a disk is free, it issues the first up to batch-size
 // released pairs whose fetch block resides on that disk.
+//
+// The replay state is indexed by queue position: the schedule's ops laid
+// out disk by disk, each disk's in increasing request-index order. Two
+// bitmaps over the positions mark the issued ops and the ready ones
+// (unissued and released), so a poll walks only the ready ops of its scan
+// window instead of testing every position in it, and skips a disk whose
+// window held nothing ready until a release or a forced issue touches it.
 type Policy struct {
 	// FetchEstimate is the fixed F used to construct the schedule
 	// (0 → 32, a mid-range value; the experiments sweep it).
@@ -329,19 +354,29 @@ type Policy struct {
 	// (0 → the Table 6 default for the array size).
 	BatchSize int
 
-	s      *engine.State
-	sched  *Schedule
-	byDisk [][]int // per disk: op indices in rank order
-	ptr    []int   // per disk: next unconsidered position in byDisk
-	issued []bool  // per op
-	// pending fetch ops per block (rank order) for stall fallback.
-	pending map[layout.BlockID][]int
+	s       *engine.State
 	batch   int
+	ops     []Op    // the schedule in queue order
+	diskEnd []int32 // per disk: one past its last queue position
+	ptr     []int32 // per disk: first unissued queue position
+	// quiet marks a disk whose last scan found nothing ready in its
+	// window; a release on the disk or a forced issue there clears it.
+	quiet  []bool
+	issued []uint64 // bitmap over queue positions
+	ready  []uint64 // bitmap over queue positions: unissued and released
+	// gated holds the release-gated queue positions in Release order;
+	// the first relNext of them are released.
+	gated   []int32
+	relNext int
+	// Per block, the queue positions of its ops in schedule order,
+	// blockPos[blockHead[b]:blockEnd[b]], for the stall fallback;
+	// blockHead[b] skips the issued ones.
+	blockPos  []int32
+	blockHead []int32
+	blockEnd  []int32
 
 	// Diagnostics.
 	Stat Stats
-	// ignoreReleases disables release gating (diagnostics only).
-	ignoreReleases bool
 }
 
 // New returns a reverse aggressive policy with the given schedule
@@ -374,17 +409,9 @@ func (p *Policy) Attach(s *engine.State) {
 	if err != nil {
 		panic(fmt.Sprintf("revagg: %v", err))
 	}
-	p.sched = sched
-	d := len(s.Drives)
-	p.byDisk = make([][]int, d)
-	p.ptr = make([]int, d)
-	p.issued = make([]bool, len(sched.Ops))
-	p.pending = make(map[layout.BlockID][]int, len(sched.Ops))
-	for k, op := range sched.Ops {
-		dd := s.DiskOf(op.Fetch)
-		p.byDisk[dd] = append(p.byDisk[dd], k)
-		p.pending[op.Fetch] = append(p.pending[op.Fetch], k)
-	}
+	ops := sched.Ops
+	n, m, disks := len(s.Refs), len(ops), len(s.Drives)
+
 	// Issue fetches in increasing request-index order per disk, as the
 	// paper prescribes ("fetches may need to be re-ordered according to
 	// increasing request index"): this restores the spatial locality of
@@ -393,12 +420,65 @@ func (p *Policy) Attach(s *engine.State) {
 	// cannot evict a block before its scheduled refetch: the eviction's
 	// release is past the refetched block's use, and the engine's stall
 	// handling force-issues any fetch the cursor catches up with.
-	for d := range p.byDisk {
-		q := p.byDisk[d]
-		sort.SliceStable(q, func(i, j int) bool {
-			return sched.Ops[q[i]].NeedIdx < sched.Ops[q[j]].NeedIdx
-		})
+	// Stable counting sorts by NeedIdx, then by disk, order each disk's
+	// ops by (NeedIdx, schedule rank).
+	ranks := make([]int32, m)
+	for k := range ranks {
+		ranks[k] = int32(k)
 	}
+	byNeed, _ := sortByKey(ranks, n+1, func(k int32) int { return ops[k].NeedIdx })
+	var order []int32 // queue position → schedule rank
+	order, p.diskEnd = sortByKey(byNeed, disks, func(k int32) int { return s.DiskOf(ops[k].Fetch) })
+	p.ptr = make([]int32, disks)
+	copy(p.ptr[1:], p.diskEnd)
+	p.quiet = make([]bool, disks)
+
+	p.ops = make([]Op, m)
+	p.issued = make([]uint64, (m+63)/64)
+	p.ready = make([]uint64, len(p.issued))
+	slot := make([]int32, m) // schedule rank → queue position
+	gated := make([]int32, 0, m)
+	for g, k := range order {
+		p.ops[g] = ops[k]
+		slot[k] = int32(g)
+		if ops[k].Evict == cache.NoBlock {
+			p.ready[g>>6] |= 1 << (g & 63)
+		} else {
+			gated = append(gated, int32(g))
+		}
+	}
+	p.gated, _ = sortByKey(gated, n+1, func(g int32) int { return p.ops[g].Release })
+	p.relNext = 0
+
+	// Per block, its ops' queue positions in schedule order.
+	blockPos, blockEnd := sortByKey(ranks, s.Layout.NumBlocks(), func(k int32) int { return int(ops[k].Fetch) })
+	for i, k := range blockPos {
+		blockPos[i] = slot[k]
+	}
+	p.blockPos, p.blockEnd = blockPos, blockEnd
+	p.blockHead = make([]int32, len(blockEnd))
+	copy(p.blockHead[1:], blockEnd)
+}
+
+// sortByKey returns idx stably sorted by key(i), which lies in [0, nKeys),
+// and the end of each key's run in the sorted slice.
+func sortByKey(idx []int32, nKeys int, key func(int32) int) (sorted, end []int32) {
+	end = make([]int32, nKeys)
+	for _, i := range idx {
+		end[key(i)]++
+	}
+	var sum int32
+	for k, c := range end {
+		end[k] = sum // the run's start, advanced to its end below
+		sum += c
+	}
+	sorted = make([]int32, len(idx))
+	for _, i := range idx {
+		k := key(i)
+		sorted[end[k]] = i
+		end[k]++
+	}
+	return sorted, end
 }
 
 // defaultBatch mirrors policy.DefaultBatchSize without importing it (to
@@ -418,28 +498,27 @@ func defaultBatch(disks int) int {
 	}
 }
 
-// released reports whether op k's eviction (if any) may happen now.
-func (p *Policy) released(k int) bool {
-	op := p.sched.Ops[k]
-	if op.Evict == cache.NoBlock || p.ignoreReleases {
-		return true
-	}
-	return op.Release <= p.s.Cursor()
-}
-
 // scanWindow bounds how far past the first unissued op a disk's queue is
 // searched for released pairs (releases are only approximately monotone
-// in emission order).
+// in emission order). It defines which ops are eligible, so it is part
+// of the algorithm's results, not a tuning knob.
 const scanWindow = 256
 
-// issueOp executes op k. Returns false if it cannot be issued legally.
-func (p *Policy) issueOp(k int) bool {
+func (p *Policy) isIssued(g int32) bool { return p.issued[g>>6]&(1<<(g&63)) != 0 }
+
+func (p *Policy) markIssued(g int32) {
+	p.issued[g>>6] |= 1 << (g & 63)
+	p.ready[g>>6] &^= 1 << (g & 63)
+}
+
+// issueOp executes the op at queue position g. Returns false if it
+// cannot be issued legally.
+func (p *Policy) issueOp(g int32) bool {
 	s := p.s
-	op := p.sched.Ops[k]
+	op := &p.ops[g]
 	if !s.Cache.Absent(op.Fetch) {
 		// Already fetched (e.g. by a stall fallback); consume silently.
-		p.issued[k] = true
-		p.dropPending(op.Fetch, k)
+		p.markIssued(g)
 		return true
 	}
 	victim := cache.NoBlock
@@ -459,47 +538,61 @@ func (p *Policy) issueOp(k int) bool {
 		p.Stat.FallbackEvts++
 	}
 	s.Issue(op.Fetch, victim)
-	p.issued[k] = true
-	p.dropPending(op.Fetch, k)
+	p.markIssued(g)
 	return true
 }
 
-func (p *Policy) dropPending(b layout.BlockID, k int) {
-	lst := p.pending[b]
-	for i, kk := range lst {
-		if kk == k {
-			p.pending[b] = append(lst[:i], lst[i+1:]...)
-			return
-		}
-	}
-}
-
-// Poll implements engine.Policy.
+// Poll implements engine.Policy: it releases the ops whose release time
+// the cursor has reached, then lets each free disk issue, in queue
+// order, up to a batch of the ready ops among the scanWindow positions
+// from its first unissued op.
+//
+//ppcvet:hotpath
 func (p *Policy) Poll() {
 	s := p.s
-	for d, dr := range s.Drives {
-		if dr.Outstanding() != 0 {
+	c := s.Cursor()
+	for ; p.relNext < len(p.gated); p.relNext++ {
+		g := p.gated[p.relNext]
+		if p.ops[g].Release > c {
+			break
+		}
+		// OnStall may have forced the op out before its release; it must
+		// not become ready again.
+		if !p.isIssued(g) {
+			p.ready[g>>6] |= 1 << (g & 63)
+			p.quiet[s.DiskOf(p.ops[g].Fetch)] = false
+		}
+	}
+	for d, end := range p.diskEnd {
+		if p.quiet[d] || !s.DriveFree(d) {
 			continue
 		}
-		budget := p.batch
-		q := p.byDisk[d]
-		for p.ptr[d] < len(q) && p.issued[q[p.ptr[d]]] {
-			p.ptr[d]++
+		g := p.ptr[d]
+		for g < end && p.isIssued(g) {
+			g++
 		}
-		for off := 0; off < scanWindow && budget > 0; off++ {
-			i := p.ptr[d] + off
-			if i >= len(q) {
+		p.ptr[d] = g
+		lim := g + scanWindow
+		if lim > end {
+			lim = end
+		}
+		found := false
+		for budget := p.batch; budget > 0 && g < lim; g++ {
+			w := p.ready[g>>6] >> (g & 63)
+			if w == 0 {
+				g |= 63 // the loop step moves to the next word
+				continue
+			}
+			g += int32(bits.TrailingZeros64(w))
+			if g >= lim {
 				break
 			}
-			k := q[i]
-			if p.issued[k] || !p.released(k) {
-				continue
+			found = true
+			if p.issueOp(g) {
+				budget--
 			}
-			if !p.issueOp(k) {
-				continue
-			}
-			budget--
 		}
+		p.quiet[d] = !found
 	}
 }
 
@@ -507,10 +600,14 @@ func (p *Policy) Poll() {
 // the stalled block, or fall back to a demand fetch.
 func (p *Policy) OnStall(b layout.BlockID) {
 	s := p.s
-	p.Stat.ForcedIssues++
-	if lst := p.pending[b]; len(lst) > 0 {
-		k := lst[0]
-		op := p.sched.Ops[k]
+	h, end := p.blockHead[b], p.blockEnd[b]
+	for h < end && p.isIssued(p.blockPos[h]) {
+		h++
+	}
+	p.blockHead[b] = h
+	if h < end {
+		g := p.blockPos[h]
+		op := &p.ops[g]
 		victim := cache.NoBlock
 		switch {
 		case op.Evict != cache.NoBlock && s.Cache.Present(op.Evict):
@@ -524,8 +621,9 @@ func (p *Policy) OnStall(b layout.BlockID) {
 			}
 		}
 		s.Issue(b, victim)
-		p.issued[k] = true
-		p.dropPending(b, k)
+		p.markIssued(g)
+		p.quiet[s.DiskOf(b)] = false
+		p.Stat.ForcedIssues++
 		return
 	}
 	// No scheduled fetch (should not happen with a sound schedule): plain

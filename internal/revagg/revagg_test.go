@@ -1,7 +1,11 @@
 package revagg
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +14,7 @@ import (
 	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
 	"ppcsim/internal/trace"
+	"ppcsim/internal/trace/tracetest"
 )
 
 func mkRefs(ids ...int) []layout.BlockID {
@@ -221,6 +226,157 @@ func TestPolicyEndToEndRandomTraces(t *testing.T) {
 
 func layoutBlocks(n int) int { return n }
 
+// TestReplayMatchesLegacy checks the incremental replay against the
+// reference replay in legacy_test.go: the same Result and Stats on
+// random traces and on xds, across array sizes and both (F, batch)
+// settings the benchmark uses.
+func TestReplayMatchesLegacy(t *testing.T) {
+	type input struct {
+		name string
+		tr   *trace.Trace
+	}
+	var inputs []input
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := tracetest.Random(rng, tracetest.RandomConfig{MaxBlocks: 500, MaxRefs: 4000, RandomPlacement: true})
+		// Keep the cache well below the block count so the replay evicts.
+		tr.CacheBlocks = 2 + rng.Intn(tr.NumBlocks()/2)
+		inputs = append(inputs, input{fmt.Sprintf("rand%d", seed), tr})
+	}
+	for _, in := range inputs {
+		for _, disks := range []int{1, 2, 4, 16} {
+			for _, fb := range []struct {
+				f     float64
+				batch int
+			}{{4, 80}, {32, 0}} {
+				name := fmt.Sprintf("%s/F%g-b%d/%dd", in.name, fb.f, fb.batch, disks)
+				compareWithLegacy(t, name, in.tr, disks, fb.f, fb.batch)
+			}
+		}
+	}
+}
+
+// TestReplayForcedBeforeRelease covers the case where the engine's stall
+// handling force-issues an op before its release time: the release that
+// arrives later must not make the op eligible a second time. xds at 4
+// disks with F=4, batch 80 issues ops that way.
+func TestReplayForcedBeforeRelease(t *testing.T) {
+	ref := compareWithLegacy(t, "xds/F4-b80/4d", tracetest.Bundled(t, "xds"), 4, 4, 80)
+	if ref.earlyForced == 0 {
+		t.Fatal("no op was force-issued before its release; the case is not exercised")
+	}
+}
+
+// compareWithLegacy runs Policy and legacyPolicy on one input and
+// reports any difference in Result or Stats. It returns the reference
+// policy after its run.
+func compareWithLegacy(t *testing.T, name string, tr *trace.Trace, disks int, f float64, batch int) *legacyPolicy {
+	t.Helper()
+	ref := &legacyPolicy{FetchEstimate: f, BatchSize: batch}
+	want, err := engine.Run(engine.Config{Trace: tr, Policy: ref, Disks: disks})
+	if err != nil {
+		t.Fatalf("%s legacy: %v", name, err)
+	}
+	p := New(f, batch)
+	got, err := engine.Run(engine.Config{Trace: tr, Policy: p, Disks: disks})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: result differs\n got  %+v\n want %+v", name, got, want)
+	}
+	if p.Stat != ref.Stat {
+		t.Errorf("%s: stats %+v, want %+v", name, p.Stat, ref.Stat)
+	}
+	return ref
+}
+
+// stallTally wraps Policy and counts the OnStall calls that issued a
+// scheduled op: a fetch started and AdHocIssues did not move.
+type stallTally struct {
+	*Policy
+	calls, scheduled int
+}
+
+func (c *stallTally) OnStall(b layout.BlockID) {
+	fetches, adHoc := c.s.Fetches(), c.Stat.AdHocIssues
+	c.Policy.OnStall(b)
+	c.calls++
+	if c.s.Fetches() > fetches && c.Stat.AdHocIssues == adHoc {
+		c.scheduled++
+	}
+}
+
+// TestForcedIssuesCountsOnlyScheduledIssues checks that Stat.ForcedIssues
+// counts only OnStall calls that issued a scheduled op: not a call that
+// finds every buffer in flight and issues nothing, and not an ad-hoc
+// demand fetch, which AdHocIssues counts.
+func TestForcedIssuesCountsOnlyScheduledIssues(t *testing.T) {
+	t.Run("every buffer in flight", func(t *testing.T) {
+		// The first poll fills the 4-block cache with in-flight fetches
+		// of the initial working set, so a forced issue has no victim.
+		p := &firstPollStall{Policy: New(8, 80)}
+		if _, err := engine.Run(engine.Config{Trace: loopTrace(20, 3, 1.5, 4), Policy: p, Disks: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if !p.probed {
+			t.Fatal("no absent scheduled block to stall on after the first poll")
+		}
+		if p.fetched {
+			t.Fatal("OnStall issued a fetch with every buffer in flight")
+		}
+		if p.forcedAfter != 0 {
+			t.Errorf("ForcedIssues = %d after an OnStall that issued nothing", p.forcedAfter)
+		}
+	})
+	t.Run("ad-hoc fallbacks", func(t *testing.T) {
+		// A 7-block cache on 4 disks makes the replay fall back to
+		// demand fetches for blocks with no scheduled op left.
+		c := &stallTally{Policy: New(4, 80)}
+		tr := tracetest.Random(rand.New(rand.NewSource(1)), tracetest.RandomConfig{MaxBlocks: 60, MaxRefs: 800})
+		tr.CacheBlocks = 7
+		if _, err := engine.Run(engine.Config{Trace: tr, Policy: c, Disks: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if c.Stat.AdHocIssues == 0 {
+			t.Fatal("no ad-hoc fallback; the case is not exercised")
+		}
+		if c.Stat.ForcedIssues != c.scheduled {
+			t.Errorf("ForcedIssues = %d, want %d (OnStall calls %d, ad hoc %d)",
+				c.Stat.ForcedIssues, c.scheduled, c.calls, c.Stat.AdHocIssues)
+		}
+	})
+}
+
+// firstPollStall calls OnStall once, after the first poll that leaves no
+// free buffer, for the first absent block of the trace.
+type firstPollStall struct {
+	*Policy
+	probed, fetched bool
+	forcedAfter     int
+}
+
+func (f *firstPollStall) Poll() {
+	f.Policy.Poll()
+	if f.probed {
+		return
+	}
+	s := f.s
+	if s.Cache.FreeBuffers() != 0 {
+		return
+	}
+	for _, b := range s.Refs {
+		if s.Cache.Absent(b) {
+			f.probed = true
+			fetches := s.Fetches()
+			f.Policy.OnStall(b)
+			f.fetched = s.Fetches() != fetches
+			f.forcedAfter = f.Stat.ForcedIssues
+			return
+		}
+	}
+}
+
 // TestScheduleLegalOnBundledTraces checks the structural invariants on
 // slices of the real workloads, where access patterns are far less
 // uniform than the random traces.
@@ -372,5 +528,45 @@ func (a *simpleAg) Poll() {
 		}
 		s.Issue(b, v)
 		issued++
+	}
+}
+
+// refHeap is evictHeap's ordering behind container/heap, the reference
+// for TestEvictHeapMatchesContainerHeap.
+type refHeap []evEntry
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].next > h[j].next }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(evEntry)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestEvictHeapMatchesContainerHeap checks that the typed push and pop
+// leave the array exactly as container/heap would, with many equal keys
+// so that tie-breaking is exercised.
+func TestEvictHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var got evictHeap
+	var want refHeap
+	for i := 0; i < 5000; i++ {
+		if len(got) > 0 && rng.Intn(3) == 0 {
+			got.pop()
+			heap.Pop(&want)
+		} else {
+			e := evEntry{block: layout.BlockID(i), next: int32(rng.Intn(8))}
+			if rng.Intn(4) == 0 {
+				e.next = future.Never
+			}
+			got.push(e)
+			heap.Push(&want, e)
+		}
+		if !slices.Equal(got, evictHeap(want)) {
+			t.Fatalf("step %d: heaps differ\n got  %v\n want %v", i, got, want)
+		}
 	}
 }
