@@ -250,15 +250,15 @@ func BenchmarkAppendixHForestallFixed(b *testing.B) {
 //
 // One benchmark per (policy, disk count) on the full synthetic
 // 100k-reference trace, reporting refs/sec alongside ns/op and allocs/op.
-// These are the regression surface for the simulator's hot path;
-// `go run ./cmd/ppc-bench` runs the same grid and emits BENCH_<n>.json.
+// CI's bench smoke runs them once per grid point; speed claims are
+// measured with perfbench (see perfbench/README.md).
 
 func benchTraceFull(b *testing.B, name string) *ppcsim.Trace {
 	b.Helper()
 	return tracetest.Bundled(b, name)
 }
 
-// HotPathGrid is the benchmark grid shared with cmd/ppc-bench.
+// The hot-path benchmark grid: every online policy at 1 to 16 disks.
 var (
 	hotPathAlgs  = []ppcsim.Algorithm{ppcsim.Demand, ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.Forestall}
 	hotPathDisks = []int{1, 2, 4, 8, 16}

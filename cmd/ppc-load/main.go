@@ -4,8 +4,8 @@
 // versioned LOAD_<n>.json capacity report — per-class latency
 // percentiles, achieved-vs-offered RPS, error/429/timeout counts, the
 // 429-backpressure saturation point (ramp mode), and an SLO verdict.
-// It is the serving analogue of ppc-bench: check a report in next to
-// BENCH_<n>.json and every future serving change is gated on measured
+// It is the serving analogue of the BENCH_<n>.json records: check a
+// report in and every future serving change is gated on measured
 // capacity. See docs/load.md for the spec and report vocabulary.
 //
 // Usage:

@@ -2,8 +2,8 @@
 // the v1 API (see docs/api-v1.md): POST /v1/run runs (or serves from
 // cache) one simulation, /v1/healthz reports liveness, /v1/statsz
 // reports queue depth, cache hit rate, and hit/miss latency
-// percentiles. The pre-v1 paths remain as deprecated shims (/simulate
-// 308-redirects to /v1/run).
+// percentiles. The retired pre-v1 paths (/simulate, /healthz, /statsz)
+// answer 404 like any unknown path.
 //
 // A ppc-serve process is also the worker role of a sweep cluster:
 // point ppc-coord's -backends flag at a fleet of these and the

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"ppcsim/internal/cache"
@@ -176,19 +177,6 @@ func (nz *hintNoiser) draw(b layout.BlockID) layout.BlockID {
 	}
 }
 
-// applyHintNoise overwrites disclosed with the hint stream the policy
-// sees: undisclosed positions become phantom, inaccurate ones a wrong
-// block.
-func applyHintNoise(disclosed, refs []layout.BlockID, isWrite []bool, phantom layout.BlockID, nBlocks int, h *HintSpec) {
-	nz := newHintNoiser(h, phantom, nBlocks)
-	for i, b := range refs {
-		if isWrite[i] {
-			continue
-		}
-		disclosed[i] = nz.draw(b)
-	}
-}
-
 // Result reports the metrics of one run in the units of the paper's
 // appendix tables.
 type Result struct {
@@ -280,23 +268,28 @@ type State struct {
 	isWrite  []bool
 	writes   int64
 
-	// Streaming state. src is nil for materialized runs. The reference
-	// columns (Refs, trueRefs, isWrite, compute) are rings of a
-	// power-of-two capacity; mask folds a position into its slot
-	// (mask = -1, a no-op, when materialized). filled counts the
-	// references pulled from the source so far; ahead is how far past
-	// the cursor fill keeps the window primed; n is the total trace
-	// length in both modes.
-	src     trace.Source
-	srcBuf  []trace.Ref
-	srcI    int
-	srcN    int
-	mask    int
-	n       int
-	filled  int
-	ahead   int
-	phantom layout.BlockID
-	noiser  *hintNoiser
+	// The reference columns (Refs, trueRefs, isWrite, compute) hold the
+	// whole trace in a materialized run (mask = -1, a no-op) and a
+	// power-of-two ring in a streaming one; mask folds a position into
+	// its slot. n is the trace length and filled counts the references
+	// loaded so far. src is nil for materialized runs; a streaming run
+	// pulls from it through srcBuf, and fill keeps the ring primed ahead
+	// positions past the cursor.
+	src    trace.Source
+	srcBuf []trace.Ref
+	srcI   int
+	srcN   int
+	mask   int
+	n      int
+	filled int
+	ahead  int
+	// phantom (block id NumBlocks) stands in for references the policy
+	// must not act on: undisclosed hints and write-behind updates. It
+	// exists, pinned present, when blockSpace includes it — in hinted
+	// runs and in runs with writes. noiser is nil without hints.
+	phantom    layout.BlockID
+	blockSpace int
+	noiser     *hintNoiser
 	// dwin is the sliding per-disk index a streaming run maintains in
 	// place of the lazily built materialized one (both are served
 	// through DiskIndex()).
@@ -493,11 +486,7 @@ func (s *State) WindowLimit(limit int) int {
 	if s.window == 0 {
 		return limit
 	}
-	w := s.window
-	if w < 0 {
-		w = 0
-	}
-	if horizon := s.Oracle.Cursor() + w; horizon < limit {
+	if horizon := s.Oracle.Cursor() + max(s.window, 0); horizon < limit {
 		return horizon
 	}
 	return limit
@@ -524,7 +513,7 @@ func (s *State) Observed(i int) layout.BlockID {
 	if i >= s.Oracle.Cursor() {
 		panic(fmt.Sprintf("engine: Observed(%d) is in the future (cursor %d)", i, s.Oracle.Cursor()))
 	}
-	if s.src != nil && i < s.filled-len(s.trueRefs) {
+	if i < s.filled-len(s.trueRefs) {
 		panic(fmt.Sprintf("engine: Observed(%d) is outside the retained streaming window (oldest %d)",
 			i, s.filled-len(s.trueRefs)))
 	}
@@ -542,11 +531,7 @@ func (s *State) NextUseVisible(b layout.BlockID) int {
 	if s.window == 0 {
 		return s.Oracle.NextUse(b)
 	}
-	w := s.window
-	if w < 0 {
-		w = 0
-	}
-	return s.Oracle.NextUseWithin(b, w)
+	return s.Oracle.NextUseWithin(b, max(s.window, 0))
 }
 
 // Fetches returns the number of fetches issued so far.
@@ -603,21 +588,15 @@ func (t *batchTracker) Name() string    { return t.inner.Name() }
 func (t *batchTracker) Attach(s *State) { t.inner.Attach(s) }
 
 func (t *batchTracker) Poll() {
-	clearBatches(t.s)
+	clear(t.s.batchIssued)
 	t.inner.Poll()
 	emitBatches(t.s, false)
 }
 
 func (t *batchTracker) OnStall(b layout.BlockID) {
-	clearBatches(t.s)
+	clear(t.s.batchIssued)
 	t.inner.OnStall(b)
 	emitBatches(t.s, true)
-}
-
-func clearBatches(s *State) {
-	for i := range s.batchIssued {
-		s.batchIssued[i] = 0
-	}
 }
 
 func emitBatches(s *State, onStall bool) {
@@ -633,35 +612,87 @@ func emitBatches(s *State, onStall bool) {
 
 // Run executes the configured simulation to completion.
 func Run(cfg Config) (Result, error) {
-	if cfg.Source != nil {
-		if cfg.Trace != nil {
-			return Result{}, fmt.Errorf("engine: Trace and Source are mutually exclusive")
-		}
-		return runStreaming(cfg)
+	s, err := newState(cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.Trace == nil {
-		return Result{}, fmt.Errorf("engine: nil trace")
+	return runLoop(s, cfg)
+}
+
+// newState sets up a run from a resident Config.Trace or a streamed
+// Config.Source alike: every rule and default is stated here once. Only
+// three things depend on the mode. The reference columns hold the whole
+// trace or a power-of-two ring; the oracle is built over the whole
+// disclosed sequence or slides with the ring; and the per-disk index is
+// built lazily or slides too. A streamed run is byte-identical to the
+// materialized run of the same trace: both load references through load
+// in trace order, so the hint noise and the compute sum come out the
+// same; the policies only inspect positions inside their lookahead
+// window, which fill keeps resident; and eviction beyond the window falls
+// back to the same LRU order in both modes.
+func newState(cfg Config) (*State, error) {
+	var m trace.Meta
+	switch {
+	case cfg.Trace != nil && cfg.Source != nil:
+		return nil, fmt.Errorf("engine: Trace and Source are mutually exclusive")
+	case cfg.Trace != nil:
+		m = cfg.Trace.Source().Meta()
+	case cfg.Source != nil:
+		m = cfg.Source.Meta()
+	default:
+		return nil, fmt.Errorf("engine: nil trace")
 	}
-	// A zero-length trace is a valid degenerate run (nothing happens, all
-	// metrics are zero); Validate rejects it only as a guard for the
-	// public API, which screens options before reaching the engine.
-	if len(cfg.Trace.Refs) > 0 {
-		if err := cfg.Trace.Validate(); err != nil {
-			return Result{}, fmt.Errorf("engine: %w", err)
-		}
-	}
+	streaming := cfg.Source != nil
 	if cfg.Policy == nil {
-		return Result{}, fmt.Errorf("engine: nil policy")
+		return nil, fmt.Errorf("engine: nil policy")
 	}
 	if cfg.Disks <= 0 {
-		return Result{}, fmt.Errorf("engine: disks must be positive, got %d", cfg.Disks)
+		return nil, fmt.Errorf("engine: disks must be positive, got %d", cfg.Disks)
+	}
+	// A zero-length materialized trace is a valid degenerate run (nothing
+	// happens, all metrics are zero); the public API screens it out
+	// before reaching the engine.
+	if m.Refs > 0 || streaming {
+		if err := m.Validate(); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+	}
+	if m.Refs >= int64(future.Never) {
+		return nil, fmt.Errorf("engine: trace of %d references exceeds the 2^31-1 position space", m.Refs)
+	}
+	n := int(m.Refs)
+	window := 0
+	if cfg.Hints != nil {
+		if err := cfg.Hints.Validate(); err != nil {
+			return nil, err
+		}
+		// A window covering the whole trace discloses exactly what
+		// unlimited lookahead does (the horizon cursor+W stays past the
+		// last reference for every cursor), so it is normalized to the
+		// unlimited fast path: runs with W >= len(refs) are bit-identical
+		// to full-knowledge runs by construction.
+		window = cfg.Hints.Window
+		if window >= n {
+			window = 0
+		}
+	}
+	if streaming {
+		if _, ok := cfg.Policy.(interface{ RequiresFullTrace() }); ok {
+			return nil, fmt.Errorf("engine: policy %s requires the full trace; materialize the source to run it", cfg.Policy.Name())
+		}
+		if window == 0 {
+			return nil, fmt.Errorf("engine: streaming runs need Hints with a lookahead window smaller than the trace (%d refs); materialize the trace for unlimited lookahead", n)
+		}
+		if err := cfg.Source.Reset(); err != nil {
+			return nil, fmt.Errorf("engine: source reset: %w", err)
+		}
 	}
 	cacheBlocks := cfg.CacheBlocks
 	if cacheBlocks == 0 {
-		cacheBlocks = cfg.Trace.CacheBlocks
+		cacheBlocks = m.CacheBlocks
 	}
 	if cacheBlocks <= 1 {
-		return Result{}, fmt.Errorf("engine: cache of %d blocks is too small", cacheBlocks)
+		return nil, fmt.Errorf("engine: cache of %d blocks is too small", cacheBlocks)
 	}
 	overhead := cfg.DriverOverheadMs
 	switch {
@@ -674,157 +705,173 @@ func Run(cfg Config) (Result, error) {
 	if model == nil {
 		model = func() disk.Model { return disk.NewHP97560() }
 	}
+	lay, err := m.Layout(cfg.Disks, cfg.PlacementSeed)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 
-	lay, err := cfg.Trace.Layout(cfg.Disks, cfg.PlacementSeed)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine: %w", err)
+	nBlocks := m.NumBlocks()
+	s := &State{
+		Layout:     lay,
+		overhead:   overhead,
+		obs:        cfg.Observer,
+		window:     window,
+		mask:       -1,
+		n:          n,
+		phantom:    layout.BlockID(nBlocks),
+		blockSpace: nBlocks,
+		traceName:  m.Name,
 	}
-	refs := make([]layout.BlockID, len(cfg.Trace.Refs))
-	compute := make([]float64, len(cfg.Trace.Refs))
-	for i, r := range cfg.Trace.Refs {
-		refs[i] = r.Block
-		compute[i] = r.ComputeMs
+	size := n
+	if streaming {
+		// The ring must hold the policies' whole lookahead ([cursor,
+		// cursor+W)), the compute time of the reference after the one
+		// being served, and a margin of already-consumed positions for
+		// the recency policies' Observed back-reads (they lag the cursor
+		// by a handful of references at most; 64 is comfortable).
+		s.ahead = max(window, 0) + 2
+		size = 1 << bits.Len(uint(s.ahead+63)) // the next power of two >= ahead+64
+		s.mask = size - 1
+		s.src, s.srcBuf = cfg.Source, make([]trace.Ref, 4096)
 	}
-	nBlocks := cfg.Trace.NumBlocks()
-	isWrite := make([]bool, len(cfg.Trace.Refs))
-	hasWrites := false
-	for i, r := range cfg.Trace.Refs {
-		if r.Write {
-			isWrite[i] = true
-			hasWrites = true
-		}
-	}
-	disclosed := refs
-	blockSpace := nBlocks
-	if cfg.Hints != nil || hasWrites {
-		// Block id nBlocks is the phantom standing in for references the
-		// policy must not act on — undisclosed hints and write-behind
-		// updates; it is pinned present so policies skip it.
-		blockSpace = nBlocks + 1
-		phantom := layout.BlockID(nBlocks)
-		disclosed = make([]layout.BlockID, len(refs))
-		copy(disclosed, refs)
-		for i := range disclosed {
-			if isWrite[i] {
-				disclosed[i] = phantom
-			}
-		}
-		if cfg.Hints != nil {
-			if err := cfg.Hints.Validate(); err != nil {
-				return Result{}, err
-			}
-			applyHintNoise(disclosed, refs, isWrite, phantom, nBlocks, cfg.Hints)
-		}
-	}
-	oracle := future.New(disclosed, blockSpace)
-	c, err := cache.New(cacheBlocks, blockSpace, oracle)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine: %w", err)
-	}
-	if blockSpace > nBlocks {
-		c.MarkAlwaysPresent(layout.BlockID(nBlocks))
-	}
-	// A window covering the whole trace discloses exactly what unlimited
-	// lookahead does (the horizon cursor+W stays past the last reference
-	// for every cursor), so it is normalized to the unlimited fast path:
-	// runs with W >= len(refs) are bit-identical to full-knowledge runs
-	// by construction.
-	window := 0
+	s.trueRefs = make([]layout.BlockID, size)
+	s.compute = make([]float64, size)
+	s.isWrite = make([]bool, size)
+	// Without hints the policy sees the true sequence: Refs aliases
+	// trueRefs until a write, if any, splits them (see load).
+	s.Refs = s.trueRefs
 	if cfg.Hints != nil {
-		window = cfg.Hints.Window
-		if window >= len(refs) {
-			window = 0
+		s.blockSpace = nBlocks + 1
+		s.Refs = make([]layout.BlockID, size)
+		s.noiser = newHintNoiser(cfg.Hints, s.phantom, nBlocks)
+	}
+	if streaming {
+		s.Oracle = future.NewStreaming(s.blockSpace, size)
+		s.dwin = future.NewSlidingDiskIndex(cfg.Disks, size)
+		s.dindex = s.dwin
+	} else {
+		for i, r := range cfg.Trace.Refs {
+			if err := s.load(i, r); err != nil {
+				return nil, err
+			}
 		}
+		s.filled = n
+		s.Oracle = future.New(s.Refs, s.blockSpace)
+	}
+	if s.Cache, err = cache.New(cacheBlocks, s.blockSpace, s.Oracle); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if s.blockSpace > nBlocks {
+		s.Cache.MarkAlwaysPresent(s.phantom)
 	}
 	if window != 0 {
-		c.EnableWindow(window)
+		s.Cache.EnableWindow(window)
 	}
-	drives := make([]*disk.Drive, cfg.Disks)
-	for i := range drives {
-		drives[i] = disk.NewDrive(model(), cfg.Discipline)
+	s.Drives = make([]*disk.Drive, cfg.Disks)
+	for i := range s.Drives {
+		s.Drives[i] = disk.NewDrive(model(), cfg.Discipline)
 	}
-
-	s := &State{
-		Refs:         disclosed,
-		trueRefs:     refs,
-		isWrite:      isWrite,
-		Layout:       lay,
-		Oracle:       oracle,
-		Cache:        c,
-		Drives:       drives,
-		compute:      compute,
-		overhead:     overhead,
-		inFlightDisk: make([]int32, blockSpace),
-		obs:          cfg.Observer,
-		window:       window,
-		mask:         -1,
-		n:            len(refs),
-		traceName:    cfg.Trace.Name,
-	}
-	for _, ct := range compute {
-		s.totalCompute += ct
-	}
-	wireRun(s, cfg)
-	return runLoop(s, cfg)
-}
-
-// wireRun finishes State setup shared by materialized and streaming
-// runs: the busy-end mirror and, for observed runs, the per-drive and
-// cache event plumbing.
-func wireRun(s *State, cfg Config) {
+	s.inFlightDisk = make([]int32, s.blockSpace)
 	s.busyEnds = make([]float64, cfg.Disks)
 	for i := range s.busyEnds {
 		s.busyEnds[i] = math.Inf(1)
 	}
 	s.minBusyIdx, s.minBusyEnd = -1, math.Inf(1)
 	s.idleDrives = cfg.Disks
-	if s.obs != nil {
-		s.batchIssued = make([]int, cfg.Disks)
-		s.breakdowns = make(map[*disk.Request]disk.Breakdown)
-		for i, d := range s.Drives {
-			i := i
-			d.EnableBreakdown()
-			d.OnStart = func(r *disk.Request, b disk.Breakdown, at float64) {
-				s.breakdowns[r] = b
-				s.obs.FetchStarted(obs.FetchEvent{
-					TMs:        at,
-					Block:      int64(r.Block),
-					Disk:       i,
-					Write:      r.Write,
-					IssuedMs:   r.EnqueuedAt,
-					StartMs:    at,
-					QueuedMs:   at - r.EnqueuedAt,
-					ServiceMs:  r.ServiceMs,
-					SeekMs:     b.SeekMs,
-					RotationMs: b.RotationMs,
-					TransferMs: b.TransferMs,
-				})
-			}
+	s.wireObserver()
+	if streaming {
+		if err := s.fill(0); err != nil {
+			return nil, err
 		}
-		s.Cache.OnEvict = func(victim, replacement layout.BlockID, nextUse int) {
-			// Clamp the reported distance to the lookahead window: the event
-			// stream must not disclose next uses the run itself cannot see
-			// (and a streaming run does not even hold them).
-			if s.window != 0 && nextUse != future.Never {
-				w := s.window
-				if w < 0 {
-					w = 0
-				}
-				if nextUse >= s.Oracle.Cursor()+w {
-					nextUse = future.Never
-				}
-			}
-			dist := -1
-			if nextUse != future.Never {
-				dist = nextUse - s.Oracle.Cursor()
-			}
-			s.obs.Eviction(obs.EvictEvent{
-				TMs:             s.now,
-				Victim:          int64(victim),
-				Replacement:     int64(replacement),
-				NextUseDistance: dist,
+	}
+	return s, nil
+}
+
+// load validates reference i and stores it in its column slot: the true
+// block, compute time and write flag, plus the block disclosed to the
+// policy — the phantom for a write, the hint noise's draw otherwise. It
+// also accumulates the total compute in trace order, so a streamed run's
+// sum is bit-identical to a materialized run's.
+func (s *State) load(i int, r trace.Ref) error {
+	if int(r.Block) < 0 || int(r.Block) >= int(s.phantom) {
+		return fmt.Errorf("engine: trace %q ref %d block %d out of range [0,%d)", s.traceName, i, r.Block, s.phantom)
+	}
+	if math.IsNaN(r.ComputeMs) || math.IsInf(r.ComputeMs, 0) || r.ComputeMs < 0 {
+		return fmt.Errorf("engine: trace %q ref %d invalid compute %g", s.traceName, i, r.ComputeMs)
+	}
+	s.totalCompute += r.ComputeMs
+	if math.IsInf(s.totalCompute, 0) {
+		return fmt.Errorf("engine: trace %q total compute overflows at ref %d", s.traceName, i)
+	}
+	slot := i & s.mask
+	s.trueRefs[slot] = r.Block
+	s.compute[slot] = r.ComputeMs
+	s.isWrite[slot] = r.Write
+	d := r.Block
+	switch {
+	case r.Write:
+		d = s.phantom
+		if s.blockSpace == int(s.phantom) {
+			// The first write of an unhinted run brings in the phantom
+			// and gives the disclosed sequence a column of its own.
+			s.blockSpace++
+			s.Refs = make([]layout.BlockID, len(s.trueRefs))
+			copy(s.Refs, s.trueRefs[:i])
+		}
+	case s.noiser != nil:
+		d = s.noiser.draw(r.Block)
+	}
+	s.Refs[slot] = d
+	return nil
+}
+
+// wireObserver connects an observed run's per-drive and cache event
+// plumbing to s.obs; unobserved runs skip it.
+func (s *State) wireObserver() {
+	if s.obs == nil {
+		return
+	}
+	s.batchIssued = make([]int, len(s.Drives))
+	s.breakdowns = make(map[*disk.Request]disk.Breakdown)
+	for i, d := range s.Drives {
+		i := i
+		d.EnableBreakdown()
+		d.OnStart = func(r *disk.Request, b disk.Breakdown, at float64) {
+			s.breakdowns[r] = b
+			s.obs.FetchStarted(obs.FetchEvent{
+				TMs:        at,
+				Block:      int64(r.Block),
+				Disk:       i,
+				Write:      r.Write,
+				IssuedMs:   r.EnqueuedAt,
+				StartMs:    at,
+				QueuedMs:   at - r.EnqueuedAt,
+				ServiceMs:  r.ServiceMs,
+				SeekMs:     b.SeekMs,
+				RotationMs: b.RotationMs,
+				TransferMs: b.TransferMs,
 			})
 		}
+	}
+	s.Cache.OnEvict = func(victim, replacement layout.BlockID, nextUse int) {
+		// Clamp the reported distance to the lookahead window: the event
+		// stream must not disclose next uses the run itself cannot see
+		// (and a streaming run does not even hold them).
+		if s.window != 0 && nextUse != future.Never {
+			if nextUse >= s.Oracle.Cursor()+max(s.window, 0) {
+				nextUse = future.Never
+			}
+		}
+		dist := -1
+		if nextUse != future.Never {
+			dist = nextUse - s.Oracle.Cursor()
+		}
+		s.obs.Eviction(obs.EvictEvent{
+			TMs:             s.now,
+			Victim:          int64(victim),
+			Replacement:     int64(replacement),
+			NextUseDistance: dist,
+		})
 	}
 }
 
@@ -1083,137 +1130,12 @@ func runLoop(s *State, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// runStreaming executes a run from a streaming trace source, keeping
-// only a bounded ring of references resident. A streamed run is
-// byte-identical to materializing the same source and running it with
-// the same options: the hint noise is drawn in the same order, the
-// policies only ever inspect positions inside their lookahead window
-// (which the engine keeps filled), and eviction beyond the window falls
-// back to the same LRU order in both modes.
-func runStreaming(cfg Config) (Result, error) {
-	src := cfg.Source
-	if cfg.Policy == nil {
-		return Result{}, fmt.Errorf("engine: nil policy")
-	}
-	if _, ok := cfg.Policy.(interface{ RequiresFullTrace() }); ok {
-		return Result{}, fmt.Errorf("engine: policy %s requires the full trace; materialize the source to run it", cfg.Policy.Name())
-	}
-	if cfg.Disks <= 0 {
-		return Result{}, fmt.Errorf("engine: disks must be positive, got %d", cfg.Disks)
-	}
-	m := src.Meta()
-	if err := m.Validate(); err != nil {
-		return Result{}, fmt.Errorf("engine: %w", err)
-	}
-	if err := src.Reset(); err != nil {
-		return Result{}, fmt.Errorf("engine: source reset: %w", err)
-	}
-	if m.Refs >= int64(future.Never) {
-		return Result{}, fmt.Errorf("engine: trace of %d references exceeds the 2^31-1 position space", m.Refs)
-	}
-	n := int(m.Refs)
-	if cfg.Hints == nil {
-		return Result{}, fmt.Errorf("engine: streaming runs need Hints with a bounded lookahead window")
-	}
-	if err := cfg.Hints.Validate(); err != nil {
-		return Result{}, err
-	}
-	window := cfg.Hints.Window
-	if window == 0 || window >= n {
-		return Result{}, fmt.Errorf("engine: streaming runs need a lookahead window smaller than the trace (window %d, %d refs); materialize the trace for unlimited lookahead", window, n)
-	}
-	cacheBlocks := cfg.CacheBlocks
-	if cacheBlocks == 0 {
-		cacheBlocks = m.CacheBlocks
-	}
-	if cacheBlocks <= 1 {
-		return Result{}, fmt.Errorf("engine: cache of %d blocks is too small", cacheBlocks)
-	}
-	overhead := cfg.DriverOverheadMs
-	switch {
-	case overhead == 0: //ppcvet:ignore unset-config sentinel, assigned by the caller rather than computed
-		overhead = DefaultDriverOverheadMs
-	case overhead < 0:
-		overhead = 0
-	}
-	model := cfg.Model
-	if model == nil {
-		model = func() disk.Model { return disk.NewHP97560() }
-	}
-	lay, err := m.Layout(cfg.Disks, cfg.PlacementSeed)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine: %w", err)
-	}
-	nBlocks := m.NumBlocks()
-	// Hints are mandatory here, so the phantom block always exists (as it
-	// does in the materialized hinted run this one must match).
-	blockSpace := nBlocks + 1
-	phantom := layout.BlockID(nBlocks)
-
-	// The ring must hold the policies' whole lookahead ([cursor,
-	// cursor+W)), the compute time of the reference after the one being
-	// served, and a margin of already-consumed positions for the recency
-	// policies' Observed back-reads (they lag the cursor by a handful of
-	// references at most; 64 is comfortable).
-	w := window
-	if w < 0 {
-		w = 0
-	}
-	ahead := w + 2
-	ringCap := nextPow2(ahead + 64)
-	oracle := future.NewStreaming(blockSpace, ringCap)
-	c, err := cache.New(cacheBlocks, blockSpace, oracle)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine: %w", err)
-	}
-	c.MarkAlwaysPresent(phantom)
-	c.EnableWindow(window)
-	drives := make([]*disk.Drive, cfg.Disks)
-	for i := range drives {
-		drives[i] = disk.NewDrive(model(), cfg.Discipline)
-	}
-
-	s := &State{
-		Refs:         make([]layout.BlockID, ringCap),
-		trueRefs:     make([]layout.BlockID, ringCap),
-		isWrite:      make([]bool, ringCap),
-		compute:      make([]float64, ringCap),
-		Layout:       lay,
-		Oracle:       oracle,
-		Cache:        c,
-		Drives:       drives,
-		overhead:     overhead,
-		inFlightDisk: make([]int32, blockSpace),
-		obs:          cfg.Observer,
-		window:       window,
-		src:          src,
-		srcBuf:       make([]trace.Ref, 4096),
-		mask:         ringCap - 1,
-		n:            n,
-		ahead:        ahead,
-		phantom:      phantom,
-		noiser:       newHintNoiser(cfg.Hints, phantom, nBlocks),
-		traceName:    m.Name,
-	}
-	s.dwin = future.NewSlidingDiskIndex(cfg.Disks, ringCap)
-	s.dindex = s.dwin
-	wireRun(s, cfg)
-	if err := s.fill(0); err != nil {
-		return Result{}, err
-	}
-	return runLoop(s, cfg)
-}
-
 // fill pulls references from the source until positions [cursor,
-// cursor+ahead) (clamped to the trace length) are resident, validating
-// each reference and threading its disclosed block into the oracle and
-// the sliding disk index. The total compute accumulates in trace order,
-// so the final sum is bit-identical to a materialized run's.
+// cursor+ahead) (clamped to the trace length) are resident, loading each
+// one and threading its disclosed block into the oracle and the sliding
+// disk index.
 func (s *State) fill(cursor int) error {
-	target := cursor + s.ahead
-	if target > s.n {
-		target = s.n
-	}
+	target := min(cursor+s.ahead, s.n)
 	for s.filled < target {
 		if s.srcI == s.srcN {
 			nr, err := s.src.ReadRefs(s.srcBuf)
@@ -1227,41 +1149,19 @@ func (s *State) fill(cursor int) error {
 			// resurfaces on the next read if it persists.
 			s.srcI, s.srcN = 0, nr
 		}
-		r := s.srcBuf[s.srcI]
-		s.srcI++
 		i := s.filled
-		if int(r.Block) < 0 || int(r.Block) >= int(s.phantom) {
-			return fmt.Errorf("engine: source %q ref %d block %d out of range [0,%d)", s.traceName, i, r.Block, s.phantom)
+		if err := s.load(i, s.srcBuf[s.srcI]); err != nil {
+			return err
 		}
-		if math.IsNaN(r.ComputeMs) || math.IsInf(r.ComputeMs, 0) || r.ComputeMs < 0 {
-			return fmt.Errorf("engine: source %q ref %d invalid compute %g", s.traceName, i, r.ComputeMs)
-		}
-		slot := i & s.mask
-		s.trueRefs[slot] = r.Block
-		s.compute[slot] = r.ComputeMs
-		s.isWrite[slot] = r.Write
-		d := s.phantom
-		if !r.Write {
-			d = s.noiser.draw(r.Block)
-		}
-		s.Refs[slot] = d
+		s.srcI++
+		d := s.Refs[i&s.mask]
 		s.Oracle.Append(d)
 		if d != s.phantom {
 			s.dwin.Append(i, s.Layout.Lookup(d).Disk)
 		}
-		s.totalCompute += r.ComputeMs
 		s.filled++
 	}
 	return nil
-}
-
-// nextPow2 returns the smallest power of two >= v (and >= 2).
-func nextPow2(v int) int {
-	p := 2
-	for p < v {
-		p <<= 1
-	}
-	return p
 }
 
 // summarize converts a StreamingStats observer into the Result's

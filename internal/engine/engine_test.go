@@ -129,18 +129,65 @@ func TestDemandMissCountOnLoop(t *testing.T) {
 	}
 }
 
+// TestConfigValidation runs every setup rejection through both entry
+// points, a resident Config.Trace and a streamed Config.Source with a
+// bounded window, so each rule (stated once in the engine) is shown to
+// fire from either. Stream-only rejections live in the policy package's
+// TestStreamingGuards.
 func TestConfigValidation(t *testing.T) {
-	tr := mkTrace(2, 1.0, 0, 1)
-	cases := []Config{
-		{Policy: &demandPolicy{}, Disks: 1},                                   // nil trace
-		{Trace: tr, Disks: 1},                                                 // nil policy
-		{Trace: tr, Policy: &demandPolicy{}, Disks: 0},                        // no disks
-		{Trace: tr, Policy: &demandPolicy{}, Disks: 1, CacheBlocks: 1},        // tiny cache
-		{Trace: &trace.Trace{Name: "bad"}, Policy: &demandPolicy{}, Disks: 1}, // invalid trace
+	if _, err := Run(Config{Policy: &demandPolicy{}, Disks: 1}); err == nil {
+		t.Error("run with neither Trace nor Source accepted")
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: expected error", i)
+	cases := []struct {
+		name   string
+		mutate func(tr *trace.Trace, cfg *Config)
+	}{
+		{"valid", nil},
+		{"nil policy", func(_ *trace.Trace, cfg *Config) { cfg.Policy = nil }},
+		{"zero disks", func(_ *trace.Trace, cfg *Config) { cfg.Disks = 0 }},
+		{"negative disks", func(_ *trace.Trace, cfg *Config) { cfg.Disks = -1 }},
+		{"cache of one block", func(_ *trace.Trace, cfg *Config) { cfg.CacheBlocks = 1 }},
+		{"hint fraction", func(_ *trace.Trace, cfg *Config) { cfg.Hints.Fraction = 1.5 }},
+		{"hint accuracy", func(_ *trace.Trace, cfg *Config) { cfg.Hints.Accuracy = -0.1 }},
+		{"hint window", func(_ *trace.Trace, cfg *Config) { cfg.Hints.Window = WindowNone - 1 }},
+		{"non-contiguous files", func(tr *trace.Trace, _ *Config) {
+			tr.Files = []layout.File{{First: 0, Blocks: 2}, {First: 3, Blocks: 2}}
+		}},
+		{"empty file", func(tr *trace.Trace, _ *Config) {
+			tr.Files = []layout.File{{First: 0, Blocks: 4}, {First: 4, Blocks: 0}}
+		}},
+		{"block out of range", func(tr *trace.Trace, _ *Config) { tr.Refs[3].Block = 4 }},
+		{"negative block", func(tr *trace.Trace, _ *Config) { tr.Refs[1].Block = -1 }},
+		{"NaN compute", func(tr *trace.Trace, _ *Config) { tr.Refs[2].ComputeMs = math.NaN() }},
+		{"infinite compute", func(tr *trace.Trace, _ *Config) { tr.Refs[2].ComputeMs = math.Inf(1) }},
+		{"negative compute", func(tr *trace.Trace, _ *Config) { tr.Refs[0].ComputeMs = -1 }},
+		{"total compute overflow", func(tr *trace.Trace, _ *Config) {
+			tr.Refs[4].ComputeMs, tr.Refs[5].ComputeMs = math.MaxFloat64, math.MaxFloat64
+		}},
+	}
+	for _, c := range cases {
+		for _, streamed := range []bool{false, true} {
+			tr := mkTrace(4, 1.0, 0, 1, 2, 3, 0, 1)
+			cfg := Config{
+				Policy: &demandPolicy{}, Disks: 1,
+				Model: func() disk.Model { return fixedModel{5} },
+				Hints: &HintSpec{Fraction: 1, Accuracy: 1, Window: 2},
+			}
+			if c.mutate != nil {
+				c.mutate(tr, &cfg)
+			}
+			if streamed {
+				cfg.Source = tr.Source()
+			} else {
+				cfg.Trace = tr
+			}
+			_, err := Run(cfg)
+			switch {
+			case c.mutate == nil && err != nil:
+				t.Errorf("%s (streamed %t): rejected: %v", c.name, streamed, err)
+			case c.mutate != nil && err == nil:
+				t.Errorf("%s (streamed %t): accepted", c.name, streamed)
+			}
 		}
 	}
 }

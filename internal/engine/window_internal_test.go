@@ -35,9 +35,13 @@ func TestHintNoiseIgnoresWindow(t *testing.T) {
 	phantom := layout.BlockID(nBlocks)
 	disclose := func(window int) []layout.BlockID {
 		disclosed := make([]layout.BlockID, len(refs))
-		copy(disclosed, refs)
-		h := &HintSpec{Fraction: 0.6, Accuracy: 0.5, Seed: 41, Window: window}
-		applyHintNoise(disclosed, refs, isWrite, phantom, nBlocks, h)
+		nz := newHintNoiser(&HintSpec{Fraction: 0.6, Accuracy: 0.5, Seed: 41, Window: window}, phantom, nBlocks)
+		for i, b := range refs {
+			disclosed[i] = phantom
+			if !isWrite[i] {
+				disclosed[i] = nz.draw(b)
+			}
+		}
 		return disclosed
 	}
 	base := disclose(0)

@@ -74,3 +74,15 @@ func TestGoldenLookaheadStable(t *testing.T) {
 		t.Fatal("two renders of the lookahead sweep differ")
 	}
 }
+
+// TestGoldenAllQuick pins the quick rendering of every experiment in the
+// registry (all paper tables and figures plus the extensions), so a
+// refactor that moves any reproduced number fails here rather than only
+// in the full experiments_output.txt diff.
+func TestGoldenAllQuick(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RunAll(&Options{Out: &buf, Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_all_quick.txt", buf.String())
+}

@@ -65,7 +65,7 @@ type SLOResult struct {
 }
 
 // Report is the LOAD_<n>.json capacity document — the serving analogue
-// of ppc-bench's BENCH_<n>.json. The spec is embedded verbatim, so a
+// of the BENCH_<n>.json records. The spec is embedded verbatim, so a
 // checked-in report is a reproducible experiment: feed report.Spec back
 // through ppc-load -spec and the request stream is byte-identical.
 type Report struct {
@@ -205,7 +205,7 @@ func WriteTable(w io.Writer, r *Report) {
 }
 
 // NextReportPath returns the first unused LOAD_<n>.json name in dir,
-// matching ppc-bench's BENCH_<n>.json numbering.
+// matching the BENCH_<n>.json numbering.
 func NextReportPath(dir string) string {
 	for n := 0; ; n++ {
 		path := filepath.Join(dir, fmt.Sprintf("LOAD_%d.json", n))

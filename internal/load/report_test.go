@@ -164,7 +164,7 @@ func TestWriteTableRendersEverySection(t *testing.T) {
 	}
 }
 
-// TestNextReportPath numbers like ppc-bench: first unused LOAD_<n>.
+// TestNextReportPath numbers like BENCH_<n>.json: first unused LOAD_<n>.
 func TestNextReportPath(t *testing.T) {
 	dir := t.TempDir()
 	if got, want := NextReportPath(dir), filepath.Join(dir, "LOAD_0.json"); got != want {

@@ -15,7 +15,7 @@
 //     measure recovery.
 //
 // Every run emits a versioned capacity report (LOAD_<n>.json, see
-// docs/load.md) — the serving analogue of ppc-bench's BENCH_<n>.json —
+// docs/load.md) — the serving analogue of the BENCH_<n>.json records —
 // so serving changes are gated on measured saturation and latency
 // rather than asserted throughput. The whole request sequence is a pure
 // function of the spec (seed included), so two runs of the same spec

@@ -24,8 +24,10 @@ import (
 	"math"
 
 	"ppcsim/internal/disk"
+	"ppcsim/internal/engine"
 	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
+	"ppcsim/internal/policy"
 	"ppcsim/internal/trace"
 )
 
@@ -182,7 +184,7 @@ func New(cfg Config) (*Sim, error) {
 	overhead := cfg.DriverOverheadMs
 	switch {
 	case overhead == 0: //ppcvet:ignore unset-config sentinel, assigned by the caller rather than computed
-		overhead = 0.5
+		overhead = engine.DefaultDriverOverheadMs
 	case overhead < 0:
 		overhead = 0
 	}
@@ -233,10 +235,10 @@ func New(cfg Config) (*Sim, error) {
 			spec.Algorithm = Demand
 		}
 		if spec.Horizon <= 0 {
-			spec.Horizon = 62
+			spec.Horizon = policy.DefaultHorizon
 		}
 		if spec.Batch <= 0 {
-			spec.Batch = defaultBatch(cfg.Disks)
+			spec.Batch = policy.DefaultBatchSize(cfg.Disks)
 		}
 		p := &proc{
 			spec: spec,
@@ -262,21 +264,6 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	return s, nil
-}
-
-func defaultBatch(disks int) int {
-	switch {
-	case disks <= 1:
-		return 80
-	case disks <= 3:
-		return 40
-	case disks <= 5:
-		return 16
-	case disks <= 7:
-		return 8
-	default:
-		return 4
-	}
 }
 
 // ttnu estimates, in milliseconds from now, when block b is next needed:

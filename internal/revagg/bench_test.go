@@ -6,6 +6,7 @@ import (
 
 	"ppcsim/internal/engine"
 	"ppcsim/internal/layout"
+	"ppcsim/internal/policy"
 	"ppcsim/internal/trace/tracetest"
 )
 
@@ -32,7 +33,7 @@ func BenchmarkBuildSchedule(b *testing.B) {
 		for _, st := range benchSettings {
 			batch := st.batch
 			if batch == 0 {
-				batch = defaultBatch(disks)
+				batch = policy.DefaultBatchSize(disks)
 			}
 			b.Run(fmt.Sprintf("F%g-b%d/%dd", st.f, st.batch, disks), func(b *testing.B) {
 				b.ReportAllocs()

@@ -7,6 +7,7 @@ import (
 	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
 	"ppcsim/internal/layout"
+	"ppcsim/internal/policy"
 )
 
 // legacyPolicy is the reference forward replay the differential tests
@@ -44,7 +45,7 @@ func (p *legacyPolicy) Attach(s *engine.State) {
 	}
 	p.batch = p.BatchSize
 	if p.batch <= 0 {
-		p.batch = defaultBatch(len(s.Drives))
+		p.batch = policy.DefaultBatchSize(len(s.Drives))
 	}
 	sched, err := BuildSchedule(s.Refs, func(b layout.BlockID) int { return s.DiskOf(b) },
 		s.Layout.NumBlocks(), len(s.Drives), s.Cache.Capacity(), f, p.batch)

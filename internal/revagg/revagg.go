@@ -27,6 +27,7 @@ import (
 	"ppcsim/internal/engine"
 	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
+	"ppcsim/internal/policy"
 )
 
 // Op is one forward fetch/eviction pair of the constructed schedule.
@@ -402,7 +403,7 @@ func (p *Policy) Attach(s *engine.State) {
 	}
 	p.batch = p.BatchSize
 	if p.batch <= 0 {
-		p.batch = defaultBatch(len(s.Drives))
+		p.batch = policy.DefaultBatchSize(len(s.Drives))
 	}
 	sched, err := BuildSchedule(s.Refs, func(b layout.BlockID) int { return s.DiskOf(b) },
 		s.Layout.NumBlocks(), len(s.Drives), s.Cache.Capacity(), f, p.batch)
@@ -479,23 +480,6 @@ func sortByKey(idx []int32, nKeys int, key func(int32) int) (sorted, end []int32
 		end[k]++
 	}
 	return sorted, end
-}
-
-// defaultBatch mirrors policy.DefaultBatchSize without importing it (to
-// avoid a dependency cycle if policy ever grows a revagg reference).
-func defaultBatch(disks int) int {
-	switch {
-	case disks <= 1:
-		return 80
-	case disks <= 3:
-		return 40
-	case disks <= 5:
-		return 16
-	case disks <= 7:
-		return 8
-	default:
-		return 4
-	}
 }
 
 // scanWindow bounds how far past the first unissued op a disk's queue is

@@ -581,78 +581,41 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestLegacyShims: the pre-v1 paths survive one release as thin shims —
-// POST /simulate answers 308 to /v1/run (method- and body-preserving,
-// so redirect-following clients keep working), and the unversioned GET
-// endpoints alias their v1 handlers with a Deprecation header.
+// TestLegacyShims: the pre-v1 paths are retired, so each one, like any
+// other unknown path, draws the v1 404 error envelope rather than
+// net/http's plain text.
 func TestLegacyShims(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Raw shim behavior, redirects not followed.
-	noFollow := &http.Client{
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
+	cases := []struct{ method, path string }{
+		{http.MethodPost, "/simulate"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodGet, "/statsz"},
+		{http.MethodGet, "/v2/run"},
 	}
-	resp, err := noFollow.Post(ts.URL+"/simulate", "application/json",
-		strings.NewReader(`{"trace":"synth","algorithm":"demand"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPermanentRedirect {
-		t.Fatalf("POST /simulate: status %d, want 308", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/v1/run" {
-		t.Errorf("Location %q, want /v1/run", loc)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("308 shim without Deprecation header")
-	}
-
-	// A default client follows the 308 and reaches the real handler.
-	body := fmt.Sprintf(`{"trace_text":%q,"algorithm":"demand"}`, inlineTrace("legacy", 16, 50))
-	resp2, err := ts.Client().Post(ts.URL+"/simulate", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("redirected /simulate: status %d", resp2.StatusCode)
-	}
-	var res ppcsim.Result
-	if err := json.NewDecoder(resp2.Body).Decode(&res); err != nil {
-		t.Fatalf("bad result through shim: %v", err)
-	}
-
-	// GET aliases serve the v1 payloads and flag deprecation.
-	for _, path := range []string{"/healthz", "/statsz"} {
-		resp, err := ts.Client().Get(ts.URL + path)
+	for _, c := range cases {
+		req, err := http.NewRequest(c.method, ts.URL+c.path,
+			strings.NewReader(`{"trace":"synth","algorithm":"demand"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		derr := json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", c.method, c.path, resp.StatusCode)
 		}
-		if resp.Header.Get("Deprecation") == "" {
-			t.Errorf("GET %s without Deprecation header", path)
+		if derr != nil || env.Error.Code != CodeNotFound {
+			t.Errorf("%s %s: body not the 404 envelope (err %v, code %q)", c.method, c.path, derr, env.Error.Code)
 		}
 	}
-
-	// Unknown paths draw the 404 envelope, not net/http's plain text.
-	resp3, err := ts.Client().Get(ts.URL + "/v2/run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env ErrorEnvelope
-	if err := json.NewDecoder(resp3.Body).Decode(&env); err != nil || env.Error.Code != CodeNotFound {
-		t.Errorf("404 body not the envelope (err %v, code %q)", err, env.Error.Code)
-	}
-	resp3.Body.Close()
 }
 
 // TestKeyCanonicalization: keys are insensitive to spelling defaults

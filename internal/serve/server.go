@@ -17,10 +17,8 @@
 //	GET  /v1/healthz  liveness and drain state
 //	GET  /v1/statsz   queue depth, cache hit rate, latency percentiles
 //
-// The pre-v1 paths remain as deprecation shims for one release:
-// POST /simulate answers 308 Permanent Redirect to /v1/run, and the
-// unversioned GET /healthz and /statsz alias their v1 handlers with a
-// Deprecation header.
+// Every other path, including the retired pre-v1 /simulate, /healthz and
+// /statsz, answers 404 with the v1 error envelope.
 package serve
 
 import (
@@ -161,33 +159,8 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/traces/", s.handleTraces)
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/statsz", s.handleStatsz)
-	// Deprecation shims for the pre-v1 surface (one release).
-	s.mux.HandleFunc("/simulate", redirectV1("/v1/run"))
-	s.mux.HandleFunc("/healthz", deprecated(s.handleHealthz))
-	s.mux.HandleFunc("/statsz", deprecated(s.handleStatsz))
 	s.mux.HandleFunc("/", handleNotFound)
 	return s
-}
-
-// redirectV1 returns a shim handler answering 308 Permanent Redirect to
-// the v1 path. 308 preserves the method and body, so POST clients that
-// follow redirects keep working through the deprecation window.
-func redirectV1(target string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", target))
-		http.Redirect(w, r, target, http.StatusPermanentRedirect)
-	}
-}
-
-// deprecated aliases a v1 GET handler under its unversioned path,
-// flagging the response so clients can migrate before the shim is
-// removed.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		h(w, r)
-	}
 }
 
 func handleNotFound(w http.ResponseWriter, r *http.Request) {
