@@ -9,7 +9,7 @@ import "ppcsim/internal/layout"
 // touches every reference (and a placement lookup per reference) into a
 // walk over the 1/D fraction that can possibly match.
 //
-// The index has two modes sharing one query API (Scan):
+// The index has two modes sharing one query API (DiskCursor):
 //
 //   - Materialized (NewDiskIndex): positions are grouped into one
 //     CSR-style backing array exactly like the Oracle's next-reference
@@ -18,15 +18,15 @@ import "ppcsim/internal/layout"
 //     references stream in and pops them with AdvancePast as the cursor
 //     consumes them, keeping at most ringCap positions resident.
 //
-// Both modes answer Scan identically over the positions they hold, which
-// is what makes streamed and materialized runs byte-identical: bounded
-// lookahead policies only ever scan positions inside their window, and
-// the engine keeps the sliding index filled strictly past that horizon.
+// Cursors over both modes walk identically over the positions they hold,
+// which is what makes streamed and materialized runs byte-identical:
+// bounded lookahead policies only ever walk positions inside their
+// window, and the engine keeps the sliding index filled strictly past
+// that horizon.
 type DiskIndex struct {
 	// Materialized mode.
 	pos   []int32 // reference positions grouped by disk, ascending
 	start []int32 // per disk d: its positions are pos[start[d]:start[d+1]]
-	lb    []int32 // per disk: Scan's monotone cursor into pos[start[d]:start[d+1]]
 
 	// Sliding mode.
 	ring []int32 // per slot i&mask: next indexed position on the same disk, or -1
@@ -40,7 +40,7 @@ type DiskIndex struct {
 // have no placement and can never be missing (the engine's phantom
 // block); such positions are excluded from the index.
 func NewDiskIndex(refs []layout.BlockID, disks int, diskOf func(layout.BlockID) int) *DiskIndex {
-	x := &DiskIndex{start: make([]int32, disks+1), lb: make([]int32, disks)}
+	x := &DiskIndex{start: make([]int32, disks+1)}
 	counts := make([]int32, disks)
 	n := 0
 	for _, b := range refs {
@@ -124,29 +124,115 @@ func (x *DiskIndex) Disks() int {
 	return len(x.start) - 1
 }
 
-// Scan calls fn on disk d's indexed positions >= from, in ascending
-// order, until fn returns false or the positions run out. The index
-// keeps a per-disk cursor in materialized mode, so across calls `from`
-// must be monotonically non-decreasing per disk — which is how the
-// policies use it: they always scan from the current engine cursor.
-func (x *DiskIndex) Scan(d, from int, fn func(p int) bool) {
-	if x.ring != nil {
-		for p := x.head[d]; p >= 0; p = x.ring[int(p)&x.mask] {
-			if int(p) >= from && !fn(int(p)) {
-				return
-			}
+// DiskCursor walks one disk's indexed positions in ascending order. It
+// is resumable: on a sliding index whose positions have run out it picks
+// up the positions appended since, and Seek moves it back or forth. A
+// cursor is a value the caller owns; the index keeps no per-caller
+// state, so any number of cursors may walk the same disk independently.
+type DiskCursor struct {
+	x   *DiskIndex
+	d   int
+	pos int // position under the cursor, or Never when none is indexed (yet)
+
+	// Materialized mode: ps is Positions(d) and i indexes pos within it
+	// (sliding mode leaves ps empty; Next's fast path then falls through).
+	ps []int32
+	i  int
+
+	// Sliding mode: ring is the index's ring (nil when materialized) and
+	// last the most recent position the cursor moved past (-1 if none),
+	// from which it resumes once pos reads Never.
+	ring []int32
+	last int32
+}
+
+// Cursor returns a cursor at disk d's first indexed position: the first
+// of Positions(d) in materialized mode, the first unconsumed position in
+// sliding mode.
+func (x *DiskIndex) Cursor(d int) DiskCursor {
+	c := DiskCursor{x: x, d: d, ring: x.ring, last: -1}
+	if x.ring == nil {
+		c.ps = x.Positions(d)
+	}
+	c.Seek(0)
+	return c
+}
+
+// Pos returns the position under the cursor, or Never when the disk has
+// no indexed position at or after it. On a sliding index a Never answer
+// is re-checked on every call, so the cursor sees positions appended
+// after it ran out.
+func (c *DiskCursor) Pos() int {
+	if c.pos == Never && c.ring != nil {
+		c.resume()
+	}
+	return c.pos
+}
+
+// Next moves the cursor past Pos().
+func (c *DiskCursor) Next() {
+	if c.i++; c.i < len(c.ps) {
+		c.pos = int(c.ps[c.i])
+		return
+	}
+	c.nextSlow()
+}
+
+// nextSlow is Next off the materialized fast path: the end of a
+// materialized disk's positions, or a step along a sliding chain.
+func (c *DiskCursor) nextSlow() {
+	c.i = len(c.ps)
+	if c.ring == nil {
+		c.pos = Never
+		return
+	}
+	if c.Pos() != Never {
+		c.last = int32(c.pos)
+		c.pos = Never
+		if nx := c.ring[int(c.last)&c.x.mask]; nx >= 0 {
+			c.pos = int(nx)
+		}
+	}
+}
+
+// Seek moves the cursor to disk d's first indexed position >= p, forward
+// or backward. A materialized index binary-searches for it. A sliding
+// index can only enter its per-disk chain at a known link, so there p
+// must either be at most the disk's first unconsumed position (the next
+// one appended, when all are consumed) or be an unconsumed indexed
+// position of disk d itself, whose ring link continues the chain.
+func (c *DiskCursor) Seek(p int) {
+	if c.ring == nil {
+		c.i = c.x.LowerBound(c.d, p)
+		c.pos = Never
+		if c.i < len(c.ps) {
+			c.pos = int(c.ps[c.i])
 		}
 		return
 	}
-	ps := x.pos[x.start[d]:x.start[d+1]]
-	i := int(x.lb[d])
-	for i < len(ps) && int(ps[i]) < from {
-		i++
+	c.last = -1
+	if h := int(c.x.head[c.d]); h < 0 || p <= h {
+		c.pos = Never
+		c.resume()
+		return
 	}
-	x.lb[d] = int32(i)
-	for ; i < len(ps); i++ {
-		if !fn(int(ps[i])) {
-			return
+	c.pos = p
+}
+
+// resume re-reads a sliding cursor that ran out of positions. If the
+// last position it passed is still unconsumed (the chain head is at or
+// before it), that position's ring link names the next one appended;
+// otherwise the chain was consumed past it, or restarted, and the head
+// is next.
+func (c *DiskCursor) resume() {
+	h := c.x.head[c.d]
+	switch {
+	case h < 0:
+	case c.last < 0 || h > c.last:
+		c.pos = int(h)
+	default:
+		if nx := c.ring[int(c.last)&c.x.mask]; nx >= 0 {
+			c.pos = int(nx)
 		}
 	}
 }

@@ -18,11 +18,25 @@ func naiveFirstMissing(refs []layout.BlockID, diskOf func(layout.BlockID) int, a
 	return limit
 }
 
-// TestDiskIndexMatchesNaiveScan checks that walking a disk's position
-// list from its lower bound finds exactly the first missing position the
-// full window scan would, over random traces, disk mappings, and
-// presence sets — including blocks the mapping excludes (diskOf < 0,
-// the engine's phantom).
+// naiveNext is disk d's first indexed position at or after from, or
+// Never: the answer a disk cursor must give after Seek(from).
+func naiveNext(refs []layout.BlockID, diskOf func(layout.BlockID) int, d, from int) int {
+	for p := max(from, 0); p < len(refs); p++ {
+		if diskOf(refs[p]) == d {
+			return p
+		}
+	}
+	return Never
+}
+
+// TestDiskIndexMatchesNaiveScan drives per-disk cursors over a
+// materialized index through random seeks — forward, backward to
+// positions they already passed, and to unindexed positions — and steps,
+// checking every position against a naive scan of the sequence, and that
+// walking from the cursor finds exactly the first missing position the
+// full window scan would. It covers random traces, disk mappings, and
+// presence sets, including blocks the mapping excludes (diskOf < 0, the
+// engine's phantom).
 func TestDiskIndexMatchesNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -46,21 +60,49 @@ func TestDiskIndexMatchesNaiveScan(t *testing.T) {
 		for i := range absent {
 			absent[i] = rng.Intn(2) == 0
 		}
+		curs := make([]DiskCursor, disks)
+		for d := range curs {
+			curs[d] = idx.Cursor(d)
+			if got, want := curs[d].Pos(), naiveNext(refs, diskOf, d, 0); got != want {
+				t.Fatalf("trial %d: fresh cursor on disk %d at %d, want %d", trial, d, got, want)
+			}
+		}
 		for probe := 0; probe < 40; probe++ {
+			d := rng.Intn(disks)
+			cur := &curs[d]
+			from := rng.Intn(n + 2)
+			if p := cur.Pos(); p != Never && p > 0 && rng.Intn(2) == 0 {
+				// Back to an indexed position the cursor already passed.
+				from = int(idx.Positions(d)[rng.Intn(idx.LowerBound(d, p)+1)])
+			}
+			cur.Seek(from)
+			if got, want := cur.Pos(), naiveNext(refs, diskOf, d, from); got != want {
+				t.Fatalf("trial %d: disk %d Seek(%d) at %d, want %d", trial, d, from, got, want)
+			}
+			for steps := rng.Intn(5); steps > 0 && cur.Pos() != Never; steps-- {
+				prev := cur.Pos()
+				cur.Next()
+				if got, want := cur.Pos(), naiveNext(refs, diskOf, d, prev+1); got != want {
+					t.Fatalf("trial %d: disk %d Next from %d at %d, want %d", trial, d, prev, got, want)
+				}
+			}
+			if cur.Pos() == Never {
+				cur.Next() // stepping past the end stays there
+				if got := cur.Pos(); got != Never {
+					t.Fatalf("trial %d: disk %d Next past the end at %d", trial, d, got)
+				}
+			}
+
 			c := rng.Intn(n + 1)
 			limit := c + rng.Intn(n-c+1)
-			d := rng.Intn(disks)
 			got := limit
-			ps := idx.Positions(d)
-			for i := idx.LowerBound(d, c); i < len(ps); i++ {
-				p := int(ps[i])
-				if p >= limit {
-					break
-				}
+			cur.Seek(c)
+			for p := cur.Pos(); p < limit; p = cur.Pos() {
 				if absent[refs[p]] {
 					got = p
 					break
 				}
+				cur.Next()
 			}
 			if want := naiveFirstMissing(refs, diskOf, absent, d, c, limit); got != want {
 				t.Fatalf("trial %d: first missing on disk %d in [%d,%d) = %d, want %d", trial, d, c, limit, got, want)

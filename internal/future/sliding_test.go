@@ -66,10 +66,12 @@ func TestStreamingOracleMatchesMaterialized(t *testing.T) {
 }
 
 // TestSlidingDiskIndexMatchesCSRScan drives a sliding disk index through
-// the engine's append/advance pattern and checks Scan yields exactly the
-// positions a CSR index over the full sequence would, truncated to the
-// disclosure window — including early termination when the callback
-// returns false.
+// the engine's append/advance pattern with one long-lived cursor per
+// disk, and checks each yields exactly the positions a cursor over a CSR
+// index of the full sequence does, truncated to the disclosure window.
+// The cursors resume after running out of appended positions, seek to
+// the engine cursor when they fall behind it (or at random), and seek
+// back to unconsumed positions they already passed.
 func TestSlidingDiskIndexMatchesCSRScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
@@ -95,6 +97,11 @@ func TestSlidingDiskIndexMatchesCSRScan(t *testing.T) {
 		}
 		csr := NewDiskIndex(refs, disks, diskOf)
 		sl := NewSlidingDiskIndex(disks, ringCap)
+		slCur := make([]DiskCursor, disks)
+		csrCur := make([]DiskCursor, disks)
+		for d := range slCur {
+			slCur[d], csrCur[d] = sl.Cursor(d), csr.Cursor(d)
+		}
 
 		filled := 0
 		for c := 0; c <= n; c++ {
@@ -110,26 +117,35 @@ func TestSlidingDiskIndexMatchesCSRScan(t *testing.T) {
 				}
 			}
 			d := rng.Intn(disks)
-			stopAfter := rng.Intn(6) // 0 means scan everything
-			var got, want []int
-			sl.Scan(d, c, func(p int) bool {
-				got = append(got, p)
-				return stopAfter == 0 || len(got) < stopAfter
-			})
-			csr.Scan(d, c, func(p int) bool {
-				if p >= filled {
-					return false
+			sc, cc := &slCur[d], &csrCur[d]
+			switch p := cc.Pos(); {
+			case p < c || rng.Intn(4) == 0:
+				sc.Seek(c)
+				cc.Seek(c)
+			case rng.Intn(3) == 0 && c < p && p != Never:
+				// Back to an unconsumed indexed position already passed.
+				lo, hi := csr.LowerBound(d, c), csr.LowerBound(d, p)
+				if lo < hi {
+					to := int(csr.Positions(d)[lo+rng.Intn(hi-lo)])
+					sc.Seek(to)
+					cc.Seek(to)
 				}
-				want = append(want, p)
-				return stopAfter == 0 || len(want) < stopAfter
-			})
-			if len(got) != len(want) {
-				t.Fatalf("trial %d c=%d d=%d: scan yielded %v, want %v", trial, c, d, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d c=%d d=%d: scan yielded %v, want %v", trial, c, d, got, want)
+			stopAfter := rng.Intn(6) // 0 means walk everything disclosed
+			for steps := 0; ; steps++ {
+				want := cc.Pos()
+				if want >= filled {
+					want = Never
 				}
+				if got := sc.Pos(); got != want {
+					t.Fatalf("trial %d c=%d filled=%d d=%d step %d: sliding cursor at %d, CSR at %d",
+						trial, c, filled, d, steps, got, want)
+				}
+				if want == Never || (stopAfter > 0 && steps == stopAfter) {
+					break
+				}
+				sc.Next()
+				cc.Next()
 			}
 		}
 	}

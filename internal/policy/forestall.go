@@ -19,7 +19,9 @@ const (
 	// overestimateFactor is that overestimate.
 	overestimateFactor = 4.0
 	// recheckCap bounds how long a disk's stall forecast may be trusted
-	// before rescanning, keeping the incremental trigger cheap.
+	// before it is recomputed: F' (and with it every missing position's
+	// slack) drifts as disk and compute samples arrive, so the cap bounds
+	// how stale the F' behind a "no stall yet" verdict may get.
 	recheckCap = 64
 	// defaultF seeds the estimate before any disk access completes.
 	defaultF = 15.0
@@ -61,18 +63,48 @@ type Forestall struct {
 	cpuN     int
 	seenCPU  int // cursor position up to which compute times were sampled
 
-	// Per-disk stall forecast: rescan disk d once the cursor reaches
-	// nextCheck[d].
+	// Per-disk stall forecast: recompute disk d's once the cursor
+	// reaches nextCheck[d].
 	nextCheck []int
 
-	// dindex groups reference positions by disk so forecast and
-	// issueBatch walk only disk d's positions (via Scan, which keeps the
-	// per-disk monotone cursor internally).
-	dindex *future.DiskIndex
+	// disks holds each disk's incremental missing-position list, which
+	// forecast and issueBatch walk instead of the disk's whole window.
+	disks []forecastDisk
 
 	// Fixed-horizon rule scan state.
 	fhScanned int
 	fhRetry   []int
+}
+
+// forecastDisk is one disk's incremental view of its missing blocks.
+//
+// Invariant: every position p in [cursor, scanned) on the disk whose
+// block is absent has an entry in miss. The list may also hold stale
+// entries — positions the cursor has passed, or blocks fetched since —
+// which the walks filter out lazily: a block stops being absent only
+// when it is fetched. A block becomes absent only when forestall evicts
+// it, and noteEviction then rewinds scanned to the victim's next use, so
+// the invariant holds; positions are classified again only after such a
+// rewind.
+type forecastDisk struct {
+	// cur sits at the disk's first indexed position at or after scanned,
+	// unless seek is set: a rewind leaves the seek back to the next
+	// extend, so the rewinds of one batch cost one seek.
+	cur  future.DiskCursor
+	seek bool
+	// scanned is the classification frontier; it never passes the scan
+	// limit, which only grows with the cursor.
+	scanned int
+	// miss holds the candidate missing positions below scanned, in
+	// ascending order, each with the block referenced there.
+	miss []missEntry
+}
+
+// missEntry is a candidate missing position and the block referenced
+// there, kept together so the walks need no reference-column load.
+type missEntry struct {
+	pos int32
+	blk layout.BlockID
 }
 
 // NewForestall returns the forestall policy with paper defaults.
@@ -107,7 +139,11 @@ func (f *Forestall) Attach(s *engine.State) {
 	f.cpuHist = make([]float64, historyLen)
 	f.cpuSum, f.cpuPos, f.cpuN, f.seenCPU = 0, 0, 0, 0
 	f.nextCheck = make([]int, d)
-	f.dindex = s.DiskIndex()
+	dindex := s.DiskIndex()
+	f.disks = make([]forecastDisk, d)
+	for i := range f.disks {
+		f.disks[i].cur = dindex.Cursor(i)
+	}
 	f.fhScanned = 0
 	f.fhRetry = f.fhRetry[:0]
 	s.OnComplete = f.onComplete
@@ -178,29 +214,42 @@ func (f *Forestall) Poll() {
 	}
 }
 
-// forecast rescans disk d's upcoming missing blocks; if a stall is
-// inevitable (i*F' > d_i for some i), it issues a batch of prefetches,
-// otherwise it schedules the next check for when the forecast could first
-// turn bad.
+// scanLimit is the exclusive end of the forecast window at cursor c:
+// f.window references ahead, clamped to the trace and the lookahead
+// horizon. It never decreases as the cursor advances.
+func (f *Forestall) scanLimit(c int) int {
+	limit := c + f.window
+	if n := f.s.Len(); limit > n {
+		limit = n
+	}
+	return f.s.WindowLimit(limit)
+}
+
+// forecast recomputes disk d's stall forecast over its missing blocks in
+// the window; if a stall is inevitable (i*F' > d_i for some i), it issues
+// a batch of prefetches, otherwise it schedules the next check for when
+// the forecast could first turn bad.
+//
+//ppcvet:hotpath
 func (f *Forestall) forecast(d int) {
 	s := f.s
 	c := s.Cursor()
-	limit := c + f.window
-	if n := s.Len(); limit > n {
-		limit = n
-	}
-	limit = s.WindowLimit(limit)
+	st := &f.disks[d]
+	f.extend(st, c, f.scanLimit(c))
 	fp := f.fprime(d)
 	i := 0
 	minSlack := 1 << 30
 	trigger := false
-	f.dindex.Scan(d, c, func(p int) bool {
-		if p >= limit {
-			return false
+	// Walk the list, compacting stale entries out of it as they surface.
+	miss := st.miss
+	w := 0
+	for r, e := range miss {
+		p := int(e.pos)
+		if p < c || !s.Cache.Absent(e.blk) {
+			continue
 		}
-		if !s.Cache.Absent(s.Ref(p)) {
-			return true
-		}
+		miss[w] = e
+		w++
 		i++
 		slack := (p - c) - int(float64(i)*fp)
 		if slack < minSlack {
@@ -208,10 +257,11 @@ func (f *Forestall) forecast(d int) {
 		}
 		if slack < 0 {
 			trigger = true
-			return false
+			w += copy(miss[w:], miss[r+1:])
+			break
 		}
-		return true
-	})
+	}
+	st.miss = miss[:w]
 	if !trigger {
 		wait := minSlack
 		if wait < 1 {
@@ -227,33 +277,62 @@ func (f *Forestall) forecast(d int) {
 	f.nextCheck[d] = c // re-evaluate at the next decision point
 }
 
+// extend classifies disk d's positions in [max(scanned, c), limit),
+// appending those whose block is absent to the missing list.
+func (f *Forestall) extend(st *forecastDisk, c, limit int) {
+	if st.scanned >= limit {
+		return
+	}
+	if st.scanned < c {
+		// Every listed position is behind the cursor.
+		st.scanned = c
+		st.miss = st.miss[:0]
+		st.seek = st.seek || st.cur.Pos() < c
+	}
+	if st.seek {
+		st.cur.Seek(st.scanned)
+		st.seek = false
+	}
+	s := f.s
+	for p := st.cur.Pos(); p < limit; p = st.cur.Pos() {
+		if b := s.Ref(p); s.Cache.Absent(b) {
+			st.miss = append(st.miss, missEntry{pos: int32(p), blk: b})
+		}
+		st.cur.Next()
+	}
+	st.scanned = limit
+}
+
 // issueBatch fetches up to batch-size first-missing blocks on disk d,
 // applying optimal replacement and do no harm.
 func (f *Forestall) issueBatch(d int) {
 	s := f.s
 	c := s.Cursor()
-	limit := c + f.window
-	if n := s.Len(); limit > n {
-		limit = n
-	}
-	limit = s.WindowLimit(limit)
+	limit := f.scanLimit(c)
+	st := &f.disks[d]
 	left := f.batch
-	f.dindex.Scan(d, c, func(p int) bool {
-		if p >= limit || left <= 0 {
-			return false
+	for k := 0; left > 0; k++ {
+		if k == len(st.miss) {
+			// The list ran out. Either the window is done, or an eviction
+			// in this batch rewound the frontier and cut the list: never
+			// at or before entry k-1, since do no harm only evicts blocks
+			// needed after the one being fetched.
+			f.extend(st, c, limit)
+			if k == len(st.miss) {
+				break
+			}
 		}
-		b := s.Ref(p)
-		if !s.Cache.Absent(b) {
-			return true
+		e := st.miss[k]
+		if int(e.pos) < c || !s.Cache.Absent(e.blk) {
+			continue
 		}
-		ok, victim := issueWithVictim(s, b, p)
+		ok, victim := issueWithVictim(s, e.blk, int(e.pos))
 		if !ok {
-			return false // do no harm stops everything later too
+			break // do no harm stops everything later too
 		}
 		f.noteEviction(victim)
 		left--
-		return true
-	})
+	}
 }
 
 // pollHorizonRule applies fixed horizon's rule: fetch any missing block
@@ -308,16 +387,32 @@ func (f *Forestall) fetchWithin(b layout.BlockID, p int) bool {
 }
 
 // noteEviction invalidates the stall forecast of the victim's disk: its
-// next use has become a missing block. The next use is read through
-// NextUseVisible — the raw oracle answer would leak knowledge beyond the
-// lookahead window into the recheck schedule (harmless for correctness,
-// but it would make windowed streamed and materialized runs diverge).
+// next use has become a missing block. When that use lies below the
+// disk's classification frontier, the frontier rewinds to it and the
+// missing list is cut there, so the positions from it on are classified
+// afresh. The next use is read through NextUseVisible — the raw oracle
+// answer would leak knowledge beyond the lookahead window into the
+// recheck schedule (harmless for correctness, but it would make windowed
+// streamed and materialized runs diverge). The frontier never passes the
+// lookahead horizon, so the clamp cannot hide a use the rewind needs.
 func (f *Forestall) noteEviction(v layout.BlockID) {
 	if v == cache.NoBlock {
 		return
 	}
-	if u := f.s.NextUseVisible(v); u < f.s.Cursor()+f.window {
-		f.nextCheck[f.s.DiskOf(v)] = 0
+	u := f.s.NextUseVisible(v)
+	d := f.s.DiskOf(v)
+	if u < f.s.Cursor()+f.window {
+		f.nextCheck[d] = 0
+	}
+	if st := &f.disks[d]; u < st.scanned {
+		st.scanned, st.seek = u, true
+		// The victim is the block needed furthest ahead, so the cut is
+		// usually near the list's end.
+		n := len(st.miss)
+		for n > 0 && int(st.miss[n-1].pos) >= u {
+			n--
+		}
+		st.miss = st.miss[:n]
 	}
 }
 

@@ -2,7 +2,11 @@ package policy
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"ppcsim/internal/engine"
+	"ppcsim/internal/trace/tracetest"
 )
 
 // mkForestallEst returns a Forestall with only its F'-estimation state
@@ -99,5 +103,102 @@ func TestForestallFPrimeRingWraparound(t *testing.T) {
 	// meanDisk = 16 >= slowDiskMs: F' = 16/1 * 4 = 64.
 	if got, want := f.fprime(0), 64.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("post-wraparound F' = %g, want %g", got, want)
+	}
+}
+
+// allocProbe wraps a Forestall and, past a warm-up of polls, either
+// counts the heap allocations made inside every later Poll or, every
+// 1000 polls, forces a recheck of every disk and measures such polls
+// with testing.AllocsPerRun. The forced polls change the run, so the two
+// probes never share one.
+//
+// A poll that raises an outstanding-request high-water mark, per drive
+// or in total, is left out of the count: the engine then grows that
+// drive's queue or its request pool, which is amortized and not the
+// policy's doing.
+type allocProbe struct {
+	*Forestall
+	warm, polls int
+	force       bool
+	highWater   []int
+	mallocs     uint64
+	measured    int
+	checkpoints int
+	forcedMax   float64
+}
+
+func (a *allocProbe) Poll() {
+	if a.polls++; a.polls <= a.warm {
+		a.Forestall.Poll()
+		a.raisedHighWater()
+		return
+	}
+	if !a.force {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a.Forestall.Poll()
+		runtime.ReadMemStats(&after)
+		if !a.raisedHighWater() {
+			a.mallocs += after.Mallocs - before.Mallocs
+			a.measured++
+		}
+		return
+	}
+	a.Forestall.Poll()
+	a.raisedHighWater()
+	if a.polls%1000 == 0 {
+		a.checkpoints++
+		n := testing.AllocsPerRun(5, func() {
+			for d := range a.nextCheck {
+				a.nextCheck[d] = 0
+			}
+			a.Forestall.Poll()
+		})
+		a.forcedMax = math.Max(a.forcedMax, n)
+	}
+}
+
+// raisedHighWater records the outstanding requests per drive and in
+// total, and reports whether either count is higher than ever before.
+func (a *allocProbe) raisedHighWater() bool {
+	if a.highWater == nil {
+		a.highWater = make([]int, len(a.s.Drives)+1)
+	}
+	raised, total := false, 0
+	note := func(i, n int) {
+		if n > a.highWater[i] {
+			a.highWater[i], raised = n, true
+		}
+	}
+	for d, dr := range a.s.Drives {
+		note(d, dr.Outstanding())
+		total += dr.Outstanding()
+	}
+	note(len(a.s.Drives), total)
+	return raised
+}
+
+// TestForestallSteadyStatePollsAllocateNothing runs forestall on synth
+// and checks that once the first half of the run has grown the per-disk
+// missing lists, no poll allocates: neither the run's own polls nor
+// polls that force every disk's forecast to be recomputed.
+func TestForestallSteadyStatePollsAllocateNothing(t *testing.T) {
+	tr := tracetest.Truncated(t, "synth", 12000)
+	for _, disks := range []int{1, 4, 16} {
+		for _, force := range []bool{false, true} {
+			p := &allocProbe{Forestall: NewForestall(), warm: len(tr.Refs) / 2, force: force}
+			if _, err := engine.Run(engine.Config{Trace: tr, Policy: p, Disks: disks}); err != nil {
+				t.Fatal(err)
+			}
+			if (!force && p.measured < p.warm/2) || (force && p.checkpoints == 0) {
+				t.Fatalf("%dd: %d polls measured, %d checkpoints: too few", disks, p.measured, p.checkpoints)
+			}
+			if p.mallocs != 0 {
+				t.Errorf("%dd: %d allocations in %d polls, want 0", disks, p.mallocs, p.measured)
+			}
+			if p.forcedMax != 0 {
+				t.Errorf("%dd: a forced recheck poll allocated %g times, want 0", disks, p.forcedMax)
+			}
+		}
 	}
 }
