@@ -183,6 +183,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// Validate before opening the output files, so a rejected invocation
+	// leaves existing -events and -series files untouched.
+	if err := opts.Validate(); err != nil {
+		return fail(err)
+	}
+
 	// Attach observers only when an export was requested, so the default
 	// invocation keeps the unobserved fast path. Output files are opened
 	// up front so a bad path fails before the simulation, not after.

@@ -142,6 +142,38 @@ func TestRunStreaming(t *testing.T) {
 	}
 }
 
+// TestRejectedRunKeepsOutputs: an invocation rejected for its options
+// exits 2 before opening -events or -series, so files already at those
+// paths keep their bytes.
+func TestRejectedRunKeepsOutputs(t *testing.T) {
+	dir := t.TempDir()
+	events := filepath.Join(dir, "ev.json")
+	series := filepath.Join(dir, "s.csv")
+	want := []byte("earlier output\n")
+	for _, p := range []string{events, series} {
+		if err := os.WriteFile(p, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-trace", "ld", "-stream", "-window", "16", "-alg", "reverse-aggressive", "-events", events, "-series", series}
+	if code := run(args, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "Algorithm") {
+		t.Errorf("stderr %q does not name Algorithm", stderr.String())
+	}
+	for _, p := range []string{events, series} {
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s changed to %q", filepath.Base(p), got)
+		}
+	}
+}
+
 // TestRunTraceFile runs a columnar file through both the materialized
 // and streamed paths; the metrics must match exactly.
 func TestRunTraceFile(t *testing.T) {

@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,20 +50,13 @@ func splitInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// job is one grid point of the sweep. Exactly one of trace and large is
-// set: a materialized bundled trace, or a generator spec each worker
-// streams through its own Source (sources are stateful, so they cannot
-// be shared the way a read-only *Trace can).
+// job is one grid point of the sweep: the trace name its CSV row
+// reports and the validated options it runs with. A -large job carries
+// its own generator Source (sources are stateful, so they cannot be
+// shared the way a read-only *Trace can).
 type job struct {
 	traceName string
-	trace     *ppcsim.Trace
-	large     *ppcsim.LargeTraceSpec
-	alg       ppcsim.Algorithm
-	disks     int
-	sched     ppcsim.Discipline
-	cache     int
-	batch     int
-	horizon   int
+	opts      ppcsim.Options
 }
 
 // sweepSpec is the parsed cross-product.
@@ -81,21 +75,26 @@ type sweepSpec struct {
 }
 
 // jobs expands the spec into the ordered job list (trace-major, matching
-// the CSV row order).
+// the CSV row order) and validates every job's options, so a bad grid
+// point fails the sweep before any simulation starts. The error names
+// the failing configuration.
 func (sp sweepSpec) jobs() ([]job, error) {
+	var hints *ppcsim.HintSpec
+	if sp.hintFrac != 1 || sp.hintAcc != 1 || sp.window > 0 { //ppcvet:ignore flag-default sentinels, parsed rather than computed
+		hints = &ppcsim.HintSpec{Fraction: sp.hintFrac, Accuracy: sp.hintAcc, Window: sp.window}
+	}
 	type traceCase struct {
 		name  string
 		trace *ppcsim.Trace
-		large *ppcsim.LargeTraceSpec
 	}
 	var cases []traceCase
 	if sp.large != nil {
-		cases = []traceCase{{name: sp.large.ResolvedName(), large: sp.large}}
+		cases = []traceCase{{name: sp.large.ResolvedName()}}
 	} else {
 		for _, tn := range sp.traces {
 			tr, err := ppcsim.NewTrace(tn)
 			if err != nil {
-				return nil, err
+				return nil, &ppcsim.ConfigError{Field: "Trace", Reason: err.Error()}
 			}
 			cases = append(cases, traceCase{name: tn, trace: tr})
 		}
@@ -108,11 +107,29 @@ func (sp sweepSpec) jobs() ([]job, error) {
 					for _, k := range sp.caches {
 						for _, b := range sp.batches {
 							for _, h := range sp.horizons {
-								out = append(out, job{
-									traceName: tc.name, trace: tc.trace, large: tc.large,
-									alg: alg, disks: d,
-									sched: sched, cache: k, batch: b, horizon: h,
-								})
+								j := job{traceName: tc.name, opts: ppcsim.Options{
+									Trace:       tc.trace,
+									Algorithm:   alg,
+									Disks:       d,
+									Scheduler:   sched,
+									CacheBlocks: k,
+									BatchSize:   b,
+									Horizon:     h,
+									Hints:       hints,
+								}}
+								var err error
+								if sp.large != nil {
+									if j.opts.Source, err = sp.large.Source(); err != nil {
+										err = &ppcsim.ConfigError{Field: "Trace", Reason: err.Error()}
+									}
+								}
+								if err == nil {
+									err = j.opts.Validate()
+								}
+								if err != nil {
+									return nil, j.wrap(err)
+								}
+								out = append(out, j)
 							}
 						}
 					}
@@ -123,18 +140,15 @@ func (sp sweepSpec) jobs() ([]job, error) {
 	return out, nil
 }
 
+// wrap names the job's configuration in err.
+func (j job) wrap(err error) error {
+	return fmt.Errorf("%s/%s/d=%d: %w", j.traceName, j.opts.Algorithm, j.opts.Disks, err)
+}
+
 // runSweep executes every job on `parallel` workers and writes the CSV in
 // job order. A run that shares a *Trace with other workers is safe: the
 // simulator treats the trace as read-only.
-func runSweep(sp sweepSpec, parallel int, w io.Writer) error {
-	jobs, err := sp.jobs()
-	if err != nil {
-		return err
-	}
-	var hints *ppcsim.HintSpec
-	if sp.hintFrac != 1 || sp.hintAcc != 1 || sp.window > 0 { //ppcvet:ignore flag-default sentinels, parsed rather than computed
-		hints = &ppcsim.HintSpec{Fraction: sp.hintFrac, Accuracy: sp.hintAcc, Window: sp.window}
-	}
+func runSweep(sp sweepSpec, jobs []job, parallel int, w io.Writer) error {
 	if parallel < 1 {
 		parallel = 1
 	}
@@ -151,26 +165,7 @@ func runSweep(sp sweepSpec, parallel int, w io.Writer) error {
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				j := jobs[idx]
-				opts := ppcsim.Options{
-					Trace:       j.trace,
-					Algorithm:   j.alg,
-					Disks:       j.disks,
-					Scheduler:   j.sched,
-					CacheBlocks: j.cache,
-					BatchSize:   j.batch,
-					Horizon:     j.horizon,
-					Hints:       hints,
-				}
-				if j.large != nil {
-					src, err := j.large.Source()
-					if err != nil {
-						errs[idx] = err
-						continue
-					}
-					opts.Source = src
-				}
-				results[idx], errs[idx] = ppcsim.Run(opts)
+				results[idx], errs[idx] = ppcsim.Run(jobs[idx].opts)
 			}
 		}()
 	}
@@ -192,12 +187,12 @@ func runSweep(sp sweepSpec, parallel int, w io.Writer) error {
 	for idx, j := range jobs {
 		if errs[idx] != nil {
 			cw.Flush()
-			return fmt.Errorf("%s/%s/d=%d: %w", j.traceName, j.alg, j.disks, errs[idx])
+			return j.wrap(errs[idx])
 		}
-		r := results[idx]
+		r, o := results[idx], j.opts
 		rec := []string{
-			j.traceName, string(j.alg), strconv.Itoa(j.disks), j.sched.String(),
-			strconv.Itoa(j.cache), strconv.Itoa(j.batch), strconv.Itoa(j.horizon),
+			j.traceName, string(o.Algorithm), strconv.Itoa(o.Disks), o.Scheduler.String(),
+			strconv.Itoa(o.CacheBlocks), strconv.Itoa(o.BatchSize), strconv.Itoa(o.Horizon),
 			fmt.Sprintf("%g", sp.hintFrac), fmt.Sprintf("%g", sp.hintAcc),
 			strconv.Itoa(sp.window),
 			fmt.Sprintf("%.4f", r.ElapsedSec),
@@ -235,8 +230,14 @@ func main() {
 	)
 	flag.Parse()
 
+	// die exits 2 for configuration mistakes (the ConfigError family),
+	// as ppc-sim does, and 1 for runtime failures.
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
+		var cfgErr *ppcsim.ConfigError
+		if errors.As(err, &cfgErr) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 
@@ -256,13 +257,9 @@ func main() {
 			die(&ppcsim.ConfigError{Field: "Trace",
 				Reason: "-large and -traces are mutually exclusive"})
 		}
-		if *window <= 0 {
-			die(&ppcsim.ConfigError{Field: "Window",
-				Reason: "-large streams the trace and requires a bounded -window"})
-		}
 		spec, err := ppcsim.ParseLargeTraceSpec(*large)
 		if err != nil {
-			die(err)
+			die(&ppcsim.ConfigError{Field: "Trace", Reason: err.Error()})
 		}
 		sp.large = &spec
 	}
@@ -303,6 +300,10 @@ func main() {
 		sp.scheds = append(sp.scheds, d)
 	}
 
+	jobs, err := sp.jobs()
+	if err != nil {
+		die(err)
+	}
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -312,7 +313,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := runSweep(sp, *parallel, w); err != nil {
+	if err := runSweep(sp, jobs, *parallel, w); err != nil {
 		die(err)
 	}
 }

@@ -2,11 +2,22 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"ppcsim"
 )
+
+// sweep expands, validates and runs sp, as main does.
+func sweep(sp sweepSpec, parallel int, w io.Writer) error {
+	jobs, err := sp.jobs()
+	if err != nil {
+		return err
+	}
+	return runSweep(sp, jobs, parallel, w)
+}
 
 // TestParallelSweepDeterministic: the CSV must be byte-identical no
 // matter how many workers run the sweep.
@@ -23,7 +34,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 		hintAcc:  1,
 	}
 	var serial bytes.Buffer
-	if err := runSweep(sp, 1, &serial); err != nil {
+	if err := sweep(sp, 1, &serial); err != nil {
 		t.Fatal(err)
 	}
 	wantRows := len(sp.traces)*len(sp.algs)*len(sp.disks)*len(sp.scheds)*len(sp.caches)*len(sp.batches)*len(sp.horizons) + 1
@@ -32,7 +43,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	}
 	for _, parallel := range []int{2, 8} {
 		var par bytes.Buffer
-		if err := runSweep(sp, parallel, &par); err != nil {
+		if err := sweep(sp, parallel, &par); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(serial.Bytes(), par.Bytes()) {
@@ -80,13 +91,13 @@ func TestSweepStreamsLargeSpec(t *testing.T) {
 		t.Fatalf("got %d jobs, want 2", len(jobs))
 	}
 	for _, j := range jobs {
-		if j.traceName != name || j.trace != nil || j.large == nil {
+		if j.traceName != name || j.opts.Trace != nil || j.opts.Source == nil {
 			t.Errorf("large job: %+v, want name %q and a spec, no materialized trace", j, name)
 		}
 	}
 
 	var buf bytes.Buffer
-	if err := runSweep(sp, 2, &buf); err != nil {
+	if err := sweep(sp, 2, &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -99,7 +110,7 @@ func TestSweepStreamsLargeSpec(t *testing.T) {
 	}
 
 	var again bytes.Buffer
-	if err := runSweep(sp, 0, &again); err != nil {
+	if err := sweep(sp, 0, &again); err != nil {
 		t.Fatal(err)
 	}
 	if again.String() != buf.String() {
@@ -109,7 +120,7 @@ func TestSweepStreamsLargeSpec(t *testing.T) {
 	// An unknown bundled trace fails expansion rather than sweeping.
 	sp.large = nil
 	sp.traces = []string{"no-such-trace"}
-	if err := runSweep(sp, 1, &bytes.Buffer{}); err == nil {
+	if err := sweep(sp, 1, &bytes.Buffer{}); err == nil {
 		t.Error("unknown trace swept without error")
 	}
 }
@@ -129,11 +140,42 @@ func TestSweepReportsConfigErrors(t *testing.T) {
 		hintAcc:  1,
 	}
 	var buf bytes.Buffer
-	err := runSweep(sp, 4, &buf)
+	err := sweep(sp, 4, &buf)
 	if err == nil {
 		t.Fatal("negative disk count should fail the sweep")
 	}
 	if !strings.Contains(err.Error(), "synth/demand/d=-1") {
 		t.Errorf("error %q does not name the failing configuration", err)
+	}
+}
+
+// TestSweepValidatesBeforeRunning: a -large sweep whose last algorithm
+// cannot stream is rejected with a ConfigError naming that cell before
+// any cell runs, so nothing is written, not even the CSV header.
+func TestSweepValidatesBeforeRunning(t *testing.T) {
+	large := ppcsim.LargeTraceSpec{Refs: 2000, Blocks: 256, Pattern: "zipf", Seed: 7}
+	sp := sweepSpec{
+		large:    &large,
+		algs:     []ppcsim.Algorithm{ppcsim.Demand, ppcsim.Aggressive, ppcsim.ReverseAggressive},
+		disks:    []int{1, 2},
+		scheds:   []ppcsim.Discipline{ppcsim.CSCAN},
+		caches:   []int{0},
+		batches:  []int{0},
+		horizons: []int{0},
+		hintFrac: 1,
+		hintAcc:  1,
+		window:   64,
+	}
+	var buf bytes.Buffer
+	err := sweep(sp, 2, &buf)
+	var ce *ppcsim.ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Algorithm" {
+		t.Fatalf("err = %v, want a ConfigError on Algorithm", err)
+	}
+	if want := large.ResolvedName() + "/reverse-aggressive/d=1"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %s", err, want)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected sweep wrote %q", buf.String())
 	}
 }

@@ -505,8 +505,9 @@ func TestPermanentCellFailure(t *testing.T) {
 	coordTS := httptest.NewServer(c.Handler())
 	defer coordTS.Close()
 
-	// reverse-aggressive rejects hints; the job boundary validates only
-	// the first cell (demand), so the bad cells surface as per-cell 400s.
+	// reverse-aggressive rejects a window shorter than the trace; that
+	// rule needs the inline trace's length, which the job boundary does
+	// not parse, so the bad cell surfaces as a per-cell 400.
 	body := fmt.Sprintf(`{"trace_text":%q,"algorithms":["demand","reverse-aggressive"],"windows":[8]}`,
 		inlineTrace("pf", 32, 100))
 	st := submitJob(t, coordTS.URL, body)

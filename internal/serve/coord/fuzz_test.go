@@ -10,7 +10,8 @@ import (
 // FuzzParseJobSpec hammers the /v1/jobs decoder: arbitrary bytes must
 // never panic, every rejection must be a *ppcsim.ConfigError naming a
 // field, and anything accepted must expand deterministically into a
-// bounded, well-formed cell list.
+// bounded, well-formed cell list whose every cell passes the single-run
+// boundary.
 func FuzzParseJobSpec(f *testing.F) {
 	f.Add([]byte(`{"trace":"synth","algorithms":["demand","aggressive"],"disk_counts":[1,2],"cache_sizes":[16,32]}`))
 	f.Add([]byte(`{"trace":"synth","algorithm":"demand"}`))
@@ -21,6 +22,8 @@ func FuzzParseJobSpec(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"trace":"synth","algorithms":["demand"],"bogus":true}`))
 	f.Add([]byte(`{"trace":"synth","algorithms":["demand"]} trailing`))
+	f.Add([]byte(`{"trace_spec":{"refs":1000,"blocks":64},"algorithms":["demand","reverse-aggressive"],"window":32}`))
+	f.Add([]byte(`{"trace_spec":{"refs":1000,"blocks":64},"algorithm":"demand","windows":[32,5000]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := ParseJobSpec(body)
 		if err != nil {
@@ -33,7 +36,7 @@ func FuzzParseJobSpec(f *testing.F) {
 			}
 			return
 		}
-		cells, err := spec.Cells(1 << 20)
+		cells, err := spec.Cells(1024)
 		if err != nil {
 			var ce *ppcsim.ConfigError
 			if !errors.As(err, &ce) {
@@ -44,7 +47,7 @@ func FuzzParseJobSpec(f *testing.F) {
 		if len(cells) == 0 {
 			t.Fatal("accepted spec expanded to zero cells")
 		}
-		again, err := spec.Cells(1 << 20)
+		again, err := spec.Cells(1024)
 		if err != nil || len(again) != len(cells) {
 			t.Fatalf("re-expansion disagrees: %d vs %d cells, err %v", len(cells), len(again), err)
 		}
@@ -54,6 +57,9 @@ func FuzzParseJobSpec(f *testing.F) {
 			}
 			if c.Key == "" || c.Key != c.Spec.Key() || c.Key != again[i].Key {
 				t.Fatalf("cell %d key unstable or empty", i)
+			}
+			if err := c.Spec.Validate(); err != nil {
+				t.Fatalf("accepted cell %d fails the single-run boundary: %v", i, err)
 			}
 		}
 		if JobKey(cells) != JobKey(again) {

@@ -52,10 +52,11 @@ type Cell struct {
 	Key string `json:"key"`
 }
 
-// ParseJobSpec decodes and boundary-checks a /v1/jobs body with the
-// same strictness as the single-run boundary: unknown fields and
+// ParseJobSpec decodes a /v1/jobs body and checks its wire rules with
+// the same strictness as the single-run boundary: unknown fields and
 // trailing data are rejected, and every failure is a *ppcsim.ConfigError
-// naming the offending field.
+// naming the offending field. It does not expand the grid; Cells does,
+// and checks every cell as it goes.
 func ParseJobSpec(body []byte) (*JobSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -88,11 +89,6 @@ func (s *JobSpec) validate() error {
 	if s.Window != nil && len(s.Windows) > 0 {
 		return &ppcsim.ConfigError{Field: "Windows", Reason: "window and windows are mutually exclusive"}
 	}
-	for _, a := range s.Algorithms {
-		if _, err := ppcsim.ParseAlgorithm(a); err != nil {
-			return err
-		}
-	}
 	for _, d := range s.DiskCounts {
 		if d <= 0 {
 			return &ppcsim.ConfigError{Field: "DiskCounts", Reason: fmt.Sprintf("must be positive, got %d", d)}
@@ -111,21 +107,15 @@ func (s *JobSpec) validate() error {
 	if s.TimeoutMs < 0 {
 		return &ppcsim.ConfigError{Field: "TimeoutMs", Reason: fmt.Sprintf("must be non-negative, got %g", s.TimeoutMs)}
 	}
-	// Validate one representative cell so base-field errors (missing
-	// trace, unknown scheduler, bad hints ranges) surface at the job
-	// boundary rather than as per-cell failures mid-stream. The remaining
-	// cells differ only in axis values already checked above.
-	cells, err := s.Cells(1 << 20)
-	if err != nil {
-		return err
-	}
-	return cells[0].Spec.Validate()
+	return nil
 }
 
 // Cells expands the grid into its deterministic cell list
-// (algorithms-major, then disk counts, cache sizes, windows). maxCells
-// bounds the expansion so a typo'd grid cannot fan a million
-// simulations onto the fleet.
+// (algorithms-major, then disk counts, cache sizes, windows) and checks
+// every cell with RunSpec.Validate, so a cell that breaks a rule
+// checkable without its trace fails the whole job before any worker is
+// touched. maxCells bounds the expansion before anything is allocated,
+// so a typo'd grid cannot fan a million simulations onto the fleet.
 func (s *JobSpec) Cells(maxCells int) ([]Cell, error) {
 	algs := s.Algorithms
 	if len(algs) == 0 {
@@ -164,6 +154,9 @@ func (s *JobSpec) Cells(maxCells int) ([]Cell, error) {
 					if len(s.Windows) > 0 {
 						w := s.Windows[wi]
 						spec.Window = &w
+					}
+					if err := spec.Validate(); err != nil {
+						return nil, fmt.Errorf("cell %d: %w", len(cells), err)
 					}
 					cells = append(cells, Cell{
 						Index: len(cells),

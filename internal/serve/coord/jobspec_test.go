@@ -3,6 +3,9 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ppcsim"
@@ -162,4 +165,65 @@ func TestJobKeyStable(t *testing.T) {
 		t.Error("JobKey is not deterministic")
 	}
 	_ = fmt.Sprintf("%s", key)
+}
+
+// TestJobSpecChecksEveryCell: a grid whose first cell is valid but a
+// later one breaks a run rule is rejected by the coordinator's parse
+// path (ParseJobSpec, then the Cells expansion that checks every cell)
+// with the field the single-run boundary would name.
+func TestJobSpecChecksEveryCell(t *testing.T) {
+	cases := []struct {
+		body  string
+		field string
+	}{
+		{`{"trace_spec":{"refs":1000,"blocks":64},"algorithms":["demand","reverse-aggressive"],"window":32}`, "Algorithm"},
+		{`{"trace_spec":{"refs":1000,"blocks":64},"algorithm":"demand","windows":[32,5000]}`, "Hints"},
+	}
+	for _, tc := range cases {
+		spec, err := ParseJobSpec([]byte(tc.body))
+		if err == nil {
+			_, err = spec.Cells(1024)
+		}
+		var ce *ppcsim.ConfigError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: err = %v, want ConfigError", tc.body, err)
+			continue
+		}
+		if ce.Field != tc.field {
+			t.Errorf("%s: field %q, want %q", tc.body, ce.Field, tc.field)
+		}
+		if !strings.Contains(err.Error(), "cell 1") {
+			t.Errorf("%s: error %q does not name cell 1", tc.body, err)
+		}
+	}
+}
+
+// TestOversizeGridRejectedCheaply: a small body whose axes multiply to a
+// million cells is rejected on its cell count before any cell is built,
+// so parsing and expanding it allocates almost nothing.
+func TestOversizeGridRejectedCheaply(t *testing.T) {
+	axis := func() string {
+		vals := make([]string, 100)
+		for i := range vals {
+			vals[i] = strconv.Itoa(i + 2)
+		}
+		return "[" + strings.Join(vals, ",") + "]"
+	}
+	body := []byte(`{"trace_spec":{"refs":1000000,"blocks":64},"algorithm":"demand","disk_counts":` + axis() +
+		`,"cache_sizes":` + axis() + `,"windows":` + axis() + `}`)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	spec, err := ParseJobSpec(body)
+	if err == nil {
+		_, err = spec.Cells(1024)
+	}
+	runtime.ReadMemStats(&after)
+	var ce *ppcsim.ConfigError
+	if !errors.As(err, &ce) || ce.Field != "JobSpec" {
+		t.Fatalf("err = %v, want a ConfigError on JobSpec", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting a %d-byte body allocated %d bytes, want under 1 MB", len(body), alloc)
+	}
 }

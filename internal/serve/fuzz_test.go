@@ -78,8 +78,10 @@ func FuzzParseOptions(f *testing.F) {
 // *ppcsim.ConfigError values naming a field; whatever is accepted names
 // exactly one source, carries a well-formed hash, keeps generator refs
 // inside the engine's int32 budget, and — for streaming sources — has a
-// bounded window; and option assembly on a worker with no trace store
-// fails hash cells with a ConfigError rather than a panic.
+// bounded window; option assembly on a worker with no trace store
+// fails hash cells with a ConfigError rather than a panic; and an
+// accepted generator cell never fails option assembly, because every
+// rule that needs only the generator's header fires at parse time.
 func FuzzParseRunSpec(f *testing.F) {
 	goodHash := strings.Repeat("ab", 32)
 	f.Add(`{"trace_spec":{"refs":1000,"blocks":64},"algorithm":"forestall","window":32}`)
@@ -134,6 +136,9 @@ func FuzzParseRunSpec(f *testing.F) {
 		opts, cleanup, err := req.BuildOptions(SourceEnv{LoadTrace: loadBundled})
 		if err != nil {
 			cleanup()
+			if req.TraceSpec != nil {
+				t.Fatalf("accepted generator cell fails option assembly: %v", err)
+			}
 			var cfgErr *ppcsim.ConfigError
 			if !errors.As(err, &cfgErr) {
 				t.Fatalf("option assembly error is not a ConfigError: %T %v", err, err)

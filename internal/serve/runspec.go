@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"ppcsim"
@@ -119,11 +118,11 @@ func (t *TraceSpec) ResolvedName() string { return t.large().ResolvedName() }
 // (generator or store hash) rather than materializes.
 func (r *RunSpec) streaming() bool { return r.TraceSpec != nil || r.TraceHash != "" }
 
-// Validate applies the boundary rules that precede option assembly:
-// exactly one trace source, a known algorithm and scheduler, and
-// positive disk/cache/scale values where present. Failures are
-// *ppcsim.ConfigError values naming the offending field, the same shape
-// ppcsim.Options.Validate returns, so HTTP and CLI diagnostics match.
+// Validate checks the spec before any trace is resolved. It states only
+// the wire rules: one trace source, the hash syntax, explicit
+// non-positive disks, cache_blocks and window, and cpu_scale. The run
+// rules come from ppcsim through options, the trace-free half of option
+// assembly. Failures are *ppcsim.ConfigError values naming the field.
 func (r *RunSpec) Validate() error {
 	sources := 0
 	for _, set := range []bool{r.Trace != "", r.TraceText != "", r.TraceSpec != nil, r.TraceHash != ""} {
@@ -140,40 +139,6 @@ func (r *RunSpec) Validate() error {
 	if r.TraceHash != "" && !tracestore.ValidHash(r.TraceHash) {
 		return &ppcsim.ConfigError{Field: "TraceHash", Reason: fmt.Sprintf("%q is not a trace hash (want 64 lowercase hex digits)", r.TraceHash)}
 	}
-	if r.TraceSpec != nil {
-		ls := r.TraceSpec.large()
-		if err := ls.Validate(); err != nil {
-			return &ppcsim.ConfigError{Field: "TraceSpec", Reason: err.Error()}
-		}
-		if ls.Refs >= math.MaxInt32 {
-			return &ppcsim.ConfigError{Field: "TraceSpec", Reason: fmt.Sprintf("refs %d exceeds the streaming maximum of 2^31-2", ls.Refs)}
-		}
-		if r.Window != nil && int64(*r.Window) >= ls.Refs {
-			return &ppcsim.ConfigError{Field: "Window", Reason: fmt.Sprintf("streaming cells need a window smaller than the trace (window %d, trace %d references)", *r.Window, ls.Refs)}
-		}
-	}
-	if r.streaming() {
-		// Streaming cells never materialize, so everything that needs the
-		// whole sequence resident is rejected at the boundary: the offline
-		// algorithm, unlimited lookahead, and post-hoc compute scaling.
-		if r.Window == nil {
-			return &ppcsim.ConfigError{Field: "Window", Reason: "trace_spec and trace_hash cells stream and require a bounded lookahead window"}
-		}
-		if a, err := ppcsim.ParseAlgorithm(r.Algorithm); err == nil && a == ppcsim.ReverseAggressive {
-			return &ppcsim.ConfigError{Field: "Algorithm", Reason: "reverse aggressive is offline and requires a materialized trace (use trace or trace_text)"}
-		}
-		if r.CPUScale != 0 && r.CPUScale != 1 { //ppcvet:ignore unset-field sentinels, decoded rather than computed
-			return &ppcsim.ConfigError{Field: "CPUScale", Reason: "cpu_scale requires a materialized trace"}
-		}
-	}
-	if _, err := ppcsim.ParseAlgorithm(r.Algorithm); err != nil {
-		return err
-	}
-	if r.Scheduler != "" {
-		if _, err := ppcsim.ParseDiscipline(r.Scheduler); err != nil {
-			return err
-		}
-	}
 	if r.Disks != nil && *r.Disks <= 0 {
 		return &ppcsim.ConfigError{Field: "Disks", Reason: fmt.Sprintf("must be positive, got %d", *r.Disks)}
 	}
@@ -186,7 +151,22 @@ func (r *RunSpec) Validate() error {
 	if r.CPUScale < 0 {
 		return &ppcsim.ConfigError{Field: "CPUScale", Reason: fmt.Sprintf("must be non-negative, got %g", r.CPUScale)}
 	}
-	return nil
+	if r.streaming() && r.scaled() {
+		return &ppcsim.ConfigError{Field: "CPUScale", Reason: "cpu_scale requires a materialized trace"}
+	}
+	opts, err := r.options()
+	if err != nil {
+		return err
+	}
+	if opts.Source != nil {
+		return opts.Validate()
+	}
+	return opts.ValidateUnopened(r.streaming())
+}
+
+// scaled reports whether the spec rescales compute times.
+func (r *RunSpec) scaled() bool {
+	return r.CPUScale != 0 && r.CPUScale != 1 //ppcvet:ignore unset-field sentinels, decoded rather than computed
 }
 
 // canonical is the deterministic cache-key shape: every option that
@@ -335,15 +315,13 @@ type SourceEnv struct {
 // *ppcsim.ConfigError before any queue slot is consumed.
 func (r *RunSpec) BuildOptions(env SourceEnv) (ppcsim.Options, func(), error) {
 	cleanup := func() {}
-	var tr *ppcsim.Trace
-	var src ppcsim.TraceSource
-	var err error
+	opts, err := r.options()
+	if err != nil {
+		return ppcsim.Options{}, cleanup, err
+	}
 	switch {
-	case r.TraceSpec != nil:
-		src, err = r.TraceSpec.large().Source()
-		if err != nil {
-			return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "TraceSpec", Reason: err.Error()}
-		}
+	case opts.Source != nil:
+		// A trace_spec cell: options attached its generator.
 	case r.TraceHash != "":
 		if env.OpenHash == nil {
 			return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "TraceHash", Reason: "this worker has no trace store"}
@@ -352,7 +330,7 @@ func (r *RunSpec) BuildOptions(env SourceEnv) (ppcsim.Options, func(), error) {
 		if herr != nil {
 			return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "TraceHash", Reason: herr.Error()}
 		}
-		src, err = trace.NewColumnarSource(h)
+		opts.Source, err = trace.NewColumnarSource(h)
 		if err != nil {
 			h.Close()
 			return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "TraceHash", Reason: fmt.Sprintf("stored trace %s: %v", r.TraceHash, err)}
@@ -366,43 +344,59 @@ func (r *RunSpec) BuildOptions(env SourceEnv) (ppcsim.Options, func(), error) {
 			if derr != nil {
 				return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "TraceText", Reason: fmt.Sprintf("columnar body is not valid base64: %v", derr)}
 			}
-			scaled := r.CPUScale != 0 && r.CPUScale != 1 //ppcvet:ignore unset-field sentinels, decoded rather than computed
-			if r.Window != nil && !scaled {
+			if r.Window != nil && !r.scaled() {
 				var s *trace.ColumnarSource
 				s, err = trace.NewColumnarSource(bytes.NewReader(raw))
 				if err == nil && int64(*r.Window) < s.Meta().Refs {
-					src = s
+					opts.Source = s
 				} else if err == nil {
 					// The window covers the whole trace, which the
 					// sliding-window engine rejects; materializing is
 					// byte-identical, so keep the old acceptance.
-					tr, err = trace.Materialize(s)
+					opts.Trace, err = trace.Materialize(s)
 				}
 			} else {
-				tr, err = trace.ReadColumnar(bytes.NewReader(raw))
+				opts.Trace, err = trace.ReadColumnar(bytes.NewReader(raw))
 			}
 		} else {
-			tr, err = trace.Read(strings.NewReader(r.TraceText))
+			opts.Trace, err = trace.Read(strings.NewReader(r.TraceText))
 		}
 		if err != nil {
 			return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "TraceText", Reason: err.Error()}
 		}
 	default:
-		tr, err = env.LoadTrace(r.Trace)
+		opts.Trace, err = env.LoadTrace(r.Trace)
 		if err != nil {
 			return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "Trace", Reason: err.Error()}
 		}
 	}
-	if tr != nil && r.CPUScale != 0 && r.CPUScale != 1 { //ppcvet:ignore flag-default sentinel, decoded rather than computed
-		tr = tr.ScaleCompute(r.CPUScale)
+	if opts.Trace != nil && r.scaled() {
+		opts.Trace = opts.Trace.ScaleCompute(r.CPUScale)
 	}
-	alg, err := ppcsim.ParseAlgorithm(r.Algorithm)
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		cleanup()
 		return ppcsim.Options{}, func() {}, err
 	}
+	return opts, cleanup, nil
+}
+
+// options is the trace-free half of option assembly, shared by Validate
+// and BuildOptions: every Options field but the trace, plus the
+// generator source of a trace_spec cell, which costs O(files) to build
+// and generates no references until the run reads them.
+func (r *RunSpec) options() (ppcsim.Options, error) {
+	var src ppcsim.TraceSource
+	if r.TraceSpec != nil {
+		var err error
+		if src, err = r.TraceSpec.large().Source(); err != nil {
+			return ppcsim.Options{}, &ppcsim.ConfigError{Field: "TraceSpec", Reason: err.Error()}
+		}
+	}
+	alg, err := ppcsim.ParseAlgorithm(r.Algorithm)
+	if err != nil {
+		return ppcsim.Options{}, err
+	}
 	opts := ppcsim.Options{
-		Trace:            tr,
 		Source:           src,
 		Algorithm:        alg,
 		BatchSize:        r.BatchSize,
@@ -413,17 +407,16 @@ func (r *RunSpec) BuildOptions(env SourceEnv) (ppcsim.Options, func(), error) {
 		SimpleDiskModel:  r.SimpleDiskModel,
 		PlacementSeed:    r.PlacementSeed,
 	}
+	if r.Scheduler != "" {
+		if opts.Scheduler, err = ppcsim.ParseDiscipline(r.Scheduler); err != nil {
+			return ppcsim.Options{}, err
+		}
+	}
 	if r.Disks != nil {
 		opts.Disks = *r.Disks
 	}
 	if r.CacheBlocks != nil {
 		opts.CacheBlocks = *r.CacheBlocks
-	}
-	if r.Scheduler != "" {
-		if opts.Scheduler, err = ppcsim.ParseDiscipline(r.Scheduler); err != nil {
-			cleanup()
-			return ppcsim.Options{}, func() {}, err
-		}
 	}
 	if r.Hints != nil {
 		opts.Hints = &ppcsim.HintSpec{
@@ -440,9 +433,5 @@ func (r *RunSpec) BuildOptions(env SourceEnv) (ppcsim.Options, func(), error) {
 		}
 		opts.Hints.Window = *r.Window
 	}
-	if err := opts.Validate(); err != nil {
-		cleanup()
-		return ppcsim.Options{}, func() {}, err
-	}
-	return opts, cleanup, nil
+	return opts, nil
 }

@@ -68,28 +68,60 @@ func (e *ConfigError) Error() string {
 // calls it first, so callers constructing Options programmatically can
 // validate early (e.g. at flag-parsing time) and get the same answer.
 func (o Options) Validate() error {
-	if o.Trace == nil && o.Source == nil {
+	switch {
+	case o.Trace == nil && o.Source == nil:
 		return &ConfigError{Field: "Trace", Reason: "required (see NewTrace; or set Source for a streaming run)"}
-	}
-	if o.Trace != nil && o.Source != nil {
+	case o.Trace != nil && o.Source != nil:
 		return &ConfigError{Field: "Source", Reason: "mutually exclusive with Trace"}
-	}
-	if o.Trace != nil {
+	case o.Trace != nil:
 		if err := o.Trace.Validate(); err != nil {
 			return &ConfigError{Field: "Trace", Reason: err.Error()}
 		}
+		return o.check(int64(len(o.Trace.Refs)), false)
 	}
-	if o.Source != nil {
-		if err := o.validateStreaming(); err != nil {
-			return err
+	m := o.Source.Meta()
+	if err := m.Validate(); err != nil {
+		return &ConfigError{Field: "Source", Reason: err.Error()}
+	}
+	return o.check(m.Refs, true)
+}
+
+// ValidateUnopened applies the run rules to Options whose trace is not
+// open yet, such as a request naming a bundled trace or a stored blob.
+// Trace and Source are ignored; stream says whether the run will stream.
+// The rules that need the trace's length wait for Validate.
+func (o Options) ValidateUnopened(stream bool) error { return o.check(-1, stream) }
+
+// check states every run rule once. refs is the trace's length, or -1
+// when it is not open yet; stream says whether the run streams from
+// Options.Source rather than materializing the trace.
+func (o Options) check(refs int64, stream bool) error {
+	opened := refs >= 0
+	if opened && refs >= math.MaxInt32 {
+		field := "Trace"
+		if stream {
+			field = "Source"
 		}
+		return &ConfigError{Field: field, Reason: fmt.Sprintf("trace length %d exceeds the maximum of 2^31-2 references", refs)}
+	}
+	if stream {
+		// A streamed run keeps only a window-sized ring of upcoming
+		// references resident, so the offline algorithm cannot run.
+		if o.Algorithm == ReverseAggressive {
+			return &ConfigError{Field: "Algorithm", Reason: "reverse aggressive is offline and requires a materialized trace (see MaterializeTrace)"}
+		}
+		if o.Hints == nil || o.Hints.Window == 0 {
+			return &ConfigError{Field: "Hints", Reason: "streaming runs require a bounded lookahead window (set Hints with Window > 0 or WindowNone)"}
+		}
+		if opened && int64(o.Hints.Window) >= refs {
+			return &ConfigError{Field: "Hints", Reason: fmt.Sprintf("streaming runs require a window smaller than the trace (window %d, trace %d references)", o.Hints.Window, refs)}
+		}
+	}
+	if o.Algorithm == "" {
+		return &ConfigError{Field: "Algorithm", Reason: "required (see Algorithms)"}
 	}
 	if _, err := ParseAlgorithm(string(o.Algorithm)); err != nil {
-		reason := fmt.Sprintf("unknown algorithm %q (valid: %s)", o.Algorithm, algorithmNames())
-		if o.Algorithm == "" {
-			reason = "required (see Algorithms)"
-		}
-		return &ConfigError{Field: "Algorithm", Reason: reason}
+		return err
 	}
 	if o.Disks < 0 {
 		return &ConfigError{Field: "Disks", Reason: fmt.Sprintf("must be non-negative, got %d", o.Disks)}
@@ -113,14 +145,14 @@ func (o Options) Validate() error {
 		if err := o.Hints.Validate(); err != nil {
 			return &ConfigError{Field: "Hints", Reason: err.Error()}
 		}
-		if o.Algorithm == ReverseAggressive && o.Trace != nil {
+		if o.Algorithm == ReverseAggressive {
 			// Reverse aggressive is offline: it builds its schedule from
 			// the whole disclosed sequence up front. A spec is acceptable
 			// only when it is information-equivalent to full hints —
 			// everything disclosed, everything accurate, and a window that
 			// is unlimited or covers the whole trace.
 			full := o.Hints.Fraction == 1 && o.Hints.Accuracy == 1 //ppcvet:ignore exact fully-hinted sentinel values, assigned not computed
-			if !full || (o.Hints.Window != 0 && o.Hints.Window < len(o.Trace.Refs)) {
+			if !full || (opened && o.Hints.Window != 0 && int64(o.Hints.Window) < refs) {
 				return &ConfigError{Field: "Hints", Reason: "reverse aggressive is offline and requires full hints"}
 			}
 		}
@@ -129,31 +161,6 @@ func (o Options) Validate() error {
 		if err := o.DiskGeometry.Validate(); err != nil {
 			return &ConfigError{Field: "DiskGeometry", Reason: err.Error()}
 		}
-	}
-	return nil
-}
-
-// validateStreaming checks the constraints specific to Options.Source
-// runs: a valid source header, a reference count that fits the engine's
-// int32 position space, an online algorithm, and a bounded lookahead
-// window — the window is what lets the engine keep only a ring of
-// upcoming references resident.
-func (o Options) validateStreaming() error {
-	m := o.Source.Meta()
-	if err := m.Validate(); err != nil {
-		return &ConfigError{Field: "Source", Reason: err.Error()}
-	}
-	if m.Refs >= math.MaxInt32 {
-		return &ConfigError{Field: "Source", Reason: fmt.Sprintf("trace length %d exceeds the streaming maximum of 2^31-2 references", m.Refs)}
-	}
-	if o.Algorithm == ReverseAggressive {
-		return &ConfigError{Field: "Algorithm", Reason: "reverse aggressive is offline and requires a materialized trace (see MaterializeTrace)"}
-	}
-	if o.Hints == nil {
-		return &ConfigError{Field: "Hints", Reason: "streaming runs require a bounded lookahead window (set Hints with Window > 0 or WindowNone)"}
-	}
-	if o.Hints.Window == 0 || int64(o.Hints.Window) >= m.Refs {
-		return &ConfigError{Field: "Hints", Reason: fmt.Sprintf("streaming runs require a window smaller than the trace (window %d, trace %d references)", o.Hints.Window, m.Refs)}
 	}
 	return nil
 }

@@ -6,7 +6,9 @@
 # and requires the CSVs to be byte-identical — the determinism claim the
 # whole sharded-cache design rests on. Then resubmits the grid and
 # requires the coordinator to serve every cell from its persisted store
-# with zero recomputation, checked against /v1/statsz counters.
+# with zero recomputation, checked against /v1/statsz counters. A grid
+# with one bad cell past the first must draw a 400 envelope from the
+# coordinator without reaching either worker.
 #
 # Usage: scripts/coord_smoke.sh [port-base]   (default 18200)
 set -euo pipefail
@@ -87,6 +89,34 @@ assert st["cells_total"] == 2 * total, st     # both submissions counted
 assert st["cells_failed"] == 0, st
 print("store replay confirmed: %d cells, %d recomputed" % (total, st["cells_done"] - total))
 '
+
+echo "== bad later cell: 400 at the job boundary, no worker touched"
+worker_requests() {
+    for port in "$W1_PORT" "$W2_PORT"; do
+        curl -sf "http://127.0.0.1:$port/v1/statsz" |
+            python3 -c 'import json, sys; print(json.load(sys.stdin)["requests"])'
+    done | paste -sd, -
+}
+before="$(worker_requests)"
+status="$(curl -s -o "$WORK/bad.json" -w '%{http_code}' \
+    "http://127.0.0.1:$COORD_PORT/v1/jobs" \
+    -d '{"trace_spec":{"refs":1000,"blocks":64},"algorithm":"demand","windows":[32,5000]}')"
+cat "$WORK/bad.json"
+if [ "$status" != 400 ]; then
+    echo "FAIL: grid with a bad second cell got status $status, want 400" >&2
+    exit 1
+fi
+python3 -c '
+import json, sys
+env = json.load(open(sys.argv[1]))
+assert env["error"]["code"] == "invalid_request", env
+' "$WORK/bad.json"
+after="$(worker_requests)"
+if [ "$before" != "$after" ]; then
+    echo "FAIL: worker request counts moved ($before -> $after) for a rejected job" >&2
+    exit 1
+fi
+echo "rejected at the boundary; worker requests unchanged ($after)"
 
 echo "== streaming leg: 10^7-ref generator sweep sharded across the fleet"
 LARGE="1e7:65536:zipf:1"

@@ -8,6 +8,8 @@
 # Also round-trips a slice of the workload through a columnar file and
 # requires the streamed and materialized runs to print identical metrics
 # — the byte-identity acceptance criterion, exercised from the CLI.
+# Finally requires ppc-sweep to reject a streamed sweep with an offline
+# algorithm (exit 2, nothing on stdout) before running any cell.
 #
 # Usage: scripts/large_trace_smoke.sh [refs] [floor-refs-per-sec]
 set -euo pipefail
@@ -22,6 +24,7 @@ trap 'rm -rf "$WORK"' EXIT
 echo "== build"
 go build -o "$WORK/ppc-sim" ./cmd/ppc-sim
 go build -o "$WORK/ppc-traces" ./cmd/ppc-traces
+go build -o "$WORK/ppc-sweep" ./cmd/ppc-sweep
 
 echo "== stream $REFS refs under GOMEMLIMIT=256MiB"
 # 10^7 materialized refs alone would be ~160 MB before engine state; the
@@ -48,5 +51,17 @@ echo "== columnar round-trip: streamed == materialized"
 "$WORK/ppc-sim" -trace-file "$WORK/smoke.col" -stream -window 500 -alg aggressive -disks 2 \
     | grep -v 'refs/sec' > "$WORK/str.out"
 diff -u "$WORK/mat.out" "$WORK/str.out"
+
+echo "== sweep with an offline algorithm: rejected before any cell runs"
+set +e
+"$WORK/ppc-sweep" -large 2e5:4096:zipf:1 -window 64 -algs demand,reverse-aggressive \
+    >"$WORK/sweep.out" 2>"$WORK/sweep.err"
+code=$?
+set -e
+cat "$WORK/sweep.err"
+if [ "$code" -ne 2 ] || [ -s "$WORK/sweep.out" ]; then
+    echo "ppc-sweep exited $code with $(wc -c <"$WORK/sweep.out") bytes on stdout; want exit 2 and no output" >&2
+    exit 1
+fi
 
 echo "== large-trace smoke OK"
