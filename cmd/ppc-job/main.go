@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"ppcsim"
+	"ppcsim/internal/report"
 	"ppcsim/internal/serve"
 	"ppcsim/internal/serve/coord"
 	"ppcsim/internal/serve/tracestore"
@@ -349,12 +350,7 @@ func stream(w io.Writer, r io.Reader, cells []coord.Cell, asCSV bool) (*coord.Su
 func writeCSV(w io.Writer, cells []coord.Cell, recs []coord.CellRecord) error {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Index < recs[j].Index })
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"trace", "algorithm", "disks", "scheduler", "cache_blocks", "batch", "horizon",
-		"hint_fraction", "hint_accuracy", "window",
-		"elapsed_sec", "compute_sec", "driver_sec", "stall_sec",
-		"fetches", "avg_fetch_ms", "avg_response_ms", "avg_utilization",
-	}); err != nil {
+	if err := cw.Write(report.SweepHeader()); err != nil {
 		return err
 	}
 	for _, rec := range recs {
@@ -392,21 +388,12 @@ func writeCSV(w io.Writer, cells []coord.Cell, recs []coord.CellRecord) error {
 		if spec.Hints != nil {
 			hintFrac, hintAcc = spec.Hints.Fraction, spec.Hints.Accuracy
 		}
-		if err := cw.Write([]string{
-			traceName, alg, strconv.Itoa(intOr(spec.Disks, 1)), sched.String(),
-			strconv.Itoa(intOr(spec.CacheBlocks, 0)),
-			strconv.Itoa(spec.BatchSize), strconv.Itoa(spec.Horizon),
-			fmt.Sprintf("%g", hintFrac), fmt.Sprintf("%g", hintAcc),
-			strconv.Itoa(intOr(spec.Window, 0)),
-			fmt.Sprintf("%.4f", res.ElapsedSec),
-			fmt.Sprintf("%.4f", res.ComputeSec),
-			fmt.Sprintf("%.4f", res.DriverTimeSec),
-			fmt.Sprintf("%.4f", res.StallTimeSec),
-			strconv.FormatInt(res.Fetches, 10),
-			fmt.Sprintf("%.3f", res.AvgFetchMs),
-			fmt.Sprintf("%.3f", res.AvgResponseMs),
-			fmt.Sprintf("%.3f", res.AvgUtilization),
-		}); err != nil {
+		run := report.SweepRun{
+			Trace: traceName, Algorithm: alg, Disks: intOr(spec.Disks, 1), Scheduler: sched.String(),
+			CacheBlocks: intOr(spec.CacheBlocks, 0), Batch: spec.BatchSize, Horizon: spec.Horizon,
+			HintFraction: hintFrac, HintAccuracy: hintAcc, Window: intOr(spec.Window, 0),
+		}
+		if err := cw.Write(report.SweepRow(run, res)); err != nil {
 			return err
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"ppcsim"
+	"ppcsim/internal/report"
 )
 
 func splitList(s string) []string {
@@ -176,12 +177,7 @@ func runSweep(sp sweepSpec, jobs []job, parallel int, w io.Writer) error {
 	wg.Wait()
 
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"trace", "algorithm", "disks", "scheduler", "cache_blocks", "batch", "horizon",
-		"hint_fraction", "hint_accuracy", "window",
-		"elapsed_sec", "compute_sec", "driver_sec", "stall_sec",
-		"fetches", "avg_fetch_ms", "avg_response_ms", "avg_utilization",
-	}); err != nil {
+	if err := cw.Write(report.SweepHeader()); err != nil {
 		return err
 	}
 	for idx, j := range jobs {
@@ -189,22 +185,13 @@ func runSweep(sp sweepSpec, jobs []job, parallel int, w io.Writer) error {
 			cw.Flush()
 			return j.wrap(errs[idx])
 		}
-		r, o := results[idx], j.opts
-		rec := []string{
-			j.traceName, string(o.Algorithm), strconv.Itoa(o.Disks), o.Scheduler.String(),
-			strconv.Itoa(o.CacheBlocks), strconv.Itoa(o.BatchSize), strconv.Itoa(o.Horizon),
-			fmt.Sprintf("%g", sp.hintFrac), fmt.Sprintf("%g", sp.hintAcc),
-			strconv.Itoa(sp.window),
-			fmt.Sprintf("%.4f", r.ElapsedSec),
-			fmt.Sprintf("%.4f", r.ComputeSec),
-			fmt.Sprintf("%.4f", r.DriverTimeSec),
-			fmt.Sprintf("%.4f", r.StallTimeSec),
-			strconv.FormatInt(r.Fetches, 10),
-			fmt.Sprintf("%.3f", r.AvgFetchMs),
-			fmt.Sprintf("%.3f", r.AvgResponseMs),
-			fmt.Sprintf("%.3f", r.AvgUtilization),
+		o := j.opts
+		run := report.SweepRun{
+			Trace: j.traceName, Algorithm: string(o.Algorithm), Disks: o.Disks, Scheduler: o.Scheduler.String(),
+			CacheBlocks: o.CacheBlocks, Batch: o.BatchSize, Horizon: o.Horizon,
+			HintFraction: sp.hintFrac, HintAccuracy: sp.hintAcc, Window: sp.window,
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := cw.Write(report.SweepRow(run, results[idx])); err != nil {
 			return err
 		}
 	}

@@ -116,17 +116,9 @@ func (x *DiskIndex) AdvancePast(p, d int) {
 	}
 }
 
-// Disks returns the number of disks the index covers.
-func (x *DiskIndex) Disks() int {
-	if x.ring != nil {
-		return len(x.head)
-	}
-	return len(x.start) - 1
-}
-
 // DiskCursor walks one disk's indexed positions in ascending order. It
 // is resumable: on a sliding index whose positions have run out it picks
-// up the positions appended since, and Seek moves it back or forth. A
+// up the positions appended since, and Seek moves it to a new start. A
 // cursor is a value the caller owns; the index keeps no per-caller
 // state, so any number of cursors may walk the same disk independently.
 type DiskCursor struct {
@@ -195,12 +187,12 @@ func (c *DiskCursor) nextSlow() {
 	}
 }
 
-// Seek moves the cursor to disk d's first indexed position >= p, forward
-// or backward. A materialized index binary-searches for it. A sliding
-// index can only enter its per-disk chain at a known link, so there p
-// must either be at most the disk's first unconsumed position (the next
-// one appended, when all are consumed) or be an unconsumed indexed
-// position of disk d itself, whose ring link continues the chain.
+// Seek moves the cursor to disk d's first indexed position >= p. A
+// materialized index binary-searches for it, forward or backward. A
+// sliding index can only enter its per-disk chain at its head, so there
+// p must be at most the disk's first unconsumed position (the next one
+// appended, when all are consumed): seeking to the run's cursor always
+// qualifies.
 func (c *DiskCursor) Seek(p int) {
 	if c.ring == nil {
 		c.i = c.x.LowerBound(c.d, p)
@@ -210,13 +202,11 @@ func (c *DiskCursor) Seek(p int) {
 		}
 		return
 	}
-	c.last = -1
-	if h := int(c.x.head[c.d]); h < 0 || p <= h {
-		c.pos = Never
-		c.resume()
-		return
+	if h := int(c.x.head[c.d]); h >= 0 && p > h {
+		panic("future: sliding disk cursor seek past the disk's first unconsumed position")
 	}
-	c.pos = p
+	c.last, c.pos = -1, Never
+	c.resume()
 }
 
 // resume re-reads a sliding cursor that ran out of positions. If the

@@ -235,11 +235,16 @@ func (o *Oracle) NextUseWithin(b layout.BlockID, window int) int {
 }
 
 // NextUseAfter returns the first position >= pos (with pos >= cursor) at
-// which b is referenced, or Never. Reverse aggressive's schedule
-// construction uses this to compute release times.
+// which b is referenced, or Never. A streaming oracle walks b's chain
+// through its appended window, so uses not yet disclosed read as Never.
 func (o *Oracle) NextUseAfter(b layout.BlockID, pos int) int {
-	if o.win != nil {
-		panic("future: NextUseAfter requires a materialized oracle")
+	if w := o.win; w != nil {
+		for p := w.head[b]; p >= 0; p = w.next[int(p)&w.mask] {
+			if int(p) >= pos {
+				return int(p)
+			}
+		}
+		return Never
 	}
 	lo, hi := int(o.ptr[b]), int(o.start[b+1])
 	for lo < hi {

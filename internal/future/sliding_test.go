@@ -11,9 +11,9 @@ import (
 // materialized oracle over the same random sequences in lockstep — the
 // streaming one fed through a bounded disclosure window of A references —
 // and checks that every query agrees with the materialized answer
-// truncated at the window edge: NextUse reads Never exactly when the true
-// next use has not been appended yet, and Consumed (the per-block epoch)
-// matches unconditionally.
+// truncated at the window edge: NextUse and NextUseAfter read Never
+// exactly when the true answer has not been appended yet, and Consumed
+// (the per-block epoch) matches unconditionally.
 func TestStreamingOracleMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
@@ -52,6 +52,16 @@ func TestStreamingOracleMatchesMaterialized(t *testing.T) {
 					t.Fatalf("trial %d c=%d filled=%d: NextUse(%d) = %d, want %d",
 						trial, c, filled, b, got, want)
 				}
+				// NextUseAfter from a random position in the window.
+				pos := c + rng.Intn(filled-c+1)
+				want = mat.NextUseAfter(id, pos)
+				if want >= filled {
+					want = Never
+				}
+				if got := str.NextUseAfter(id, pos); got != want {
+					t.Fatalf("trial %d c=%d filled=%d: NextUseAfter(%d, %d) = %d, want %d",
+						trial, c, filled, b, pos, got, want)
+				}
 				if got, want := str.Consumed(id), mat.Consumed(id); got != want {
 					t.Fatalf("trial %d c=%d: Consumed(%d) = %d, want %d", trial, c, b, got, want)
 				}
@@ -69,9 +79,8 @@ func TestStreamingOracleMatchesMaterialized(t *testing.T) {
 // the engine's append/advance pattern with one long-lived cursor per
 // disk, and checks each yields exactly the positions a cursor over a CSR
 // index of the full sequence does, truncated to the disclosure window.
-// The cursors resume after running out of appended positions, seek to
-// the engine cursor when they fall behind it (or at random), and seek
-// back to unconsumed positions they already passed.
+// The cursors resume after running out of appended positions and seek
+// to the engine cursor when they fall behind it (or at random).
 func TestSlidingDiskIndexMatchesCSRScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
@@ -118,18 +127,9 @@ func TestSlidingDiskIndexMatchesCSRScan(t *testing.T) {
 			}
 			d := rng.Intn(disks)
 			sc, cc := &slCur[d], &csrCur[d]
-			switch p := cc.Pos(); {
-			case p < c || rng.Intn(4) == 0:
+			if cc.Pos() < c || rng.Intn(4) == 0 {
 				sc.Seek(c)
 				cc.Seek(c)
-			case rng.Intn(3) == 0 && c < p && p != Never:
-				// Back to an unconsumed indexed position already passed.
-				lo, hi := csr.LowerBound(d, c), csr.LowerBound(d, p)
-				if lo < hi {
-					to := int(csr.Positions(d)[lo+rng.Intn(hi-lo)])
-					sc.Seek(to)
-					cc.Seek(to)
-				}
 			}
 			stopAfter := rng.Intn(6) // 0 means walk everything disclosed
 			for steps := 0; ; steps++ {

@@ -1,9 +1,7 @@
 package policy
 
 import (
-	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
-	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
 )
 
@@ -18,36 +16,17 @@ type Aggressive struct {
 	// BatchSize limits each batch; 0 selects the paper's Table 6 value
 	// for the array size.
 	BatchSize int
-	// MaxLookahead bounds how far past the cursor the missing-block scan
-	// walks (an implementation bound; 0 selects max(4*K, 4096)). The
-	// do-no-harm rule is the real limiter except when the cache holds
-	// blocks that are never referenced again.
-	MaxLookahead int
 
-	s       *engine.State
-	batch   int
+	s     *engine.State
+	batch int
+	// horizon bounds how far past the cursor the missing-block scan
+	// walks: max(4*K, 4096), an implementation bound. The do-no-harm rule
+	// is the real limiter except when the cache holds blocks that are
+	// never referenced again.
 	horizon int
-
-	// Per-disk batch budget for the current Poll, initialized lazily:
-	// stamp[d] != epoch means disk d has not been consulted this Poll, so
-	// rem[d] is whatever an older Poll left. Laziness is safe because a
-	// disk's free state cannot change between the start of a Poll and its
-	// first consultation — the only in-Poll event that busies a disk is a
-	// fetch to that very disk, which only happens after consulting it.
-	rem   []int
-	stamp []int
-	epoch int
-
-	// gpos is a global first-missing scanner: every position before it
-	// was either passed by the cursor or referenced a block that was
-	// present or in flight when scanned. In-flight blocks only become
-	// present and present blocks only become absent through an eviction,
-	// so the invariant persists until invalidate rewinds the scanner to
-	// an evicted victim's next use. The min over the per-disk "first
-	// missing block" candidates that define the batch loop is exactly
-	// the first missing position (restricted to disks with batch budget),
-	// so one global scanner replaces per-disk ones.
-	gpos int
+	// rem is each disk's batch budget left in the current Poll.
+	rem []int
+	idx missIndex
 }
 
 // NewAggressive returns the multi-disk aggressive policy with the given
@@ -66,52 +45,9 @@ func (a *Aggressive) Attach(s *engine.State) {
 	if a.batch <= 0 {
 		a.batch = DefaultBatchSize(len(s.Drives))
 	}
-	a.horizon = a.MaxLookahead
-	if a.horizon <= 0 {
-		a.horizon = 4 * s.Cache.Capacity()
-		if a.horizon < 4096 {
-			a.horizon = 4096
-		}
-	}
+	a.horizon = max(4*s.Cache.Capacity(), 4096)
 	a.rem = make([]int, len(s.Drives))
-	a.stamp = make([]int, len(s.Drives))
-	a.epoch = 0
-	a.gpos = 0
-}
-
-// globalFirstMissing returns the first position >= the cursor (on any
-// disk) whose block is missing, or limit if there is none before limit
-// (exclusive). Skipped positions referenced blocks that were present or
-// in flight when scanned; the scan stops at (without consuming) the
-// returned position, so the next call re-validates it.
-func (a *Aggressive) globalFirstMissing(limit int) int {
-	s := a.s
-	p := a.gpos
-	if c := s.Cursor(); p < c {
-		p = c
-	}
-	for p < limit && !s.Cache.Absent(s.Ref(p)) {
-		p++
-	}
-	a.gpos = p
-	return p
-}
-
-// invalidate rewinds the global scanner after block v was evicted: its
-// next use may now be a missing position the scanner already passed. It
-// returns that next use, or future.Never when no state changed.
-func (a *Aggressive) invalidate(v layout.BlockID) int {
-	if v == cache.NoBlock {
-		return future.Never
-	}
-	u := a.s.Oracle.NextUse(v)
-	if u == future.Never {
-		return future.Never
-	}
-	if u < a.gpos {
-		a.gpos = u
-	}
-	return u
+	a.idx.attach(s)
 }
 
 // Poll implements engine.Policy: fill batches for every free disk,
@@ -119,27 +55,23 @@ func (a *Aggressive) invalidate(v layout.BlockID) int {
 // increasing request index.
 func (a *Aggressive) Poll() {
 	s := a.s
-	limit := s.Cursor() + a.horizon
-	if n := s.Len(); limit > n {
-		limit = n
-	}
-	limit = s.WindowLimit(limit)
+	limit := scanEnd(s, a.horizon)
 	if s.Cache.FreeBuffers() == 0 {
-		p := a.globalFirstMissing(limit)
-		if p >= limit {
+		first := a.idx.firstMiss(limit)
+		if first == noMiss {
 			return // nothing missing anywhere in the window
 		}
 		// The batch loop fetches missing positions in ascending order and
 		// stops outright on its first do-no-harm failure, so if the rule
-		// rejects the globally first missing position it rejects the whole
+		// rejects the first missing position of all it rejects the whole
 		// Poll: with a full cache no fetch can be issued. The heap may only
-		// be consulted when position p's own disk is free — then p is
+		// be consulted when that position's own disk is free — then it is
 		// provably the loop's first fetch attempt, and this is the same
 		// FurthestEvictable call the loop would make (stale-entry pops and
 		// all); on any other Poll shape the loop decides without the heap
 		// or with a different first candidate, so fall through to it.
-		if d := s.DiskOf(s.Ref(p)); s.DriveFree(d) {
-			if _, vUse := s.Cache.FurthestEvictable(); vUse <= p {
+		if s.DriveFree(s.DiskOf(first.blk)) {
+			if _, vUse := s.Cache.FurthestEvictable(); vUse <= int(first.pos) {
 				return
 			}
 		}
@@ -147,69 +79,44 @@ func (a *Aggressive) Poll() {
 	if !s.AnyDriveFree() {
 		return
 	}
-	a.epoch++
-
+	for d := range a.rem {
+		a.rem[d] = 0
+		if s.DriveFree(d) {
+			a.rem[d] = a.batch
+		}
+	}
 	// Repeatedly fetch the first missing position among the disks that
 	// still have batch budget (free at this Poll's start, fewer than
-	// batch fetches so far). p walks forward from the global scanner
-	// without committing: positions that are missing but on a budgetless
-	// disk must be revisited by later Polls. A fetch can only create an
-	// earlier missing position by evicting its victim, so p rewinds to
-	// the victim's next use when that lands before it.
-	p := a.globalFirstMissing(limit)
+	// batch fetches so far). A busy disk's positions are never visited.
 	for {
-		d := -1
-		for p < limit {
-			b := s.Ref(p)
-			if s.Cache.Absent(b) {
-				d = s.DiskOf(b)
-				if a.stamp[d] != a.epoch {
-					a.stamp[d] = a.epoch
-					a.rem[d] = 0
-					if s.DriveFree(d) {
-						a.rem[d] = a.batch
-					}
+		next := a.idx.firstMiss(limit)
+		if next != noMiss && a.rem[s.DiskOf(next.blk)] == 0 {
+			next = noMiss
+			for d, r := range a.rem {
+				if r == 0 {
+					continue
 				}
-				if a.rem[d] > 0 {
-					break
+				if e := a.idx.head(d, limit); e.pos < next.pos {
+					next = e
 				}
 			}
-			p++
 		}
-		if p >= limit {
+		if next == noMiss {
 			break
 		}
-		ok, victim := a.tryFetch(s.Ref(p), p)
+		ok, victim := issueWithVictim(s, next.blk, int(next.pos))
 		if !ok {
 			// Do no harm disallows any further fetch: every later missing
 			// block is needed even later than this one.
 			break
 		}
-		a.rem[d]--
-		if u := a.invalidate(victim); u < p {
-			p = u
-		}
+		a.rem[s.DiskOf(next.blk)]--
+		a.idx.evict(victim)
 	}
-}
-
-// tryFetch applies optimal replacement + do no harm for block b whose
-// next reference is at position p.
-func (a *Aggressive) tryFetch(b layout.BlockID, p int) (bool, layout.BlockID) {
-	return issueWithVictim(a.s, b, p)
 }
 
 // OnStall implements engine.Policy: the stalled block is the first missing
 // block, so the do-no-harm rule always allows a demand fetch.
 func (a *Aggressive) OnStall(b layout.BlockID) {
-	s := a.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		return
-	}
-	v, _ := s.Cache.FurthestEvictable()
-	if v == cache.NoBlock {
-		return // every buffer in flight; the engine retries
-	}
-	s.Issue(b, v)
-	a.invalidate(v)
+	a.idx.evict(demandFetch(a.s, b))
 }

@@ -32,15 +32,18 @@ func (d *Demand) OnStall(b layout.BlockID) {
 	demandFetch(d.s, b)
 }
 
-// demandFetch issues a demand fetch of b with optimal replacement. When
+// demandFetch issues a demand fetch of b with optimal replacement and
+// returns the victim, or cache.NoBlock when it evicted nothing. When
 // every buffer is reserved by an in-flight fetch it does nothing; the
 // engine retries after the next completion.
-func demandFetch(s *engine.State, b layout.BlockID) {
+func demandFetch(s *engine.State, b layout.BlockID) layout.BlockID {
 	if s.Cache.FreeBuffers() > 0 {
 		s.Issue(b, cache.NoBlock)
-		return
+		return cache.NoBlock
 	}
-	if v, _ := s.Cache.FurthestEvictable(); v != cache.NoBlock {
+	v, _ := s.Cache.FurthestEvictable()
+	if v != cache.NoBlock {
 		s.Issue(b, v)
 	}
+	return v
 }

@@ -55,11 +55,7 @@ func (f *FixedHorizon) Attach(s *engine.State) {
 func (f *FixedHorizon) Poll() {
 	s := f.s
 	c := s.Cursor()
-	limit := c + f.H
-	if n := s.Len(); limit > n {
-		limit = n
-	}
-	limit = s.WindowLimit(limit)
+	limit := scanEnd(s, f.H)
 	if f.scanned < c {
 		f.scanned = c
 	}
@@ -72,9 +68,11 @@ func (f *FixedHorizon) Poll() {
 		return
 	}
 	sort.Ints(f.pending)
+	// fetch may queue victims' next uses past the first n0 entries; they
+	// are kept after the ones this loop retains.
+	n0 := len(f.pending)
 	kept := f.pending[:0]
-	blocked := false
-	for i, p := range f.pending {
+	for i, p := range f.pending[:n0] {
 		if p < c {
 			continue
 		}
@@ -82,19 +80,14 @@ func (f *FixedHorizon) Poll() {
 		if !s.Cache.Absent(b) {
 			continue
 		}
-		if blocked {
-			kept = append(kept, p)
-			continue
-		}
 		if !f.fetch(b, p) {
 			// The do-no-harm guard failed at p; it fails for every later
 			// position too (the victim's next use only looked worse).
-			blocked = true
-			kept = append(kept, f.pending[i:]...)
+			kept = append(kept, f.pending[i:n0]...)
 			break
 		}
 	}
-	f.pending = kept
+	f.pending = append(kept, f.pending[n0:]...)
 }
 
 // fetch issues the fixed-horizon fetch for b, needed at position p. The

@@ -3,7 +3,6 @@ package policy
 import (
 	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
-	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
 )
 
@@ -43,14 +42,13 @@ type Forestall struct {
 	// FixedF, when positive, disables dynamic estimation and uses this
 	// value for F' everywhere (the appendix-H configurations).
 	FixedF float64
-	// WindowBlocks bounds the missing-block scan to this many references
-	// past the cursor (0 → 2K as in the paper).
-	WindowBlocks int
 
 	s       *engine.State
 	batch   int
 	horizon int
-	window  int
+	// window bounds the missing-block scan to 2K references past the
+	// cursor, as in the paper.
+	window int
 
 	// Recent-history F estimation.
 	diskHist [][]float64
@@ -67,44 +65,13 @@ type Forestall struct {
 	// reaches nextCheck[d].
 	nextCheck []int
 
-	// disks holds each disk's incremental missing-position list, which
-	// forecast and issueBatch walk instead of the disk's whole window.
-	disks []forecastDisk
+	// idx lists each disk's missing positions, which forecast and
+	// issueBatch walk instead of the disk's whole window.
+	idx missIndex
 
 	// Fixed-horizon rule scan state.
 	fhScanned int
 	fhRetry   []int
-}
-
-// forecastDisk is one disk's incremental view of its missing blocks.
-//
-// Invariant: every position p in [cursor, scanned) on the disk whose
-// block is absent has an entry in miss. The list may also hold stale
-// entries — positions the cursor has passed, or blocks fetched since —
-// which the walks filter out lazily: a block stops being absent only
-// when it is fetched. A block becomes absent only when forestall evicts
-// it, and noteEviction then rewinds scanned to the victim's next use, so
-// the invariant holds; positions are classified again only after such a
-// rewind.
-type forecastDisk struct {
-	// cur sits at the disk's first indexed position at or after scanned,
-	// unless seek is set: a rewind leaves the seek back to the next
-	// extend, so the rewinds of one batch cost one seek.
-	cur  future.DiskCursor
-	seek bool
-	// scanned is the classification frontier; it never passes the scan
-	// limit, which only grows with the cursor.
-	scanned int
-	// miss holds the candidate missing positions below scanned, in
-	// ascending order, each with the block referenced there.
-	miss []missEntry
-}
-
-// missEntry is a candidate missing position and the block referenced
-// there, kept together so the walks need no reference-column load.
-type missEntry struct {
-	pos int32
-	blk layout.BlockID
 }
 
 // NewForestall returns the forestall policy with paper defaults.
@@ -125,10 +92,7 @@ func (f *Forestall) Attach(s *engine.State) {
 	if f.horizon <= 0 {
 		f.horizon = DefaultHorizon
 	}
-	f.window = f.WindowBlocks
-	if f.window <= 0 {
-		f.window = 2 * s.Cache.Capacity()
-	}
+	f.window = 2 * s.Cache.Capacity()
 	f.diskHist = make([][]float64, d)
 	for i := range f.diskHist {
 		f.diskHist[i] = make([]float64, historyLen)
@@ -139,11 +103,7 @@ func (f *Forestall) Attach(s *engine.State) {
 	f.cpuHist = make([]float64, historyLen)
 	f.cpuSum, f.cpuPos, f.cpuN, f.seenCPU = 0, 0, 0, 0
 	f.nextCheck = make([]int, d)
-	dindex := s.DiskIndex()
-	f.disks = make([]forecastDisk, d)
-	for i := range f.disks {
-		f.disks[i].cur = dindex.Cursor(i)
-	}
+	f.idx.attach(s)
 	f.fhScanned = 0
 	f.fhRetry = f.fhRetry[:0]
 	s.OnComplete = f.onComplete
@@ -214,17 +174,6 @@ func (f *Forestall) Poll() {
 	}
 }
 
-// scanLimit is the exclusive end of the forecast window at cursor c:
-// f.window references ahead, clamped to the trace and the lookahead
-// horizon. It never decreases as the cursor advances.
-func (f *Forestall) scanLimit(c int) int {
-	limit := c + f.window
-	if n := f.s.Len(); limit > n {
-		limit = n
-	}
-	return f.s.WindowLimit(limit)
-}
-
 // forecast recomputes disk d's stall forecast over its missing blocks in
 // the window; if a stall is inevitable (i*F' > d_i for some i), it issues
 // a batch of prefetches, otherwise it schedules the next check for when
@@ -234,24 +183,23 @@ func (f *Forestall) scanLimit(c int) int {
 func (f *Forestall) forecast(d int) {
 	s := f.s
 	c := s.Cursor()
-	st := &f.disks[d]
-	f.extend(st, c, f.scanLimit(c))
+	l := f.idx.classify(d, scanEnd(s, f.window), false)
 	fp := f.fprime(d)
 	i := 0
 	minSlack := 1 << 30
 	trigger := false
 	// Walk the list, compacting stale entries out of it as they surface.
-	miss := st.miss
+	miss := l.miss
 	w := 0
-	for r, e := range miss {
-		p := int(e.pos)
-		if p < c || !s.Cache.Absent(e.blk) {
+	for r := l.lo; r < len(miss); r++ {
+		e := miss[r]
+		if !f.idx.live(e) {
 			continue
 		}
 		miss[w] = e
 		w++
 		i++
-		slack := (p - c) - int(float64(i)*fp)
+		slack := (int(e.pos) - c) - int(float64(i)*fp)
 		if slack < minSlack {
 			minSlack = slack
 		}
@@ -261,7 +209,7 @@ func (f *Forestall) forecast(d int) {
 			break
 		}
 	}
-	st.miss = miss[:w]
+	l.miss, l.lo = miss[:w], 0
 	if !trigger {
 		wait := minSlack
 		if wait < 1 {
@@ -277,61 +225,24 @@ func (f *Forestall) forecast(d int) {
 	f.nextCheck[d] = c // re-evaluate at the next decision point
 }
 
-// extend classifies disk d's positions in [max(scanned, c), limit),
-// appending those whose block is absent to the missing list.
-func (f *Forestall) extend(st *forecastDisk, c, limit int) {
-	if st.scanned >= limit {
-		return
-	}
-	if st.scanned < c {
-		// Every listed position is behind the cursor.
-		st.scanned = c
-		st.miss = st.miss[:0]
-		st.seek = st.seek || st.cur.Pos() < c
-	}
-	if st.seek {
-		st.cur.Seek(st.scanned)
-		st.seek = false
-	}
-	s := f.s
-	for p := st.cur.Pos(); p < limit; p = st.cur.Pos() {
-		if b := s.Ref(p); s.Cache.Absent(b) {
-			st.miss = append(st.miss, missEntry{pos: int32(p), blk: b})
-		}
-		st.cur.Next()
-	}
-	st.scanned = limit
-}
-
 // issueBatch fetches up to batch-size first-missing blocks on disk d,
-// applying optimal replacement and do no harm.
+// applying optimal replacement and do no harm. The forecast has already
+// classified the disk up to the scan limit, and do no harm only evicts
+// blocks needed after the one being fetched, so every insertion lands
+// after the batch's progress through the list.
 func (f *Forestall) issueBatch(d int) {
 	s := f.s
-	c := s.Cursor()
-	limit := f.scanLimit(c)
-	st := &f.disks[d]
-	left := f.batch
-	for k := 0; left > 0; k++ {
-		if k == len(st.miss) {
-			// The list ran out. Either the window is done, or an eviction
-			// in this batch rewound the frontier and cut the list: never
-			// at or before entry k-1, since do no harm only evicts blocks
-			// needed after the one being fetched.
-			f.extend(st, c, limit)
-			if k == len(st.miss) {
-				break
-			}
-		}
-		e := st.miss[k]
-		if int(e.pos) < c || !s.Cache.Absent(e.blk) {
-			continue
+	limit := scanEnd(s, f.window)
+	for left := f.batch; left > 0; left-- {
+		e := f.idx.head(d, limit)
+		if e == noMiss {
+			break
 		}
 		ok, victim := issueWithVictim(s, e.blk, int(e.pos))
 		if !ok {
 			break // do no harm stops everything later too
 		}
 		f.noteEviction(victim)
-		left--
 	}
 }
 
@@ -342,11 +253,7 @@ func (f *Forestall) issueBatch(d int) {
 func (f *Forestall) pollHorizonRule() {
 	s := f.s
 	c := s.Cursor()
-	limit := c + f.horizon
-	if n := s.Len(); limit > n {
-		limit = n
-	}
-	limit = s.WindowLimit(limit)
+	limit := scanEnd(s, f.horizon)
 	if len(f.fhRetry) > 0 {
 		kept := f.fhRetry[:0]
 		for _, p := range f.fhRetry {
@@ -387,44 +294,24 @@ func (f *Forestall) fetchWithin(b layout.BlockID, p int) bool {
 }
 
 // noteEviction invalidates the stall forecast of the victim's disk: its
-// next use has become a missing block. When that use lies below the
-// disk's classification frontier, the frontier rewinds to it and the
-// missing list is cut there, so the positions from it on are classified
-// afresh. The next use is read through NextUseVisible — the raw oracle
+// next use has become a missing block, which the index records. The
+// recheck reads the next use through NextUseVisible — the raw oracle
 // answer would leak knowledge beyond the lookahead window into the
 // recheck schedule (harmless for correctness, but it would make windowed
-// streamed and materialized runs diverge). The frontier never passes the
-// lookahead horizon, so the clamp cannot hide a use the rewind needs.
+// streamed and materialized runs diverge).
 func (f *Forestall) noteEviction(v layout.BlockID) {
 	if v == cache.NoBlock {
 		return
 	}
-	u := f.s.NextUseVisible(v)
-	d := f.s.DiskOf(v)
-	if u < f.s.Cursor()+f.window {
-		f.nextCheck[d] = 0
+	if f.s.NextUseVisible(v) < f.s.Cursor()+f.window {
+		f.nextCheck[f.s.DiskOf(v)] = 0
 	}
-	if st := &f.disks[d]; u < st.scanned {
-		st.scanned, st.seek = u, true
-		// The victim is the block needed furthest ahead, so the cut is
-		// usually near the list's end.
-		n := len(st.miss)
-		for n > 0 && int(st.miss[n-1].pos) >= u {
-			n--
-		}
-		st.miss = st.miss[:n]
-	}
+	f.idx.evict(v)
 }
 
 // OnStall implements engine.Policy.
 func (f *Forestall) OnStall(b layout.BlockID) {
-	s := f.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-	} else if v, _ := s.Cache.FurthestEvictable(); v != cache.NoBlock {
-		s.Issue(b, v)
-		f.noteEviction(v)
-	}
+	f.noteEviction(demandFetch(f.s, b))
 	for d := range f.nextCheck {
 		f.nextCheck[d] = 0
 	}

@@ -42,7 +42,7 @@ func (l legacyForestall) Poll() {
 func (l legacyForestall) scan(d int, fn func(p int) bool) {
 	s := l.s
 	phantom := s.Layout.NumBlocks()
-	for p := s.Cursor(); p < l.scanLimit(s.Cursor()); p++ {
+	for p := s.Cursor(); p < scanEnd(s, l.window); p++ {
 		if b := s.Ref(p); int(b) < phantom && s.DiskOf(b) == d && !fn(p) {
 			return
 		}
@@ -109,7 +109,7 @@ func (l legacyForestall) issueBatch(d int) {
 
 // rewindCounter wraps a Forestall and counts the evictions whose victim
 // is next used behind its disk's classification frontier: the case the
-// eviction rewind exists for.
+// index's eviction insertion exists for.
 type rewindCounter struct {
 	*Forestall
 	rewinds int
@@ -118,7 +118,7 @@ type rewindCounter struct {
 func (r *rewindCounter) Attach(s *engine.State) {
 	r.Forestall.Attach(s)
 	s.Cache.OnEvict = func(victim, _ layout.BlockID, nextUse int) {
-		if nextUse < r.disks[s.DiskOf(victim)].scanned {
+		if nextUse < r.idx.disks[s.DiskOf(victim)].scanned {
 			r.rewinds++
 		}
 	}
@@ -137,8 +137,8 @@ func (v forestallVariant) String() string {
 }
 
 // runForestallPair runs Forestall and legacyForestall on one input and
-// reports any difference in Result. It returns the rewinds the
-// incremental forecast made.
+// reports any difference in Result. It returns the evictions
+// rewindCounter counted.
 func runForestallPair(t *testing.T, name string, tr *trace.Trace, disks int, v forestallVariant) int {
 	t.Helper()
 	cfg := func(p engine.Policy) engine.Config {

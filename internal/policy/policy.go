@@ -27,6 +27,13 @@ func DefaultBatchSize(disks int) int {
 	}
 }
 
+// scanEnd returns the exclusive end of a scan reaching ahead references
+// past the cursor, clamped to the trace and the lookahead horizon. It
+// never decreases as the cursor advances.
+func scanEnd(s *engine.State, ahead int) int {
+	return s.WindowLimit(min(s.Cursor()+ahead, s.Len()))
+}
+
 // issueWithVictim fetches block b applying the optimal replacement rule
 // and the do-no-harm rule: the victim is the present block whose next
 // reference is furthest in the future; the fetch happens only if a free

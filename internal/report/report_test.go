@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"ppcsim/internal/engine"
 )
 
 func TestTableRender(t *testing.T) {
@@ -107,5 +109,25 @@ func TestFigureSVG(t *testing.T) {
 func TestXMLEscape(t *testing.T) {
 	if got := xmlEscape(`a<b>&"c'`); got != "a&lt;b&gt;&amp;&quot;c&apos;" {
 		t.Errorf("xmlEscape = %q", got)
+	}
+}
+
+// TestSweepRowMatchesHeader pins the sweep CSV dialect: one cell per
+// header column, configuration columns first, results at their fixed
+// precisions.
+func TestSweepRowMatchesHeader(t *testing.T) {
+	run := SweepRun{
+		Trace: "xds", Algorithm: "forestall", Scheduler: "cscan",
+		Disks: 4, CacheBlocks: 0, Batch: 16, Horizon: 62,
+		HintFraction: 0.7, HintAccuracy: 1, Window: 1000,
+	}
+	res := engine.Result{ElapsedSec: 1.23456, Fetches: 42, AvgUtilization: 0.5}
+	row, head := SweepRow(run, res), SweepHeader()
+	if len(row) != len(head) {
+		t.Fatalf("row has %d cells, header %d", len(row), len(head))
+	}
+	want := "xds,forestall,4,cscan,0,16,62,0.7,1,1000,1.2346,0.0000,0.0000,0.0000,42,0.000,0.000,0.500"
+	if got := strings.Join(row, ","); got != want {
+		t.Errorf("row = %s\nwant  %s", got, want)
 	}
 }
