@@ -287,13 +287,9 @@ type State struct {
 	// must not act on: undisclosed hints and write-behind updates. It
 	// exists, pinned present, when blockSpace includes it — in hinted
 	// runs and in runs with writes. noiser is nil without hints.
-	phantom    layout.BlockID
-	blockSpace int
-	noiser     *hintNoiser
-	// dwin is the sliding per-disk index a streaming run maintains in
-	// place of the lazily built materialized one (both are served
-	// through DiskIndex()).
-	dwin         *future.DiskIndex
+	phantom      layout.BlockID
+	blockSpace   int
+	noiser       *hintNoiser
 	totalCompute float64
 	traceName    string
 
@@ -333,8 +329,8 @@ type State struct {
 	// instead of allocating one per disk access.
 	reqFree []*disk.Request
 
-	// dindex is the lazily-built per-disk position index shared by the
-	// policies (see DiskIndex).
+	// dindex is the per-disk position index shared by the policies (see
+	// DiskIndex); advanceCursor pops consumed positions from it.
 	dindex *future.DiskIndex
 
 	// Observability. obs is nil for unobserved runs; every emission
@@ -434,20 +430,36 @@ func (s *State) rescanBusy() {
 }
 
 // DiskIndex returns the per-disk index of the disclosed reference
-// sequence, building it on first use. Positions referencing the phantom
-// block (undisclosed hints, write-behind updates) are excluded — the
-// phantom is pinned present and has no placement.
+// sequence. A streaming run threads each position into it as fill loads
+// it; a materialized run builds it on first use, so runs whose policy
+// never asks do not pay for it. Positions referencing the phantom block
+// (undisclosed hints, write-behind updates) are excluded — the phantom
+// is pinned present and has no placement.
 func (s *State) DiskIndex() *future.DiskIndex {
 	if s.dindex == nil {
-		n := layout.BlockID(s.Layout.NumBlocks())
-		s.dindex = future.NewDiskIndex(s.Refs, len(s.Drives), func(b layout.BlockID) int {
-			if b >= n {
-				return -1 // phantom
-			}
-			return s.Layout.Lookup(b).Disk
-		})
+		s.dindex = future.NewDiskIndex(s.Refs, len(s.Drives), s.indexedDisk)
+		s.popDiskIndex(0, s.Cursor())
 	}
 	return s.dindex
+}
+
+// indexedDisk returns the disk of disclosed block b, or -1 for the
+// phantom, which the disk index excludes.
+func (s *State) indexedDisk(b layout.BlockID) int {
+	if b == s.phantom {
+		return -1
+	}
+	return s.DiskOf(b)
+}
+
+// popDiskIndex pops the consumed positions [from, to) from the disk
+// index.
+func (s *State) popDiskIndex(from, to int) {
+	for p := from; p < to; p++ {
+		if d := s.indexedDisk(s.Ref(p)); d >= 0 {
+			s.dindex.AdvancePast(p, d)
+		}
+	}
 }
 
 // newRequest returns a zeroed request, reusing a retired one when
@@ -747,8 +759,7 @@ func newState(cfg Config) (*State, error) {
 	}
 	if streaming {
 		s.Oracle = future.NewStreaming(s.blockSpace, size)
-		s.dwin = future.NewSlidingDiskIndex(cfg.Disks, size)
-		s.dindex = s.dwin
+		s.dindex = future.NewSlidingDiskIndex(cfg.Disks, size)
 	} else {
 		for i, r := range cfg.Trace.Refs {
 			if err := s.load(i, r); err != nil {
@@ -1154,10 +1165,10 @@ func (s *State) fill(cursor int) error {
 			return err
 		}
 		s.srcI++
-		d := s.Refs[i&s.mask]
-		s.Oracle.Append(d)
-		if d != s.phantom {
-			s.dwin.Append(i, s.Layout.Lookup(d).Disk)
+		b := s.Ref(i)
+		s.Oracle.Append(b)
+		if d := s.indexedDisk(b); d >= 0 {
+			s.dindex.Append(i, d)
 		}
 		s.filled++
 	}
@@ -1266,15 +1277,10 @@ func serveReference(s *State, p Policy, cursor *int) {
 }
 
 // advanceCursor moves the oracle cursor to c, first popping the consumed
-// positions from a streaming run's sliding disk index (their disclosed
-// blocks leave the window as the oracle passes them).
+// positions from the disk index, if one exists.
 func (s *State) advanceCursor(c int) {
-	if s.src != nil {
-		for p := s.Oracle.Cursor(); p < c; p++ {
-			if d := s.Refs[p&s.mask]; d != s.phantom {
-				s.dwin.AdvancePast(p, s.Layout.Lookup(d).Disk)
-			}
-		}
+	if s.dindex != nil {
+		s.popDiskIndex(s.Cursor(), c)
 	}
 	s.Oracle.Advance(c)
 }

@@ -8,6 +8,7 @@ import (
 
 	"ppcsim/internal/cache"
 	"ppcsim/internal/disk"
+	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
 	"ppcsim/internal/trace"
 )
@@ -362,5 +363,57 @@ func TestZeroLengthTraceFiniteMetrics(t *testing.T) {
 		if d.Fetches != 0 || d.Utilization != 0 {
 			t.Errorf("disk %d did work on an empty trace: %+v", i, d)
 		}
+	}
+}
+
+// lateIndexPolicy fetches on demand and asks for the disk index only
+// once the cursor has reached at; from then on every poll checks that a
+// fresh cursor on each disk starts at the disk's first position at or
+// after the run's cursor.
+type lateIndexPolicy struct {
+	demandPolicy
+	t       *testing.T
+	at      int
+	checked int
+}
+
+func (p *lateIndexPolicy) Attach(s *State) { p.s = s }
+
+func (p *lateIndexPolicy) Poll() {
+	c := p.s.Cursor()
+	if c < p.at {
+		return
+	}
+	x := p.s.DiskIndex()
+	for d := range p.s.Drives {
+		want := future.Never
+		for q := c; q < p.s.Len(); q++ {
+			if p.s.DiskOf(p.s.Ref(q)) == d {
+				want = q
+				break
+			}
+		}
+		cur := x.Cursor(d)
+		if got := cur.Pos(); got != want {
+			p.t.Fatalf("cursor %d: disk %d index starts at %d, want %d", c, d, got, want)
+		}
+	}
+	p.checked++
+}
+
+// TestLazyDiskIndexStartsAtCursor: a disk index first built mid-run
+// pops the positions already behind the cursor, as one built at setup
+// would have.
+func TestLazyDiskIndexStartsAtCursor(t *testing.T) {
+	ids := make([]int, 300)
+	for i := range ids {
+		ids[i] = (i * 7) % 23
+	}
+	p := &lateIndexPolicy{t: t, at: 100}
+	if _, err := Run(Config{Trace: mkTrace(23, 1, ids...), Policy: p, Disks: 3, Model: func() disk.Model { return fixedModel{ms: 2} }}); err != nil {
+		t.Fatal(err)
+	}
+	if p.checked == 0 {
+		t.Fatal("the index was never checked")
 	}
 }

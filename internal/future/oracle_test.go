@@ -54,20 +54,19 @@ func TestAdvanceBackwardsPanics(t *testing.T) {
 	o.Advance(1)
 }
 
+// TestNextUseAfter: from every unconsumed position u, the step to the
+// next use of u's block matches a scan of the sequence past u, at every
+// cursor.
 func TestNextUseAfter(t *testing.T) {
-	o := New(seq(0, 1, 0, 1, 0), 2)
-	if got := o.NextUseAfter(0, 1); got != 2 {
-		t.Errorf("NextUseAfter(0,1) = %d, want 2", got)
-	}
-	if got := o.NextUseAfter(0, 3); got != 4 {
-		t.Errorf("NextUseAfter(0,3) = %d, want 4", got)
-	}
-	if got := o.NextUseAfter(1, 4); got != Never {
-		t.Errorf("NextUseAfter(1,4) = %d, want Never", got)
-	}
-	o.Advance(3)
-	if got := o.NextUseAfter(0, 3); got != 4 {
-		t.Errorf("after advance, NextUseAfter(0,3) = %d, want 4", got)
+	refs := seq(0, 1, 0, 1, 0, 2, 1)
+	o := New(refs, 3)
+	for c := 0; c <= len(refs); c++ {
+		o.Advance(c)
+		for u := c; u < len(refs); u++ {
+			if got, want := o.NextUseAfter(u), naiveNextUse(refs, u+1, refs[u]); got != want {
+				t.Errorf("cursor %d: NextUseAfter(%d) = %d, want %d", c, u, got, want)
+			}
+		}
 	}
 }
 
@@ -103,13 +102,12 @@ func TestNextUseMatchesNaive(t *testing.T) {
 					t.Logf("cursor=%d block=%d got=%d want=%d", cursor, b, got, want)
 					return false
 				}
-				// NextUseAfter from an arbitrary later position.
-				pos := cursor + rng.Intn(len(refs)-cursor+1)
-				wantAfter := naiveNextUse(refs, pos, layout.BlockID(b))
-				if got := o.NextUseAfter(layout.BlockID(b), pos); got != wantAfter {
-					t.Logf("after: cursor=%d pos=%d block=%d got=%d want=%d", cursor, pos, b, got, wantAfter)
-					return false
-				}
+			}
+			// NextUseAfter from an arbitrary unconsumed position.
+			pos := cursor + rng.Intn(len(refs)-cursor)
+			if got, want := o.NextUseAfter(pos), naiveNextUse(refs, pos+1, refs[pos]); got != want {
+				t.Logf("after: cursor=%d pos=%d got=%d want=%d", cursor, pos, got, want)
+				return false
 			}
 			cursor += 1 + rng.Intn(3)
 			if cursor > len(refs) {
@@ -127,18 +125,17 @@ func TestNextUseMatchesNaive(t *testing.T) {
 func TestOracleAccessors(t *testing.T) {
 	refs := seq(3, 1, 2)
 	o := New(refs, 4)
-	if o.Len() != 3 {
-		t.Errorf("Len = %d", o.Len())
-	}
 	if o.Cursor() != 0 {
 		t.Errorf("Cursor = %d", o.Cursor())
-	}
-	if o.Block(1) != 1 {
-		t.Errorf("Block(1) = %d", o.Block(1))
 	}
 	o.Advance(2)
 	if o.Cursor() != 2 {
 		t.Errorf("Cursor = %d after Advance(2)", o.Cursor())
+	}
+	for b, want := range []int{0, 1, 0, 1} {
+		if got := o.Consumed(layout.BlockID(b)); got != want {
+			t.Errorf("Consumed(%d) = %d after Advance(2), want %d", b, got, want)
+		}
 	}
 }
 

@@ -29,60 +29,134 @@ func naiveNext(refs []layout.BlockID, diskOf func(layout.BlockID) int, d, from i
 	return Never
 }
 
-// TestDiskIndexMatchesNaiveScan drives per-disk cursors over a
-// materialized index through random seeks — forward, backward to
-// positions they already passed, and to unindexed positions — and steps,
-// checking every position against a naive scan of the sequence, and that
-// walking from the cursor finds exactly the first missing position the
-// full window scan would. It covers random traces, disk mappings, and
-// presence sets, including blocks the mapping excludes (diskOf < 0, the
-// engine's phantom).
+// randomDiskTrace returns a random sequence over up to maxBlocks blocks
+// and up to maxDisks disks, with a disk mapping that excludes the
+// highest block id, as the engine excludes the phantom.
+func randomDiskTrace(rng *rand.Rand, maxBlocks, maxDisks int) ([]layout.BlockID, int, func(layout.BlockID) int) {
+	nBlocks := 2 + rng.Intn(maxBlocks)
+	disks := 1 + rng.Intn(maxDisks)
+	refs := make([]layout.BlockID, rng.Intn(400))
+	for i := range refs {
+		refs[i] = layout.BlockID(rng.Intn(nBlocks))
+	}
+	diskOf := func(b layout.BlockID) int {
+		if int(b) == nBlocks-1 {
+			return -1
+		}
+		return int(b) % disks
+	}
+	return refs, disks, diskOf
+}
+
+// indexDriver feeds a disk index as the engine does: the cursor c only
+// advances, popping the positions it consumes, and positions [c,
+// c+ahead) are disclosed. With ahead >= len(refs) the index is built over
+// the whole sequence (an unwrapped ring); otherwise positions are
+// appended to a sliding ring just large enough for the window.
+type indexDriver struct {
+	refs      []layout.BlockID
+	diskOf    func(layout.BlockID) int
+	x         *DiskIndex
+	ahead     int
+	c, filled int
+}
+
+func newIndexDriver(refs []layout.BlockID, disks int, diskOf func(layout.BlockID) int, ahead int) *indexDriver {
+	dr := &indexDriver{refs: refs, diskOf: diskOf, ahead: ahead}
+	if ahead >= len(refs) {
+		dr.x, dr.filled = NewDiskIndex(refs, disks, diskOf), len(refs)
+		return dr
+	}
+	ringCap := 1
+	for ringCap < ahead+1 {
+		ringCap *= 2
+	}
+	dr.x = NewSlidingDiskIndex(disks, ringCap)
+	dr.advance(0)
+	return dr
+}
+
+// advance moves the cursor to c one position at a time, keeping [cursor,
+// cursor+ahead) disclosed at every step.
+func (dr *indexDriver) advance(c int) {
+	for {
+		for ; dr.filled < min(dr.c+dr.ahead, len(dr.refs)); dr.filled++ {
+			if d := dr.diskOf(dr.refs[dr.filled]); d >= 0 {
+				dr.x.Append(dr.filled, d)
+			}
+		}
+		if dr.c == c {
+			return
+		}
+		if d := dr.diskOf(dr.refs[dr.c]); d >= 0 {
+			dr.x.AdvancePast(dr.c, d)
+		}
+		dr.c++
+	}
+}
+
+// next is naiveNext over the disclosed positions: disk d's first
+// position in [from, filled), or Never.
+func (dr *indexDriver) next(d, from int) int {
+	if p := naiveNext(dr.refs, dr.diskOf, d, from); p < dr.filled {
+		return p
+	}
+	return Never
+}
+
+// TestDiskIndexMatchesNaiveScan drives per-disk cursors over a disk
+// index, built whole or fed through a sliding window, while the cursor
+// advances and pops what it consumes. At random cursors it seeks a
+// cursor to the run's cursor and steps it, checking every position
+// against a scan of the disclosed sequence, and checks that walking from
+// the cursor finds exactly the first missing position a full window scan
+// would. It covers random traces, disk mappings, and presence sets,
+// including blocks the mapping excludes (diskOf < 0, the engine's
+// phantom). Before any advance, each disk's walk must be exactly its
+// positions: together they partition the non-excluded ones.
 func TestDiskIndexMatchesNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		nBlocks := 2 + rng.Intn(30)
-		disks := 1 + rng.Intn(6)
-		n := rng.Intn(400)
-		refs := make([]layout.BlockID, n)
-		for i := range refs {
-			refs[i] = layout.BlockID(rng.Intn(nBlocks))
+	for trial := 0; trial < 100; trial++ {
+		refs, disks, diskOf := randomDiskTrace(rng, 30, 6)
+		n := len(refs)
+		ahead := n
+		if trial%2 == 1 {
+			ahead = 1 + rng.Intn(70)
 		}
-		// The highest block id is excluded, as the engine excludes the
-		// phantom.
-		diskOf := func(b layout.BlockID) int {
-			if int(b) == nBlocks-1 {
-				return -1
-			}
-			return int(b) % disks
-		}
-		idx := NewDiskIndex(refs, disks, diskOf)
-		absent := make([]bool, nBlocks)
+		dr := newIndexDriver(refs, disks, diskOf, ahead)
+		absent := make([]bool, len(refs)+32)
 		for i := range absent {
 			absent[i] = rng.Intn(2) == 0
 		}
 		curs := make([]DiskCursor, disks)
 		for d := range curs {
-			curs[d] = idx.Cursor(d)
-			if got, want := curs[d].Pos(), naiveNext(refs, diskOf, d, 0); got != want {
-				t.Fatalf("trial %d: fresh cursor on disk %d at %d, want %d", trial, d, got, want)
+			curs[d] = dr.x.Cursor(d)
+			if ahead < n {
+				continue
+			}
+			walk := curs[d]
+			for p := dr.next(d, 0); p != Never; p = dr.next(d, p+1) {
+				if got := walk.Pos(); got != p {
+					t.Fatalf("trial %d: disk %d walk at %d, want %d", trial, d, got, p)
+				}
+				walk.Next()
+			}
+			if got := walk.Pos(); got != Never {
+				t.Fatalf("trial %d: disk %d walk past its last position at %d", trial, d, got)
 			}
 		}
-		for probe := 0; probe < 40; probe++ {
+		for c := 0; c <= n; c += 1 + rng.Intn(8) {
+			dr.advance(c)
 			d := rng.Intn(disks)
 			cur := &curs[d]
-			from := rng.Intn(n + 2)
-			if p := cur.Pos(); p != Never && p > 0 && rng.Intn(2) == 0 {
-				// Back to an indexed position the cursor already passed.
-				from = int(idx.Positions(d)[rng.Intn(idx.LowerBound(d, p)+1)])
-			}
-			cur.Seek(from)
-			if got, want := cur.Pos(), naiveNext(refs, diskOf, d, from); got != want {
-				t.Fatalf("trial %d: disk %d Seek(%d) at %d, want %d", trial, d, from, got, want)
+			cur.Seek(c)
+			if got, want := cur.Pos(), dr.next(d, c); got != want {
+				t.Fatalf("trial %d: disk %d Seek(%d) at %d, want %d", trial, d, c, got, want)
 			}
 			for steps := rng.Intn(5); steps > 0 && cur.Pos() != Never; steps-- {
 				prev := cur.Pos()
 				cur.Next()
-				if got, want := cur.Pos(), naiveNext(refs, diskOf, d, prev+1); got != want {
+				if got, want := cur.Pos(), dr.next(d, prev+1); got != want {
 					t.Fatalf("trial %d: disk %d Next from %d at %d, want %d", trial, d, prev, got, want)
 				}
 			}
@@ -93,8 +167,7 @@ func TestDiskIndexMatchesNaiveScan(t *testing.T) {
 				}
 			}
 
-			c := rng.Intn(n + 1)
-			limit := c + rng.Intn(n-c+1)
+			limit := c + rng.Intn(dr.filled-c+1)
 			got := limit
 			cur.Seek(c)
 			for p := cur.Pos(); p < limit; p = cur.Pos() {
@@ -107,30 +180,6 @@ func TestDiskIndexMatchesNaiveScan(t *testing.T) {
 			if want := naiveFirstMissing(refs, diskOf, absent, d, c, limit); got != want {
 				t.Fatalf("trial %d: first missing on disk %d in [%d,%d) = %d, want %d", trial, d, c, limit, got, want)
 			}
-		}
-		// The per-disk lists must partition the non-excluded positions.
-		total := 0
-		for d := 0; d < disks; d++ {
-			prev := int32(-1)
-			for _, p := range idx.Positions(d) {
-				if p <= prev {
-					t.Fatalf("trial %d: disk %d positions not strictly ascending", trial, d)
-				}
-				if diskOf(refs[p]) != d {
-					t.Fatalf("trial %d: position %d filed under disk %d, maps to %d", trial, p, d, diskOf(refs[p]))
-				}
-				prev = p
-			}
-			total += len(idx.Positions(d))
-		}
-		excluded := 0
-		for _, b := range refs {
-			if diskOf(b) < 0 {
-				excluded++
-			}
-		}
-		if total != n-excluded {
-			t.Fatalf("trial %d: index holds %d positions, want %d", trial, total, n-excluded)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ppcsim/internal/engine"
@@ -182,7 +183,15 @@ func (a *allocProbe) raisedHighWater() bool {
 // and checks that once the first half of the run has grown the per-disk
 // missing lists, no poll allocates: neither the run's own polls nor
 // polls that force every disk's forecast to be recomputed.
+//
+// The runtime is kept out of the count. With one processor,
+// ReadMemStats's restart of the world finds no idle processor to wake,
+// so it never starts a new thread (5 allocations, seen in a measured
+// poll when this test runs alone); with the collector off, no
+// collection starts its worker goroutines inside a poll either.
 func TestForestallSteadyStatePollsAllocateNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	tr := tracetest.Truncated(t, "synth", 12000)
 	for _, disks := range []int{1, 4, 16} {
 		for _, force := range []bool{false, true} {

@@ -157,7 +157,7 @@ func (x *missIndex) evict(v layout.BlockID) {
 	}
 	o := x.s.Oracle
 	l := &x.disks[x.s.DiskOf(v)]
-	for u := o.NextUse(v); u < l.scanned; u = o.NextUseAfter(v, u+1) {
+	for u := o.NextUse(v); u < l.scanned; u = o.NextUseAfter(u) {
 		x.grow(l)
 		e := missEntry{pos: int32(u), blk: v}
 		i, listed := slices.BinarySearchFunc(l.miss[l.lo:], e.pos, func(m missEntry, p int32) int {

@@ -89,7 +89,14 @@ func checkScheduleLegal(t *testing.T, refs []layout.BlockID, nBlocks int, sched 
 	// Eviction safety: every eviction of a block precedes that block's
 	// next scheduled fetch in op order, and the first use of the block at
 	// or after its release is exactly the reference that refetch serves.
-	o := future.New(refs, nBlocks)
+	nextUseAfter := func(b layout.BlockID, pos int) int {
+		for p := pos; p < len(refs); p++ {
+			if refs[p] == b {
+				return p
+			}
+		}
+		return future.Never
+	}
 	nextFetchAfter := func(b layout.BlockID, k int) (int, bool) {
 		for j := k + 1; j < len(sched.Ops); j++ {
 			if sched.Ops[j].Fetch == b {
@@ -103,7 +110,7 @@ func checkScheduleLegal(t *testing.T, refs []layout.BlockID, nBlocks int, sched 
 			continue
 		}
 		refetch, hasRefetch := nextFetchAfter(op.Evict, k)
-		u := o.NextUseAfter(op.Evict, op.Release)
+		u := nextUseAfter(op.Evict, op.Release)
 		if u != future.Never {
 			if !hasRefetch {
 				t.Fatalf("op %d: evicted block %d is referenced at %d but never refetched",
