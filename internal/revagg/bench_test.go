@@ -24,7 +24,7 @@ func BenchmarkBuildSchedule(b *testing.B) {
 	for i, r := range tr.Refs {
 		refs[i] = r.Block
 	}
-	for _, disks := range []int{1, 16} {
+	for _, disks := range []int{1, 4, 16} {
 		lay, err := tr.Layout(disks, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -52,7 +52,7 @@ func BenchmarkBuildSchedule(b *testing.B) {
 // schedule construction in Attach plus the forward replay.
 func BenchmarkReplay(b *testing.B) {
 	tr := tracetest.Bundled(b, "synth")
-	for _, disks := range []int{1, 16} {
+	for _, disks := range []int{1, 4, 16} {
 		for _, st := range benchSettings {
 			b.Run(fmt.Sprintf("F%g-b%d/%dd", st.f, st.batch, disks), func(b *testing.B) {
 				b.ReportAllocs()

@@ -6,6 +6,7 @@ import (
 
 	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
+	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
 	"ppcsim/internal/policy"
 )
@@ -73,7 +74,7 @@ func (p *legacyPolicy) Attach(s *engine.State) {
 
 func (p *legacyPolicy) released(k int) bool {
 	op := p.sched.Ops[k]
-	return op.Evict == cache.NoBlock || op.Release <= p.s.Cursor()
+	return op.Evict == cache.NoBlock || int(op.Release) <= p.s.Cursor()
 }
 
 func (p *legacyPolicy) issueOp(k int) bool {
@@ -92,7 +93,7 @@ func (p *legacyPolicy) issueOp(k int) bool {
 		victim = cache.NoBlock
 	default:
 		v, vUse := s.Cache.FurthestEvictable()
-		if v == cache.NoBlock || vUse <= op.NeedIdx {
+		if v == cache.NoBlock || vUse <= int(op.NeedIdx) {
 			return false
 		}
 		victim = v
@@ -176,4 +177,230 @@ func (p *legacyPolicy) OnStall(b layout.BlockID) {
 	if v, _ := s.Cache.FurthestEvictable(); v != cache.NoBlock {
 		s.Issue(b, v)
 	}
+}
+
+// legacyBuildSchedule is the reference reverse pass the differential
+// test TestBuildScheduleMatchesLegacy compares BuildSchedule against: a
+// single in-flight list scanned on every time step, a linear search of
+// it when the reverse pass stalls, and the schedule assembled in a
+// second array. Only the int32 conversions of the narrowed Op differ
+// from the original.
+func legacyBuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBlocks, disks, capacity int, f float64, batch int) (*Schedule, error) {
+	if capacity <= 0 {
+		return nil, fmt.Errorf("revagg: capacity %d", capacity)
+	}
+	if f <= 0 {
+		return nil, fmt.Errorf("revagg: fetch time estimate %g", f)
+	}
+	if batch <= 0 {
+		return nil, fmt.Errorf("revagg: batch %d", batch)
+	}
+	n := len(refs)
+	rev := make([]layout.BlockID, n)
+	for i, b := range refs {
+		rev[n-1-i] = b
+	}
+	oracle := future.New(rev, nBlocks)
+
+	st := make([]uint8, nBlocks) // 0 absent, 1 in-flight, 2 present
+	const (
+		absent  = 0
+		flying  = 1
+		present = 2
+	)
+	used := 0
+	lastUse := make([]int, nBlocks) // last consumed reverse index, -1 if none
+	for i := range lastUse {
+		lastUse[i] = -1
+	}
+	heaps := make([]evictHeap, disks) // per-disk furthest-next-use heaps
+	freeAt := make([]float64, disks)
+	type flight struct {
+		block layout.BlockID
+		done  float64
+	}
+	var inflight []flight
+
+	// Paired forward ops in emission order: each fetches the block B the
+	// reverse pass evicts and evicts the block M it fetches in its place.
+	var pairs []Op
+
+	// Incremental first-missing scanner over the reverse sequence.
+	scanPos := 0
+	nextMissing := func(cursor int) int {
+		if scanPos < cursor {
+			scanPos = cursor
+		}
+		for scanPos < n {
+			b := rev[scanPos]
+			if st[b] == absent {
+				return scanPos
+			}
+			scanPos++
+		}
+		return n
+	}
+
+	needIdxOf := func(b layout.BlockID) int {
+		// Forward index served by a forward fetch of b emitted now: b's
+		// most recent consumed reverse reference. A block evicted before
+		// its first reverse use serves nothing (index n).
+		if lastUse[b] < 0 {
+			return n
+		}
+		return n - 1 - lastUse[b]
+	}
+
+	push := func(d int, b layout.BlockID) {
+		heaps[d].push(evEntry{b, int32(oracle.NextUse(b))})
+	}
+	furthestOn := func(d int) (layout.BlockID, int) {
+		h := &heaps[d]
+		for len(*h) > 0 {
+			top := (*h)[0]
+			if st[top.block] != present || int(top.next) != oracle.NextUse(top.block) {
+				h.pop()
+				continue
+			}
+			return top.block, int(top.next)
+		}
+		return cache.NoBlock, -1
+	}
+
+	t := 0.0
+	cursor := 0
+	for cursor < n {
+		// Complete arrived fetches.
+		kept := inflight[:0]
+		for _, fl := range inflight {
+			if fl.done <= t {
+				st[fl.block] = present
+				push(diskOf(fl.block), fl.block)
+			} else {
+				kept = append(kept, fl)
+			}
+		}
+		inflight = kept
+
+		// Warmup: while the cache is not full, missing blocks enter
+		// instantly — in the forward direction these blocks simply remain
+		// cached at the end of the run, so no operation is emitted.
+		for used < capacity {
+			p := nextMissing(cursor)
+			if p >= n {
+				break
+			}
+			b := rev[p]
+			st[b] = present
+			used++
+			push(diskOf(b), b)
+		}
+
+		// Batch construction on every free disk.
+		if used >= capacity {
+			for d := 0; d < disks; d++ {
+				if freeAt[d] > t {
+					continue
+				}
+				for k := 0; k < batch; k++ {
+					p := nextMissing(cursor)
+					if p >= n {
+						break
+					}
+					m := rev[p]
+					b, bNext := furthestOn(d)
+					if b == cache.NoBlock || bNext <= p {
+						break // do no harm on this disk
+					}
+					// Emit the op: forward fetch of B serving needIdxOf(B),
+					// forward eviction of M with release n-1-p+1 = n-p.
+					pairs = append(pairs, Op{
+						Fetch:   b,
+						NeedIdx: int32(needIdxOf(b)),
+						Evict:   m,
+						Release: int32(n - p),
+					})
+					st[b] = absent
+					if u := oracle.NextUse(b); u < scanPos {
+						// B's next reverse use is missing again and may be
+						// behind the scanner.
+						scanPos = u
+					}
+					done := freeAt[d]
+					if done < t {
+						done = t
+					}
+					done += f
+					freeAt[d] = done
+					st[m] = flying
+					inflight = append(inflight, flight{m, done})
+				}
+			}
+		}
+
+		// Advance: serve the reference if present, otherwise jump to the
+		// earliest in-flight completion.
+		b := rev[cursor]
+		if st[b] == present {
+			lastUse[b] = cursor
+			cursor++
+			oracle.Advance(cursor)
+			if st[b] == present {
+				push(diskOf(b), b)
+			}
+			t += 1
+			continue
+		}
+		// Stalled: the block must be in flight (it is the first missing
+		// block, so do-no-harm always allows fetching it when a disk
+		// frees; in the worst case we wait for a disk).
+		nextT := t + 1
+		stalledOnFlight := false
+		for _, fl := range inflight {
+			if fl.block == b {
+				nextT = fl.done
+				stalledOnFlight = true
+				break
+			}
+		}
+		if !stalledOnFlight {
+			// Wait for the earliest disk to free so the batch logic can
+			// fetch it.
+			earliest := freeAt[0]
+			for _, fa := range freeAt[1:] {
+				if fa < earliest {
+					earliest = fa
+				}
+			}
+			if earliest <= t {
+				return nil, fmt.Errorf("revagg: reverse pass wedged at reverse index %d (block %d)", cursor, b)
+			}
+			nextT = earliest
+		}
+		t = nextT
+	}
+
+	// Drain: blocks still cached at the end of the reverse pass are the
+	// forward run's initial working set — fetched from a cold cache with
+	// no eviction, released immediately, ordered by the reference they
+	// serve. The cache holds exactly used blocks, present or in flight.
+	ops := make([]Op, 0, used+len(pairs))
+	for blk := 0; blk < nBlocks; blk++ {
+		if st[blk] == present || st[blk] == flying {
+			ops = append(ops, Op{
+				Fetch:   layout.BlockID(blk),
+				NeedIdx: int32(needIdxOf(layout.BlockID(blk))),
+				Evict:   cache.NoBlock,
+				Release: 0,
+			})
+		}
+	}
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].NeedIdx < ops[j].NeedIdx })
+	// The paired operations follow in reversed emission order (reverse
+	// time runs backwards through forward time). An eviction of a block
+	// always precedes that block's next scheduled fetch in this order.
+	for i := len(pairs) - 1; i >= 0; i-- {
+		ops = append(ops, pairs[i])
+	}
+	return &Schedule{Ops: ops}, nil
 }

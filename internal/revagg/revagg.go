@@ -19,9 +19,11 @@
 package revagg
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
@@ -31,16 +33,17 @@ import (
 )
 
 // Op is one forward fetch/eviction pair of the constructed schedule.
+// Positions are int32, like the oracle's, so an Op is 16 bytes.
 type Op struct {
 	Fetch layout.BlockID
-	// NeedIdx is the forward request index the fetch serves (len(refs)
-	// for a fetch that serves no later reference).
-	NeedIdx int
 	// Evict is the block evicted when the fetch issues, or cache.NoBlock
 	// for the unpaired fetches of the initial working set.
 	Evict layout.BlockID
+	// NeedIdx is the forward request index the fetch serves (len(refs)
+	// for a fetch that serves no later reference).
+	NeedIdx int32
 	// Release is the earliest forward index at which Evict may be evicted.
-	Release int
+	Release int32
 }
 
 // Schedule is the transformed forward schedule: the initial working-set
@@ -54,12 +57,20 @@ type Schedule struct {
 	Ops []Op
 }
 
+// testHookDrain, when set, sees every completion step of the reverse
+// pass: the indices into pairs of the flights completing, in the order
+// their blocks are pushed onto the eviction heaps.
+var testHookDrain func(due []int32, pairs []Op)
+
 // BuildSchedule runs the reverse pass in the theoretical model (unit
 // compute time per reference, F time units per fetch, fetches batched per
 // disk) and returns the forward schedule.
 //
 // diskOf maps each block to its disk; nBlocks is the block ID space;
-// capacity is the cache size K.
+// capacity is the cache size K. refs is shorter than future.Never, as
+// the engine ensures for every trace, so its positions fit Op's fields.
+//
+//ppcvet:hotpath
 func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBlocks, disks, capacity int, f float64, batch int) (*Schedule, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("revagg: capacity %d", capacity)
@@ -84,21 +95,33 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 		present = 2
 	)
 	used := 0
-	lastUse := make([]int, nBlocks) // last consumed reverse index, -1 if none
+	lastUse := make([]int32, nBlocks) // last consumed reverse index, -1 if none
 	for i := range lastUse {
 		lastUse[i] = -1
 	}
 	heaps := make([]evictHeap, disks) // per-disk furthest-next-use heaps
 	freeAt := make([]float64, disks)
-	type flight struct {
-		block layout.BlockID
-		done  float64
-	}
-	var inflight []flight
 
 	// Paired forward ops in emission order: each fetches the block B the
 	// reverse pass evicts and evicts the block M it fetches in its place.
-	var pairs []Op
+	// Every pair fetches a distinct missing reverse position, so there
+	// are at most n of them; the working set appended at the end adds at
+	// most one op per cached block.
+	pairs := make([]Op, 0, n+min(capacity, nBlocks))
+
+	// In-flight fetches, one queue per occupied disk (B's disk). A flight
+	// is identified by its pair, whose index is its issue order. A disk
+	// issues a batch only when it is free, and by then every earlier
+	// flight on it has completed, so the flights on disk d are the
+	// contiguous pairs [qHead[d], qEnd[d]) and their done times are
+	// nondecreasing: only a queue's head can complete. doneAt holds each
+	// flying block's done time; minDone is the earliest done time among
+	// the queue heads.
+	qHead := make([]int32, disks)
+	qEnd := make([]int32, disks)
+	doneAt := make([]float64, nBlocks)
+	minDone := math.Inf(1)
+	due := make([]int32, 0, disks)
 
 	// Incremental first-missing scanner over the reverse sequence.
 	scanPos := 0
@@ -116,14 +139,14 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 		return n
 	}
 
-	needIdxOf := func(b layout.BlockID) int {
+	needIdxOf := func(b layout.BlockID) int32 {
 		// Forward index served by a forward fetch of b emitted now: b's
 		// most recent consumed reverse reference. A block evicted before
 		// its first reverse use serves nothing (index n).
 		if lastUse[b] < 0 {
-			return n
+			return int32(n)
 		}
-		return n - 1 - lastUse[b]
+		return int32(n-1) - lastUse[b]
 	}
 
 	push := func(d int, b layout.BlockID) {
@@ -145,17 +168,33 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	t := 0.0
 	cursor := 0
 	for cursor < n {
-		// Complete arrived fetches.
-		kept := inflight[:0]
-		for _, fl := range inflight {
-			if fl.done <= t {
-				st[fl.block] = present
-				push(diskOf(fl.block), fl.block)
-			} else {
-				kept = append(kept, fl)
+		// Complete arrived fetches in issue order across all queues: a
+		// completed block goes onto its own disk's heap, which flights
+		// on other disks also feed, and issue order leaves every heap
+		// exactly as one in-flight list in issue order would.
+		if t >= minDone {
+			due = due[:0]
+			minDone = math.Inf(1)
+			for d, h := range qHead {
+				for ; h < qEnd[d]; h++ {
+					if done := doneAt[pairs[h].Evict]; done > t {
+						minDone = min(minDone, done)
+						break
+					}
+					due = append(due, h)
+				}
+				qHead[d] = h
+			}
+			slices.Sort(due)
+			if testHookDrain != nil {
+				testHookDrain(due, pairs)
+			}
+			for _, i := range due {
+				m := pairs[i].Evict
+				st[m] = present
+				push(diskOf(m), m)
 			}
 		}
-		inflight = kept
 
 		// Warmup: while the cache is not full, missing blocks enter
 		// instantly — in the forward direction these blocks simply remain
@@ -177,6 +216,9 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 				if freeAt[d] > t {
 					continue
 				}
+				// The disk is free, so its queue has drained.
+				qHead[d] = int32(len(pairs))
+				qEnd[d] = qHead[d]
 				for k := 0; k < batch; k++ {
 					p := nextMissing(cursor)
 					if p >= n {
@@ -193,22 +235,16 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 						Fetch:   b,
 						NeedIdx: needIdxOf(b),
 						Evict:   m,
-						Release: n - p,
+						Release: int32(n - p),
 					})
+					// No scanner rewind: B's next use bNext is past p == scanPos.
 					st[b] = absent
-					if u := oracle.NextUse(b); u < scanPos {
-						// B's next reverse use is missing again and may be
-						// behind the scanner.
-						scanPos = u
-					}
-					done := freeAt[d]
-					if done < t {
-						done = t
-					}
-					done += f
+					done := max(freeAt[d], t) + f
 					freeAt[d] = done
 					st[m] = flying
-					inflight = append(inflight, flight{m, done})
+					doneAt[m] = done
+					minDone = min(minDone, done)
+					qEnd[d]++
 				}
 			}
 		}
@@ -217,7 +253,7 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 		// earliest in-flight completion.
 		b := rev[cursor]
 		if st[b] == present {
-			lastUse[b] = cursor
+			lastUse[b] = int32(cursor)
 			cursor++
 			oracle.Advance(cursor)
 			if st[b] == present {
@@ -229,55 +265,42 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 		// Stalled: the block must be in flight (it is the first missing
 		// block, so do-no-harm always allows fetching it when a disk
 		// frees; in the worst case we wait for a disk).
-		nextT := t + 1
-		stalledOnFlight := false
-		for _, fl := range inflight {
-			if fl.block == b {
-				nextT = fl.done
-				stalledOnFlight = true
-				break
-			}
+		if st[b] == flying {
+			t = doneAt[b]
+			continue
 		}
-		if !stalledOnFlight {
-			// Wait for the earliest disk to free so the batch logic can
-			// fetch it.
-			earliest := freeAt[0]
-			for _, fa := range freeAt[1:] {
-				if fa < earliest {
-					earliest = fa
-				}
-			}
-			if earliest <= t {
-				return nil, fmt.Errorf("revagg: reverse pass wedged at reverse index %d (block %d)", cursor, b)
-			}
-			nextT = earliest
+		// Wait for the earliest disk to free so the batch logic can
+		// fetch it.
+		earliest := slices.Min(freeAt)
+		if earliest <= t {
+			return nil, fmt.Errorf("revagg: reverse pass wedged at reverse index %d (block %d)", cursor, b)
 		}
-		t = nextT
+		t = earliest
 	}
 
 	// Drain: blocks still cached at the end of the reverse pass are the
 	// forward run's initial working set — fetched from a cold cache with
 	// no eviction, released immediately, ordered by the reference they
-	// serve. The cache holds exactly used blocks, present or in flight.
-	ops := make([]Op, 0, used+len(pairs))
-	for blk := 0; blk < nBlocks; blk++ {
-		if st[blk] == present || st[blk] == flying {
-			ops = append(ops, Op{
+	// serve and then by block. The cache holds exactly used blocks,
+	// present or in flight. The paired operations follow in reversed
+	// emission order (reverse time runs backwards through forward time);
+	// an eviction of a block always precedes that block's next scheduled
+	// fetch in this order. Appending the working set in the reverse of
+	// its order and reversing the whole array builds the schedule in
+	// place.
+	ws := len(pairs)
+	for blk := nBlocks - 1; blk >= 0; blk-- {
+		if st[blk] != absent {
+			pairs = append(pairs, Op{
 				Fetch:   layout.BlockID(blk),
-				NeedIdx: needIdxOf(layout.BlockID(blk)),
 				Evict:   cache.NoBlock,
-				Release: 0,
+				NeedIdx: needIdxOf(layout.BlockID(blk)),
 			})
 		}
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].NeedIdx < ops[j].NeedIdx })
-	// The paired operations follow in reversed emission order (reverse
-	// time runs backwards through forward time). An eviction of a block
-	// always precedes that block's next scheduled fetch in this order.
-	for i := len(pairs) - 1; i >= 0; i-- {
-		ops = append(ops, pairs[i])
-	}
-	return &Schedule{Ops: ops}, nil
+	slices.SortStableFunc(pairs[ws:], func(a, b Op) int { return cmp.Compare(b.NeedIdx, a.NeedIdx) })
+	slices.Reverse(pairs)
+	return &Schedule{Ops: pairs}, nil
 }
 
 // evEntry / evictHeap: lazy max-heap on reverse next use.
@@ -427,20 +450,18 @@ func (p *Policy) Attach(s *engine.State) {
 	for k := range ranks {
 		ranks[k] = int32(k)
 	}
-	byNeed, _ := sortByKey(ranks, n+1, func(k int32) int { return ops[k].NeedIdx })
+	byNeed, _ := sortByKey(ranks, n+1, func(k int32) int { return int(ops[k].NeedIdx) })
 	var order []int32 // queue position → schedule rank
 	order, p.diskEnd = sortByKey(byNeed, disks, func(k int32) int { return s.DiskOf(ops[k].Fetch) })
 	p.ptr = make([]int32, disks)
 	copy(p.ptr[1:], p.diskEnd)
 	p.quiet = make([]bool, disks)
 
-	p.ops = make([]Op, m)
 	p.issued = make([]uint64, (m+63)/64)
 	p.ready = make([]uint64, len(p.issued))
 	slot := make([]int32, m) // schedule rank → queue position
 	gated := make([]int32, 0, m)
 	for g, k := range order {
-		p.ops[g] = ops[k]
 		slot[k] = int32(g)
 		if ops[k].Evict == cache.NoBlock {
 			p.ready[g>>6] |= 1 << (g & 63)
@@ -448,7 +469,7 @@ func (p *Policy) Attach(s *engine.State) {
 			gated = append(gated, int32(g))
 		}
 	}
-	p.gated, _ = sortByKey(gated, n+1, func(g int32) int { return p.ops[g].Release })
+	p.gated, _ = sortByKey(gated, n+1, func(g int32) int { return int(ops[order[g]].Release) })
 	p.relNext = 0
 
 	// Per block, its ops' queue positions in schedule order.
@@ -459,6 +480,17 @@ func (p *Policy) Attach(s *engine.State) {
 	p.blockPos, p.blockEnd = blockPos, blockEnd
 	p.blockHead = make([]int32, len(blockEnd))
 	copy(p.blockHead[1:], blockEnd)
+
+	// Lay the schedule out in queue order in place, following the cycles
+	// of the rank → queue-position permutation: each swap moves one op
+	// to its final position.
+	for k := range ops {
+		for g := slot[k]; g != int32(k); g = slot[k] {
+			ops[k], ops[g] = ops[g], ops[k]
+			slot[k], slot[g] = slot[g], g
+		}
+	}
+	p.ops = ops
 }
 
 // sortByKey returns idx stably sorted by key(i), which lies in [0, nKeys),
@@ -515,7 +547,7 @@ func (p *Policy) issueOp(g int32) bool {
 		// The scheduled victim is gone (consumed by a fallback); evict
 		// the furthest-future block instead.
 		v, vUse := s.Cache.FurthestEvictable()
-		if v == cache.NoBlock || vUse <= op.NeedIdx {
+		if v == cache.NoBlock || vUse <= int(op.NeedIdx) {
 			return false
 		}
 		victim = v
@@ -537,7 +569,7 @@ func (p *Policy) Poll() {
 	c := s.Cursor()
 	for ; p.relNext < len(p.gated); p.relNext++ {
 		g := p.gated[p.relNext]
-		if p.ops[g].Release > c {
+		if int(p.ops[g].Release) > c {
 			break
 		}
 		// OnStall may have forced the op out before its release; it must

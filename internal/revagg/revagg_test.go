@@ -8,11 +8,13 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
 	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
+	"ppcsim/internal/policy"
 	"ppcsim/internal/trace"
 	"ppcsim/internal/trace/tracetest"
 )
@@ -71,16 +73,17 @@ func checkScheduleLegal(t *testing.T, refs []layout.BlockID, nBlocks int, sched 
 	t.Helper()
 	n := len(refs)
 	for k, op := range sched.Ops {
-		if op.NeedIdx < n && refs[op.NeedIdx] != op.Fetch {
-			t.Fatalf("op %d: NeedIdx %d references %d, fetch is %d", k, op.NeedIdx, refs[op.NeedIdx], op.Fetch)
+		need, rel := int(op.NeedIdx), int(op.Release)
+		if need < n && refs[need] != op.Fetch {
+			t.Fatalf("op %d: NeedIdx %d references %d, fetch is %d", k, need, refs[need], op.Fetch)
 		}
 		if op.Evict != cache.NoBlock {
-			if op.Release < 1 || op.Release > n {
-				t.Fatalf("op %d: release %d out of range", k, op.Release)
+			if rel < 1 || rel > n {
+				t.Fatalf("op %d: release %d out of range", k, rel)
 			}
 			// Release is one past a reference to the evicted block.
-			if refs[op.Release-1] != op.Evict {
-				t.Fatalf("op %d: release %d does not follow a use of %d", k, op.Release, op.Evict)
+			if refs[rel-1] != op.Evict {
+				t.Fatalf("op %d: release %d does not follow a use of %d", k, rel, op.Evict)
 			}
 		}
 	}
@@ -100,7 +103,7 @@ func checkScheduleLegal(t *testing.T, refs []layout.BlockID, nBlocks int, sched 
 	nextFetchAfter := func(b layout.BlockID, k int) (int, bool) {
 		for j := k + 1; j < len(sched.Ops); j++ {
 			if sched.Ops[j].Fetch == b {
-				return sched.Ops[j].NeedIdx, true
+				return int(sched.Ops[j].NeedIdx), true
 			}
 		}
 		return future.Never, false
@@ -110,7 +113,7 @@ func checkScheduleLegal(t *testing.T, refs []layout.BlockID, nBlocks int, sched 
 			continue
 		}
 		refetch, hasRefetch := nextFetchAfter(op.Evict, k)
-		u := nextUseAfter(op.Evict, op.Release)
+		u := nextUseAfter(op.Evict, int(op.Release))
 		if u != future.Never {
 			if !hasRefetch {
 				t.Fatalf("op %d: evicted block %d is referenced at %d but never refetched",
@@ -166,6 +169,117 @@ func TestScheduleLegalRandom(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// neverReusedRefs returns n references of which about half go to blocks
+// referenced only once, so that many blocks share the next use Never
+// and the eviction heaps break ties by push order. The rest cycle over a
+// small hot set. It also returns the block ID space.
+func neverReusedRefs(rng *rand.Rand, n int) ([]layout.BlockID, int) {
+	hot := 8 + rng.Intn(40)
+	refs := make([]layout.BlockID, n)
+	next := hot
+	for i := range refs {
+		if rng.Intn(2) == 0 {
+			refs[i] = layout.BlockID(next)
+			next++
+		} else {
+			refs[i] = layout.BlockID(rng.Intn(hot))
+		}
+	}
+	return refs, next
+}
+
+// TestBuildScheduleMatchesLegacy checks the reverse pass against the
+// reference in legacy_test.go: the same ops, field for field, on random
+// traces where Never ties are common and on the bundled traces of the
+// benchmark's paper-offline workload. It also checks that some step
+// completed flights from different disks' queues into one heap in an
+// order that pushing queue by queue would change: a flight occupying a
+// higher-numbered disk issued before one occupying a lower-numbered disk.
+func TestBuildScheduleMatchesLegacy(t *testing.T) {
+	crossQueue := 0
+	check := func(name string, refs []layout.BlockID, diskOf func(layout.BlockID) int, nBlocks, disks, capacity int, f float64, batch int) {
+		t.Helper()
+		testHookDrain = func(due []int32, pairs []Op) {
+			last := map[int]int{} // heap → highest occupied disk pushed so far
+			for _, i := range due {
+				h, d := diskOf(pairs[i].Evict), diskOf(pairs[i].Fetch)
+				if d0, ok := last[h]; ok && d < d0 {
+					crossQueue++
+					return
+				}
+				last[h] = max(last[h], d)
+			}
+		}
+		defer func() { testHookDrain = nil }()
+		want, err := legacyBuildSchedule(refs, diskOf, nBlocks, disks, capacity, f, batch)
+		if err != nil {
+			t.Fatalf("%s legacy: %v", name, err)
+		}
+		got, err := BuildSchedule(refs, diskOf, nBlocks, disks, capacity, f, batch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got.Ops) != len(want.Ops) {
+			t.Fatalf("%s: %d ops, want %d", name, len(got.Ops), len(want.Ops))
+		}
+		for k := range got.Ops {
+			if got.Ops[k] != want.Ops[k] {
+				t.Fatalf("%s: op %d is %+v, want %+v", name, k, got.Ops[k], want.Ops[k])
+			}
+		}
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		refs, nBlocks := neverReusedRefs(rng, 3000)
+		place := rng.Perm(nBlocks)
+		capacity := 4 + rng.Intn(60)
+		for _, disks := range []int{1, 2, 3, 4, 8, 16} {
+			diskOf := func(b layout.BlockID) int { return place[b] % disks }
+			for _, f := range []float64{1, 2.5, 4, 32} {
+				for _, batch := range []int{1, 4, 80, policy.DefaultBatchSize(disks)} {
+					name := fmt.Sprintf("rand%d/F%g-b%d/%dd", seed, f, batch, disks)
+					check(name, refs, diskOf, nBlocks, disks, capacity, f, batch)
+				}
+			}
+		}
+	}
+
+	for _, name := range []string{"synth", "cscope3", "xds"} {
+		tr := tracetest.Bundled(t, name)
+		refs := make([]layout.BlockID, len(tr.Refs))
+		for i, r := range tr.Refs {
+			refs[i] = r.Block
+		}
+		for _, disks := range []int{1, 4, 16} {
+			lay, err := tr.Layout(disks, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diskOf := func(b layout.BlockID) int { return lay.Lookup(b).Disk }
+			for _, st := range benchSettings {
+				batch := st.batch
+				if batch == 0 {
+					batch = policy.DefaultBatchSize(disks)
+				}
+				check(fmt.Sprintf("%s/F%g-b%d/%dd", name, st.f, st.batch, disks),
+					refs, diskOf, tr.NumBlocks(), disks, tr.CacheBlocks, st.f, batch)
+			}
+		}
+	}
+	if crossQueue == 0 {
+		t.Fatal("no step completed flights from different disks into one heap out of disk order; the push order is not exercised")
+	}
+	t.Logf("%d steps completed flights from different disks into one heap out of disk order", crossQueue)
+}
+
+// TestOpIsSixteenBytes pins the compact layout of the schedule array.
+func TestOpIsSixteenBytes(t *testing.T) {
+	if size := unsafe.Sizeof(Op{}); size != 16 {
+		t.Fatalf("Op is %d bytes, want 16", size)
 	}
 }
 
