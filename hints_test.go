@@ -149,3 +149,30 @@ func TestHintsRandomTraces(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNoDisclosureIsDemandLRU: a block with no disclosed next use is
+// evicted least recently used first, so a run that discloses nothing,
+// and a run that sees nothing ahead of the cursor, replace exactly as
+// demand-LRU does. With no future in view every policy fetches only on
+// a miss, so each must reproduce the demand-LRU run.
+func TestNoDisclosureIsDemandLRU(t *testing.T) {
+	specs := []ppcsim.HintSpec{{Fraction: 0, Accuracy: 1}, {Fraction: 1, Accuracy: 1, Window: ppcsim.WindowNone}}
+	algs := []ppcsim.Algorithm{ppcsim.Demand, ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.Forestall}
+	for _, name := range []string{"cscope2", "postgres-select", "synth", "ld"} {
+		tr := tracetest.Bundled(t, name)
+		for _, d := range []int{1, 2, 4} {
+			lru := hintRun(t, tr, ppcsim.DemandLRU, d, nil)
+			for _, alg := range algs {
+				for _, h := range specs {
+					r := hintRun(t, tr, alg, d, &h)
+					if r.Fetches != lru.Fetches || r.CacheHits != lru.CacheHits || r.CacheMisses != lru.CacheMisses ||
+						r.ElapsedSec != lru.ElapsedSec || r.StallTimeSec != lru.StallTimeSec {
+						t.Errorf("%s %s %dd %+v: fetches %d hits %d misses %d elapsed %v stall %v; demand-lru %d %d %d %v %v",
+							name, alg, d, h, r.Fetches, r.CacheHits, r.CacheMisses, r.ElapsedSec, r.StallTimeSec,
+							lru.Fetches, lru.CacheHits, lru.CacheMisses, lru.ElapsedSec, lru.StallTimeSec)
+					}
+				}
+			}
+		}
+	}
+}

@@ -4,13 +4,16 @@
 // victim becomes unavailable at the moment its replacement fetch starts,
 // and the incoming block becomes available when the fetch completes.
 //
-// The cache keeps a lazily-updated max-heap of present blocks keyed by
-// their next reference, so the optimal-replacement choice ("evict the
-// block whose next reference is furthest in the future") is O(log K).
+// Each present block holds one eviction key, its next reference: a bit
+// in a bitmap over next-use positions, or a place in a least-recently-
+// keyed list when it has none, so the optimal-replacement choice ("evict
+// the block whose next reference is furthest in the future") is a
+// highest-set-bit search.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
@@ -35,14 +38,17 @@ type Cache struct {
 	st       []state
 	used     int // present + in-flight buffers
 
-	h evictHeap
-
-	// neverEpoch records, per block, the oracle's consumed-occurrence
-	// count at the time of the block's most recent Never-keyed heap push.
-	// A Never key carries no position to go stale against, so this epoch
-	// stands in: the entry is alive only while no occurrence of the block
-	// has been consumed since the push. See FurthestEvictable.
-	neverEpoch []int32
+	// The eviction index. key[b], valid while b is present, is its next
+	// use when last keyed (fetch completion or Touched). A finite key k is
+	// bit k&mask of bits, one bit per oracle slot; sum has a bit per
+	// nonzero word of bits, and no key lies above position hi. Never keys
+	// form a list through prev/next, least recently keyed at head.
+	key        []int32
+	bits, sum  []uint64
+	mask       int
+	hi         int
+	prev, next []int32
+	head, tail int32
 
 	// Partial-knowledge mode (EnableWindow): the replacement rule may use
 	// next-use positions only inside the lookahead window
@@ -75,12 +81,23 @@ func New(capacity, nBlocks int, o *future.Oracle) (*Cache, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity must be positive, got %d", capacity)
 	}
-	return &Cache{
-		capacity:   capacity,
-		oracle:     o,
-		st:         make([]state, nBlocks),
-		neverEpoch: make([]int32, nBlocks),
-	}, nil
+	slots, mask := o.Slots()
+	words := (slots + 63) / 64
+	c := &Cache{
+		capacity: capacity,
+		oracle:   o,
+		st:       make([]state, nBlocks),
+		key:      make([]int32, nBlocks),
+		bits:     make([]uint64, words),
+		sum:      make([]uint64, (words+63)/64),
+		mask:     mask,
+		hi:       -1,
+		prev:     make([]int32, nBlocks),
+		next:     make([]int32, nBlocks),
+		head:     -1,
+		tail:     -1,
+	}
+	return c, nil
 }
 
 // Capacity returns the number of buffers.
@@ -131,7 +148,10 @@ func (c *Cache) noteUse(b layout.BlockID) {
 	c.seq++
 	c.lastSeq[b] = c.seq
 	c.lru.push(lruEntry{block: b, seq: c.seq})
-	if len(c.lru) > c.heapLimit() {
+	// Lazy deletion only reclaims entries that surface, so a streamed run
+	// would hold O(N) dead entries; compacting at a capacity multiple
+	// keeps memory independent of trace length at O(1) amortized a push.
+	if len(c.lru) > 8*c.capacity+1024 {
 		c.compactLRUHeap()
 	}
 }
@@ -196,7 +216,7 @@ func (c *Cache) StartFetch(b, victim layout.BlockID) error {
 			return fmt.Errorf("cache: victim %d not present", victim)
 		}
 		c.st[victim] = absent
-		// The heap entry for victim becomes stale and is discarded lazily.
+		c.unkey(victim)
 		if c.OnEvict != nil {
 			c.OnEvict(victim, b, c.oracle.NextUse(victim))
 		}
@@ -223,6 +243,7 @@ func (c *Cache) Drop(b layout.BlockID) error {
 		return fmt.Errorf("cache: dropping block %d not present", b)
 	}
 	c.st[b] = absent
+	c.unkey(b)
 	c.used--
 	if c.OnEvict != nil {
 		c.OnEvict(b, NoBlock, c.oracle.NextUse(b))
@@ -231,141 +252,178 @@ func (c *Cache) Drop(b layout.BlockID) error {
 }
 
 // Touched must be called whenever the oracle cursor passes a reference to
-// block b, so the eviction heap learns b's new next-use position.
+// block b, so the eviction index learns b's new next-use position.
 func (c *Cache) Touched(b layout.BlockID) {
 	if c.st[b] == present {
+		c.unkey(b)
 		c.pushEvict(b)
 		c.noteUse(b)
 	}
 }
 
-// pushEvict records a fresh eviction-heap entry for present block b keyed
-// by its current next use, stamping the block's consumed-occurrence epoch
-// when the key is Never.
-func (c *Cache) pushEvict(b layout.BlockID) {
-	u := c.oracle.NextUse(b)
-	if u == future.Never {
-		c.neverEpoch[b] = int32(c.oracle.Consumed(b))
-	}
-	c.h.push(entry{block: b, nextUse: int32(u)})
-	if c.windowed && len(c.h) > c.heapLimit() {
-		c.compactEvictHeap()
+// Appended must be called after a streaming oracle appends block b at
+// position p. It clears p's slot, whose bit belonged to a consumed
+// position, and re-keys b to p if b is present and keyed Never, the key
+// a materialized oracle would have given b all along.
+func (c *Cache) Appended(b layout.BlockID, p int) {
+	c.clearBit(p)
+	if c.st[b] == present && c.key[b] == future.Never && c.oracle.NextUse(b) == p {
+		c.unkey(b)
+		c.pushEvict(b)
 	}
 }
 
-// heapLimit is the lazy-deletion debt ceiling for the windowed-mode
-// heaps. Lazy deletion only reclaims entries that surface at the top;
-// entries whose keys sink never do, so an N-reference streamed run
-// would otherwise hold O(N) dead entries — the one structure that would
-// grow a bounded-window run without bound. Live entries number O(cache
-// capacity), so compacting at a capacity multiple keeps memory
-// independent of trace length while amortizing the rebuild to O(1) per
-// push.
-func (c *Cache) heapLimit() int { return 8*c.capacity + 1024 }
-
-// compactEvictHeap rebuilds the eviction heap with exactly one entry
-// per present block, keyed by what FurthestEvictable's surface-time
-// rules would leave it as: fresh entries survive, outdated Never keys
-// with a live epoch are re-keyed to the oracle's current finite answer
-// (the same re-key the surface loop performs, just eagerly), and
-// everything else is deterministically dead — an absent block's entry
-// (re-fetching pushes a replacement), a finite key the oracle moved
-// past (answers only move forward, so a mismatch never heals), or a
-// Never key whose epoch went stale (the consumed count only grows).
+// pushEvict keys present block b, which holds no key, by its current
+// next use.
 //
-// Deduplication cannot change a victim: surviving keys agree with the
-// oracle, so duplicates for one block carry equal keys, finite keys are
-// unique across blocks (two blocks cannot share a next-use position),
-// and fresh-Never ties route through the LRU fallback in windowed mode
-// — the only mode that compacts — rather than the heap's tie layout.
-// Without the dedup a workload whose resident blocks all read Never
-// (a loop longer than the window over a cache that fits it) keeps
-// every duplicate alive, the rebuild never gets under the limit, and
-// compaction degrades to a full scan per push.
-func (c *Cache) compactEvictHeap() {
-	live := make(evictHeap, 0, 2*c.capacity)
-	kept := make(map[layout.BlockID]struct{}, 2*c.capacity)
-	for _, e := range c.h {
-		if c.st[e.block] != present {
-			continue
+//ppcvet:hotpath
+func (c *Cache) pushEvict(b layout.BlockID) {
+	u := c.oracle.NextUse(b)
+	c.key[b] = int32(u)
+	if u == future.Never {
+		c.prev[b], c.next[b] = c.tail, -1
+		if c.tail >= 0 {
+			c.next[c.tail] = int32(b)
+		} else {
+			c.head = int32(b)
 		}
-		if _, dup := kept[e.block]; dup {
-			continue
-		}
-		u := c.oracle.NextUse(e.block)
-		epochOK := c.neverEpoch[e.block] == int32(c.oracle.Consumed(e.block))
-		switch {
-		case int(e.nextUse) == u:
-			if u == future.Never && !epochOK {
-				// Dead by the surface rule: the disclosure window slid over
-				// a use the process never touched (see FurthestEvictable).
-				continue
-			}
-		case int(e.nextUse) == future.Never && u != future.Never && epochOK:
-			e.nextUse = int32(u) // the surface-time Never -> finite re-key
-		default:
-			continue
-		}
-		kept[e.block] = struct{}{}
-		live.push(e)
+		c.tail = int32(b)
+		return
 	}
-	c.h = live
+	s := u & c.mask
+	w := s >> 6
+	c.bits[w] |= 1 << (s & 63)
+	c.sum[w>>6] |= 1 << (w & 63)
+	c.hi = max(c.hi, u)
+}
+
+// unkey removes b, which must hold a key, from the eviction index. A
+// finite key behind the cursor is left as it is: nothing searches there,
+// and under a streaming oracle its slot may already belong to a later
+// position.
+//
+//ppcvet:hotpath
+func (c *Cache) unkey(b layout.BlockID) {
+	switch k := c.key[b]; {
+	case k == future.Never:
+		p, n := c.prev[b], c.next[b]
+		if p >= 0 {
+			c.next[p] = n
+		} else {
+			c.head = n
+		}
+		if n >= 0 {
+			c.prev[n] = p
+		} else {
+			c.tail = p
+		}
+	case int(k) >= c.oracle.Cursor():
+		c.clearBit(int(k))
+	}
+}
+
+// clearBit clears the bit of position p's slot.
+func (c *Cache) clearBit(p int) {
+	s := p & c.mask
+	w := s >> 6
+	if c.bits[w] &^= 1 << (s & 63); c.bits[w] == 0 {
+		c.sum[w>>6] &^= 1 << (w & 63)
+	}
 }
 
 // FurthestEvictable returns the present block whose next reference is
 // furthest in the future, along with that position (future.Never if it is
 // never referenced again). It returns NoBlock if nothing is evictable.
-// Stale heap entries are discarded as they surface.
+//
+// A finite answer names one position and so one block. Among Never-keyed
+// blocks the least recently keyed goes first, so a run that discloses
+// nothing replaces as demand-LRU does. A block whose disclosed next use
+// was consumed without a touch (an undisclosed or inaccurate hint) keeps
+// a key behind the cursor and is not evictable until keyed again.
 //
 // In windowed mode the furthest-known rule only applies while every
 // present block's next use is inside the lookahead window. As soon as the
-// heap's top — the furthest of them all — lies at or beyond the horizon,
-// the policy cannot rank the beyond-horizon blocks, so the victim is the
-// least recently used among them and the reported position is
-// future.Never (all the policy knows is "not needed within the window").
+// furthest of them all lies at or beyond the horizon, the policy cannot
+// rank the beyond-horizon blocks, so the victim is the least recently used
+// among them and the reported position is future.Never (all the policy
+// knows is "not needed within the window").
+//
+//ppcvet:hotpath
 func (c *Cache) FurthestEvictable() (layout.BlockID, int) {
-	for len(c.h) > 0 {
-		top := c.h[0]
-		u := c.oracle.NextUse(top.block)
-		fresh := c.st[top.block] == present && int(top.nextUse) == u
-		if fresh && u == future.Never &&
-			c.neverEpoch[top.block] != int32(c.oracle.Consumed(top.block)) {
-			// The key still reads Never but an occurrence of the block was
-			// consumed since it was recorded: under a streaming oracle the
-			// answer moved Never -> finite -> Never as the disclosure
-			// window slid over a use the process never touched, while a
-			// materialized oracle's exact key would have died at the first
-			// move. Treat the entry as dead so both modes agree.
-			// Materialized mode never takes this branch — a Never answer
-			// is final there, so the epoch cannot have changed.
-			fresh = false
+	b, u := layout.BlockID(c.head), future.Never
+	if c.head < 0 {
+		if u = c.topKey(); u < 0 {
+			return NoBlock, -1
 		}
-		if !fresh {
-			c.h.pop()
-			// A live streaming oracle's answer can move from Never to a
-			// finite position as the disclosure window slides forward over
-			// a block's next use. Re-key such entries (epoch unchanged, so
-			// the recorded Never is merely outdated, not dead) instead of
-			// dropping them, or the block would vanish from eviction's
-			// view even though a materialized oracle (whose answers only
-			// ever grow) still sees it. Materialized mode never takes this
-			// branch.
-			if c.st[top.block] == present && int(top.nextUse) == future.Never && u != future.Never &&
-				c.neverEpoch[top.block] == int32(c.oracle.Consumed(top.block)) {
-				c.h.push(entry{block: top.block, nextUse: int32(u)})
-			}
-			continue
-		}
-		if c.windowed {
-			if horizon := c.oracle.Cursor() + c.window; c.oracle.NextUseWithin(top.block, c.window) == future.Never {
-				if b, ok := c.leastRecentBeyond(horizon); ok {
-					return b, future.Never
-				}
-			}
-		}
-		return top.block, int(top.nextUse)
+		b = c.oracle.At(u)
 	}
-	return NoBlock, -1
+	if horizon := c.oracle.Cursor() + c.window; c.windowed && u >= horizon {
+		if v, ok := c.leastRecentBeyond(horizon); ok {
+			return v, future.Never
+		}
+	}
+	return b, u
+}
+
+// topKey returns the highest keyed position at or after the cursor, or
+// -1, and lowers hi to it. The positions [cursor, hi] span fewer slots
+// than the ring holds, so in slot order they are one range, or two when
+// they wrap past the ring's end.
+//
+//ppcvet:hotpath
+func (c *Cache) topKey() int {
+	lo := c.oracle.Cursor()
+	if c.hi < lo {
+		return -1
+	}
+	hs, ls := c.hi&c.mask, lo&c.mask
+	p := -1
+	if hs >= ls {
+		if s := c.highestSet(ls, hs); s >= 0 {
+			p = c.hi - (hs - s)
+		}
+	} else if s := c.highestSet(0, hs); s >= 0 {
+		p = c.hi - (hs - s)
+	} else if s := c.highestSet(ls, c.mask); s >= 0 {
+		p = lo + (s - ls)
+	}
+	c.hi = max(p, lo-1)
+	return p
+}
+
+// highestSet returns the highest set slot in [from, to] (from <= to), or
+// -1, skipping empty words through the summary bitmap.
+//
+//ppcvet:hotpath
+func (c *Cache) highestSet(from, to int) int {
+	for {
+		w := to >> 6
+		if s := highest(c.bits, max(from, w<<6), to); s >= 0 {
+			return s
+		}
+		if w = highest(c.sum, from>>6, w-1); w < 0 {
+			return -1
+		}
+		to = w<<6 + 63
+	}
+}
+
+// highest returns the highest set bit of bm in [from, to], or -1.
+//
+//ppcvet:hotpath
+func highest(bm []uint64, from, to int) int {
+	for to >= from {
+		i := to >> 6
+		x := bm[i] & (^uint64(0) >> (63 - to&63))
+		if i == from>>6 {
+			x &= ^uint64(0) << (from & 63)
+		}
+		if x != 0 {
+			return i<<6 + bits.Len64(x) - 1
+		}
+		to = i<<6 - 1
+	}
+	return -1
 }
 
 // leastRecentBeyond pops the least-recently-used present block whose next
@@ -399,9 +457,10 @@ type lruEntry struct {
 	seq   int32
 }
 
-// lruHeap is a min-heap on the use-sequence number, hand-rolled with the
-// same hole-moving sifts as evictHeap. Sequence numbers are unique, so
-// the order is total and no tie-break subtlety arises.
+// lruHeap is a min-heap on the use-sequence number, hand-rolled so a push
+// boxes nothing; the sifts move a hole instead of swapping. Sequence
+// numbers are unique, so the order is total and no tie-break subtlety
+// arises.
 type lruHeap []lruEntry
 
 // push adds e and restores the heap invariant.
@@ -437,72 +496,6 @@ func (h *lruHeap) pop() lruEntry {
 			j = j2
 		}
 		if s[j].seq >= v.seq {
-			break
-		}
-		s[i] = s[j]
-		i = j
-	}
-	s[i] = v
-	*h = s[:n]
-	return top
-}
-
-// entry is one (possibly stale) eviction candidate.
-type entry struct {
-	block   layout.BlockID
-	nextUse int32
-}
-
-// evictHeap is a max-heap on nextUse, hand-rolled so pushes stay on the
-// hot path without the interface boxing of container/heap (one heap push
-// per served reference adds up to an allocation per reference). The sift
-// routines move a hole instead of swapping, but the comparison sequence
-// and resulting array layout match container/heap element for element —
-// the layout decides which of several equal-key blocks surfaces first,
-// so it must not drift from the reference implementation.
-type evictHeap []entry
-
-// less orders i before j when i's next use is further in the future.
-func (h evictHeap) less(i, j int) bool { return h[i].nextUse > h[j].nextUse }
-
-// push adds e and restores the heap invariant (container/heap.Push).
-func (h *evictHeap) push(e entry) {
-	s := append(*h, e)
-	*h = s
-	// Sift up from the new leaf: shift ancestors smaller than e down a
-	// level until e's slot (container/heap's up(), with e in a register).
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if e.nextUse <= s[i].nextUse {
-			break
-		}
-		s[j] = s[i]
-		j = i
-	}
-	s[j] = e
-}
-
-// pop removes and returns the top entry (container/heap.Pop).
-func (h *evictHeap) pop() entry {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	// container/heap swaps the last leaf to the root and sifts it down
-	// over s[:n]; holding that leaf in v and shifting the larger child up
-	// each level lands every element in the identical slot.
-	v := s[n]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s[j2].nextUse > s[j1].nextUse {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if s[j].nextUse <= v.nextUse {
 			break
 		}
 		s[i] = s[j]

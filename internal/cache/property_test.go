@@ -10,7 +10,7 @@ import (
 
 // naiveFurthest scans every block linearly for the present block whose
 // next reference is furthest in the future — the reference implementation
-// of the lazy-heap FurthestEvictable.
+// of FurthestEvictable.
 func naiveFurthest(c *Cache, o *future.Oracle, nBlocks int) (layout.BlockID, int) {
 	best, bestUse := NoBlock, -1
 	for b := 0; b < nBlocks; b++ {
@@ -29,7 +29,7 @@ func naiveFurthest(c *Cache, o *future.Oracle, nBlocks int) (layout.BlockID, int
 }
 
 // TestFurthestEvictableMatchesNaiveScan runs random fetch/evict/advance
-// schedules and checks the heap's eviction choice against the linear
+// schedules and checks the cache's eviction choice against the linear
 // scan after every step. Distinct blocks can only tie at Never (each
 // position references one block), so comparing the next-use value — and
 // the block itself when the value is finite — is exact.

@@ -19,7 +19,7 @@ func prime(t *testing.T, c *Cache, ids ...int) {
 	}
 }
 
-// TestWindowedEvictionFallsBackToLRU: when the eviction heap's top lies
+// TestWindowedEvictionFallsBackToLRU: when the furthest next use lies
 // at or beyond the lookahead horizon, the windowed cache stops trusting
 // the furthest-known rule and victimizes the least recently used of the
 // beyond-horizon blocks, reporting future.Never for its next use.

@@ -91,7 +91,9 @@ var ErrCanceled = fmt.Errorf("engine: run canceled")
 // 1 - Accuracy. Undisclosed references are invisible to the policy until
 // the process reaches them (they surface as demand misses). The policy
 // still observes all *past* accesses through State.Observed, as any real
-// system would.
+// system would. Cached blocks with no disclosed next use are evicted
+// least recently used first, so Fraction 0 replaces exactly as
+// demand-LRU does.
 type HintSpec struct {
 	// Fraction of references disclosed, in [0, 1]. 1 = fully hinted.
 	Fraction float64
@@ -1143,8 +1145,8 @@ func runLoop(s *State, cfg Config) (Result, error) {
 
 // fill pulls references from the source until positions [cursor,
 // cursor+ahead) (clamped to the trace length) are resident, loading each
-// one and threading its disclosed block into the oracle and the sliding
-// disk index.
+// one and threading its disclosed block into the oracle, the cache's
+// eviction index and the sliding disk index.
 func (s *State) fill(cursor int) error {
 	target := min(cursor+s.ahead, s.n)
 	for s.filled < target {
@@ -1167,6 +1169,7 @@ func (s *State) fill(cursor int) error {
 		s.srcI++
 		b := s.Ref(i)
 		s.Oracle.Append(b)
+		s.Cache.Appended(b, i)
 		if d := s.indexedDisk(b); d >= 0 {
 			s.dindex.Append(i, d)
 		}
@@ -1244,8 +1247,8 @@ func ensureStallFetch(s *State, p Policy, b layout.BlockID, cursor int) error {
 }
 
 // serveReference consumes the reference at *cursor (which must be
-// present), advances the oracle and heap bookkeeping, sets the process's
-// next reference time, and polls the policy.
+// present), advances the oracle and eviction bookkeeping, sets the
+// process's next reference time, and polls the policy.
 func serveReference(s *State, p Policy, cursor *int) {
 	b := s.trueRef(*cursor)
 	hit := !s.afterMiss

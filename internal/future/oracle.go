@@ -100,6 +100,16 @@ func (o *Oracle) Advance(c int) {
 // not yet disclosed read as Never.
 func (o *Oracle) NextUse(b layout.BlockID) int { return o.uses.first(int(b)) }
 
+// At returns the block disclosed at position p, which must be appended
+// and not yet overwritten in a streaming oracle's ring.
+func (o *Oracle) At(p int) layout.BlockID { return o.refs[p&o.uses.mask] }
+
+// Slots returns how many position slots the oracle holds and the mask
+// that maps a position to its slot: the sequence length and -1 for a
+// materialized oracle, the ring capacity and capacity-1 for a streaming
+// one.
+func (o *Oracle) Slots() (n, mask int) { return len(o.refs), o.uses.mask }
+
 // NextUseAfter returns the position of the next reference, after u, to
 // the block referenced at u, or Never. u must be an appended position
 // the cursor has not consumed, such as an answer of NextUse; uses not

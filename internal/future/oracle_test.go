@@ -137,6 +137,17 @@ func TestOracleAccessors(t *testing.T) {
 			t.Errorf("Consumed(%d) = %d after Advance(2), want %d", b, got, want)
 		}
 	}
+	if n, mask := o.Slots(); n != 3 || mask != -1 || o.At(0) != 3 || o.At(2) != 2 {
+		t.Errorf("materialized Slots = (%d, %d), At(0), At(2) = %d, %d; want (3, -1), 3, 2", n, mask, o.At(0), o.At(2))
+	}
+	str := NewStreaming(4, 4)
+	for _, b := range seq(3, 1, 2, 0, 1) {
+		str.Append(b)
+		str.Advance(str.Cursor() + 1)
+	}
+	if n, mask := str.Slots(); n != 4 || mask != 3 || str.At(4) != 1 || str.At(3) != 0 {
+		t.Errorf("streaming Slots = (%d, %d), At(4), At(3) = %d, %d; want (4, 3), 1, 0", n, mask, str.At(4), str.At(3))
+	}
 }
 
 // TestNextUseWithin: the windowed query reports a next use only when it

@@ -64,12 +64,13 @@ func (a *Aggressive) Poll() {
 		// The batch loop fetches missing positions in ascending order and
 		// stops outright on its first do-no-harm failure, so if the rule
 		// rejects the first missing position of all it rejects the whole
-		// Poll: with a full cache no fetch can be issued. The heap may only
+		// Poll: with a full cache no fetch can be issued. The cache may only
 		// be consulted when that position's own disk is free — then it is
 		// provably the loop's first fetch attempt, and this is the same
-		// FurthestEvictable call the loop would make (stale-entry pops and
-		// all); on any other Poll shape the loop decides without the heap
-		// or with a different first candidate, so fall through to it.
+		// FurthestEvictable call the loop would make (recency-heap pops in
+		// windowed mode and all); on any other Poll shape the loop decides
+		// without the cache or with a different first candidate, so fall
+		// through to it.
 		if s.DriveFree(s.DiskOf(first.blk)) {
 			if _, vUse := s.Cache.FurthestEvictable(); vUse <= int(first.pos) {
 				return

@@ -101,8 +101,9 @@ func HP97560Geometry() DiskGeometry { return disk.HP97560Geometry() }
 // names the correct block with probability Accuracy; Window limits how
 // far past the cursor disclosed references are visible (0 = unlimited,
 // WindowNone = no future visibility), with eviction falling back to LRU
-// beyond the horizon. The paper's fully-hinted case is the nil spec. See
-// engine.HintSpec.
+// beyond the horizon. Blocks with no disclosed next use are likewise
+// evicted least recently used first, so Fraction 0 is demand-LRU. The
+// paper's fully-hinted case is the nil spec. See engine.HintSpec.
 type HintSpec = engine.HintSpec
 
 // WindowNone is the HintSpec.Window value for zero lookahead: the policy
