@@ -13,7 +13,10 @@
 //     function without capacity (var s []T, []T{}, or two-argument
 //     make): every doubling copies the backing array mid-loop;
 //   - an explicit conversion to an interface type inside a loop, which
-//     heap-boxes the value per iteration.
+//     heap-boxes the value per iteration;
+//   - the implicit conversion of a call inside a loop that passes a
+//     non-pointer value to an interface-typed parameter, as in
+//     heap.Push(&h, entry{...}): the same boxing, one per call.
 //
 // The annotation rides on the function's doc comment:
 //
@@ -98,21 +101,34 @@ func filePos(pass *analysis.Pass, f *ast.File, line int) token.Pos {
 
 // checkHot walks one hot function. inLoop tracks lexical containment in
 // a for or range statement; function literals inside the hot function
-// are included — the engine's loop bodies close over state.
+// are included — the engine's loop bodies close over state. A return runs
+// once per call, so its results are not per iteration, unless inLit marks
+// it as a function literal's, which may run once per iteration.
 func checkHot(pass *analysis.Pass, fd *ast.FuncDecl) {
 	unsized := unsizedSlices(pass, fd.Body)
-	var walk func(n ast.Node, inLoop bool)
-	walk = func(n ast.Node, inLoop bool) {
+	var walk func(n ast.Node, inLoop, inLit bool)
+	walk = func(n ast.Node, inLoop, inLit bool) {
 		ast.Inspect(n, func(m ast.Node) bool {
 			switch node := m.(type) {
 			case *ast.ForStmt:
 				if node.Init != nil {
-					walk(node.Init, inLoop)
+					walk(node.Init, inLoop, inLit)
 				}
-				walk(node.Body, true)
+				walk(node.Body, true, inLit)
 				return false
 			case *ast.RangeStmt:
-				walk(node.Body, true)
+				walk(node.Body, true, inLit)
+				return false
+			case *ast.FuncLit:
+				walk(node.Body, inLoop, true)
+				return false
+			case *ast.ReturnStmt:
+				if inLit {
+					return true
+				}
+				for _, r := range node.Results {
+					walk(r, false, false)
+				}
 				return false
 			case *ast.CallExpr:
 				checkCall(pass, node, inLoop, unsized)
@@ -124,7 +140,7 @@ func checkHot(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		})
 	}
-	walk(fd.Body, false)
+	walk(fd.Body, false, false)
 }
 
 // checkCall handles the call-shaped diagnostics: Sprintf, make(map) in
@@ -148,7 +164,11 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inLoop bool, unsized map
 	if !inLoop {
 		return
 	}
-	switch builtinName(pass, call) {
+	name := builtinName(pass, call)
+	if name == "" {
+		checkBoxedArgs(pass, call)
+	}
+	switch name {
 	case "make":
 		if len(call.Args) >= 1 && isMapType(pass.Info.TypeOf(call.Args[0])) {
 			pass.Reportf(call.Pos(), "map allocated per loop iteration in a hot path; hoist it out of the loop or reuse one map")
@@ -162,6 +182,36 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inLoop bool, unsized map
 				pass.Reportf(call.Pos(), "append grows %s per iteration but it was declared without capacity; preallocate with make(..., 0, n)", target.Name)
 			}
 		}
+	}
+}
+
+// checkBoxedArgs reports each argument of call that converts a
+// non-pointer value to an interface-typed parameter. Constants and nil
+// box without allocating, so they are not reported.
+func checkBoxedArgs(pass *analysis.Pass, call *ast.CallExpr) {
+	sig, ok := pass.Info.TypeOf(call.Fun).(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		pt := params.At(min(i, params.Len()-1)).Type()
+		if sig.Variadic() && i >= params.Len()-1 {
+			if call.Ellipsis.IsValid() {
+				continue // the slice is passed as it is
+			}
+			pt = pt.(*types.Slice).Elem()
+		}
+		tv := pass.Info.Types[arg]
+		if tv.Type == nil || tv.Value != nil || tv.IsNil() || !types.IsInterface(pt) || types.IsInterface(tv.Type) {
+			continue
+		}
+		switch tv.Type.Underlying().(type) {
+		case *types.Pointer, *types.Map, *types.Chan, *types.Signature, *types.Tuple:
+			continue // pointer-shaped, stored in the interface word; or f(g())
+		}
+		name := types.TypeString(tv.Type, (*types.Package).Name)
+		pass.Reportf(arg.Pos(), "passing a non-pointer %s to an interface parameter boxes it per loop iteration in a hot path", name)
 	}
 }
 

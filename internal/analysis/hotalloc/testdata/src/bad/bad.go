@@ -2,7 +2,10 @@
 // functions.
 package bad
 
-import "fmt"
+import (
+	"container/heap"
+	"fmt"
+)
 
 // Decode is a hot frame decoder that allocates per reference.
 //
@@ -59,3 +62,26 @@ func GrowMakeNoCap(vals []int) []int {
 	}
 	return acc
 }
+
+type entry struct{ block, used int32 }
+
+// Track pushes one entry per reference: heap.Push takes an any, so every
+// entry is boxed on the heap.
+//
+//ppcvet:hotpath
+func Track(h heap.Interface, blocks []int32) {
+	for i, b := range blocks {
+		heap.Push(h, entry{b, int32(i)}) // want `passing a non-pointer bad\.entry to an interface parameter boxes it per loop iteration in a hot path`
+	}
+}
+
+// Log hands each value to a variadic ...any parameter.
+//
+//ppcvet:hotpath
+func Log(vals []int) {
+	for _, v := range vals {
+		record("value", v) // want `passing a non-pointer int to an interface parameter boxes it per loop iteration in a hot path`
+	}
+}
+
+func record(string, ...any) {}

@@ -41,28 +41,27 @@ type Cache struct {
 	// The eviction index. key[b], valid while b is present, is its next
 	// use when last keyed (fetch completion or Touched). A finite key k is
 	// bit k&mask of bits, one bit per oracle slot; sum has a bit per
-	// nonzero word of bits, and no key lies above position hi. Never keys
-	// form a list through prev/next, least recently keyed at head.
-	key        []int32
-	bits, sum  []uint64
-	mask       int
-	hi         int
-	prev, next []int32
-	head, tail int32
+	// nonzero word of bits, and no key lies above position hi. Never-keyed
+	// blocks are members of never, least recently keyed at the front.
+	key       []int32
+	bits, sum []uint64
+	mask      int
+	hi        int
+	never     List
 
 	// Partial-knowledge mode (EnableWindow): the replacement rule may use
 	// next-use positions only inside the lookahead window
 	// [cursor, cursor+window); for present blocks whose next use lies at
 	// or beyond that horizon it falls back to least-recently-used order,
-	// the TIP2-lineage behavior the window models. lastSeq and the lruHeap
-	// track recency by a monotone per-use sequence number; both stay nil
-	// in the default full-knowledge mode, which pays one branch per
-	// FurthestEvictable call and nothing else.
+	// the TIP2-lineage behavior the window models. lru holds the present
+	// blocks in the order of their last use (fetch completion or the
+	// cursor passing a reference), minus those leastRecentBeyond found
+	// back inside the window; it stays empty in the default
+	// full-knowledge mode, which pays one branch per FurthestEvictable
+	// call and nothing else.
 	windowed bool
 	window   int
-	seq      int32
-	lastSeq  []int32
-	lru      lruHeap
+	lru      List
 
 	// OnEvict, if set, is invoked whenever a present block leaves the
 	// cache — replaced by a fetch (replacement is the incoming block) or
@@ -92,10 +91,7 @@ func New(capacity, nBlocks int, o *future.Oracle) (*Cache, error) {
 		sum:      make([]uint64, (words+63)/64),
 		mask:     mask,
 		hi:       -1,
-		prev:     make([]int32, nBlocks),
-		next:     make([]int32, nBlocks),
-		head:     -1,
-		tail:     -1,
+		never:    NewList(capacity, nBlocks),
 	}
 	return c, nil
 }
@@ -133,7 +129,7 @@ func (c *Cache) EnableWindow(w int) {
 	}
 	c.windowed = true
 	c.window = w
-	c.lastSeq = make([]int32, len(c.st))
+	c.lru = NewList(c.capacity, len(c.st))
 }
 
 // Windowed reports whether EnableWindow was called.
@@ -141,34 +137,22 @@ func (c *Cache) Windowed() bool { return c.windowed }
 
 // noteUse records a recency event for block b (fetch completion or the
 // cursor passing a reference to it) in windowed mode.
+//
+//ppcvet:hotpath
 func (c *Cache) noteUse(b layout.BlockID) {
-	if !c.windowed {
-		return
-	}
-	c.seq++
-	c.lastSeq[b] = c.seq
-	c.lru.push(lruEntry{block: b, seq: c.seq})
-	// Lazy deletion only reclaims entries that surface, so a streamed run
-	// would hold O(N) dead entries; compacting at a capacity multiple
-	// keeps memory independent of trace length at O(1) amortized a push.
-	if len(c.lru) > 8*c.capacity+1024 {
-		c.compactLRUHeap()
+	if c.windowed {
+		c.lru.Remove(b)
+		c.lru.PushBack(b)
 	}
 }
 
-// compactLRUHeap rebuilds the recency heap keeping only each present
-// block's newest entry (the only ones leastRecentBeyond can return).
-// Sequence numbers are unique, so the pop order of the survivors — and
-// therefore every LRU-fallback victim — is exactly what the
-// uncompacted heap would have produced.
-func (c *Cache) compactLRUHeap() {
-	live := make(lruHeap, 0, 2*c.capacity)
-	for _, e := range c.lru {
-		if c.st[e.block] == present && e.seq == c.lastSeq[e.block] {
-			live.push(e)
-		}
+// remove takes present block b out of the cache and out of its indexes.
+func (c *Cache) remove(b layout.BlockID) {
+	c.st[b] = absent
+	c.unkey(b)
+	if c.windowed {
+		c.lru.Remove(b)
 	}
-	c.lru = live
 }
 
 // MarkAlwaysPresent pins block b as permanently present without
@@ -215,8 +199,7 @@ func (c *Cache) StartFetch(b, victim layout.BlockID) error {
 		if c.st[victim] != present {
 			return fmt.Errorf("cache: victim %d not present", victim)
 		}
-		c.st[victim] = absent
-		c.unkey(victim)
+		c.remove(victim)
 		if c.OnEvict != nil {
 			c.OnEvict(victim, b, c.oracle.NextUse(victim))
 		}
@@ -233,22 +216,6 @@ func (c *Cache) CompleteFetch(b layout.BlockID) {
 	c.st[b] = present
 	c.pushEvict(b)
 	c.noteUse(b)
-}
-
-// Drop evicts a present block without starting a fetch (frees its buffer).
-// Used only by tests and diagnostics; the paper's policies always evict to
-// make room for a fetch.
-func (c *Cache) Drop(b layout.BlockID) error {
-	if c.st[b] != present {
-		return fmt.Errorf("cache: dropping block %d not present", b)
-	}
-	c.st[b] = absent
-	c.unkey(b)
-	c.used--
-	if c.OnEvict != nil {
-		c.OnEvict(b, NoBlock, c.oracle.NextUse(b))
-	}
-	return nil
 }
 
 // Touched must be called whenever the oracle cursor passes a reference to
@@ -281,13 +248,7 @@ func (c *Cache) pushEvict(b layout.BlockID) {
 	u := c.oracle.NextUse(b)
 	c.key[b] = int32(u)
 	if u == future.Never {
-		c.prev[b], c.next[b] = c.tail, -1
-		if c.tail >= 0 {
-			c.next[c.tail] = int32(b)
-		} else {
-			c.head = int32(b)
-		}
-		c.tail = int32(b)
+		c.never.PushBack(b)
 		return
 	}
 	s := u & c.mask
@@ -306,17 +267,7 @@ func (c *Cache) pushEvict(b layout.BlockID) {
 func (c *Cache) unkey(b layout.BlockID) {
 	switch k := c.key[b]; {
 	case k == future.Never:
-		p, n := c.prev[b], c.next[b]
-		if p >= 0 {
-			c.next[p] = n
-		} else {
-			c.head = n
-		}
-		if n >= 0 {
-			c.prev[n] = p
-		} else {
-			c.tail = p
-		}
+		c.never.Remove(b)
 	case int(k) >= c.oracle.Cursor():
 		c.clearBit(int(k))
 	}
@@ -350,8 +301,8 @@ func (c *Cache) clearBit(p int) {
 //
 //ppcvet:hotpath
 func (c *Cache) FurthestEvictable() (layout.BlockID, int) {
-	b, u := layout.BlockID(c.head), future.Never
-	if c.head < 0 {
+	b, u := c.never.Front(), future.Never
+	if b == NoBlock {
 		if u = c.topKey(); u < 0 {
 			return NoBlock, -1
 		}
@@ -426,82 +377,22 @@ func highest(bm []uint64, from, to int) int {
 	return -1
 }
 
-// leastRecentBeyond pops the least-recently-used present block whose next
-// use is at or beyond the horizon. Entries for blocks back inside the
-// window are discarded: before such a block can drift beyond the horizon
-// again the cursor must pass its next use, which (for an accurate hint)
-// re-touches it with a fresh entry. An inaccurate hint can skip that
+// leastRecentBeyond returns the least-recently-used present block whose
+// next use is at or beyond the horizon. Blocks met back inside the window
+// leave the list: before such a block can drift beyond the horizon again
+// the cursor must pass its next use, which (for an accurate hint)
+// re-touches it and pushes it back. An inaccurate hint can skip that
 // touch — the cursor consumes the position without referencing the block —
 // in which case the block simply drops out of the LRU fallback and the
 // caller's furthest-known rule covers it instead.
+//
+//ppcvet:hotpath
 func (c *Cache) leastRecentBeyond(horizon int) (layout.BlockID, bool) {
-	for len(c.lru) > 0 {
-		top := c.lru[0]
-		if c.st[top.block] != present || top.seq != c.lastSeq[top.block] {
-			c.lru.pop()
-			continue
+	for b := c.lru.Front(); b != NoBlock; b = c.lru.Front() {
+		if u := c.oracle.NextUse(b); u == future.Never || u >= horizon {
+			return b, true
 		}
-		if u := c.oracle.NextUse(top.block); u != future.Never && u < horizon {
-			c.lru.pop()
-			continue
-		}
-		return top.block, true
+		c.lru.Remove(b)
 	}
 	return NoBlock, false
-}
-
-// lruEntry is one (possibly stale) recency record for the windowed-mode
-// fallback.
-type lruEntry struct {
-	block layout.BlockID
-	seq   int32
-}
-
-// lruHeap is a min-heap on the use-sequence number, hand-rolled so a push
-// boxes nothing; the sifts move a hole instead of swapping. Sequence
-// numbers are unique, so the order is total and no tie-break subtlety
-// arises.
-type lruHeap []lruEntry
-
-// push adds e and restores the heap invariant.
-func (h *lruHeap) push(e lruEntry) {
-	s := append(*h, e)
-	*h = s
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if e.seq >= s[i].seq {
-			break
-		}
-		s[j] = s[i]
-		j = i
-	}
-	s[j] = e
-}
-
-// pop removes and returns the top (least recently used) entry.
-func (h *lruHeap) pop() lruEntry {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	v := s[n]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s[j2].seq < s[j1].seq {
-			j = j2
-		}
-		if s[j].seq >= v.seq {
-			break
-		}
-		s[i] = s[j]
-		i = j
-	}
-	s[i] = v
-	*h = s[:n]
-	return top
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,21 @@ import (
 	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
 )
+
+// Drop evicts a present block without starting a fetch, freeing its
+// buffer. The policies always evict to make room for a fetch; the tests
+// use Drop to shrink the cache between steps.
+func (c *Cache) Drop(b layout.BlockID) error {
+	if c.st[b] != present {
+		return fmt.Errorf("cache: dropping block %d not present", b)
+	}
+	c.remove(b)
+	c.used--
+	if c.OnEvict != nil {
+		c.OnEvict(b, NoBlock, c.oracle.NextUse(b))
+	}
+	return nil
+}
 
 func mkOracle(ids ...int) *future.Oracle {
 	refs := make([]layout.BlockID, len(ids))

@@ -1,9 +1,9 @@
 package cache
 
-// The eviction heap the next-use bitmap replaced, kept as the reference
-// for TestIndexMatchesLegacyHeap and BenchmarkEviction. Apart from the
-// type name and the recency heap it shares with Cache, it is the
-// heap-based cache unchanged.
+// The eviction heap the next-use bitmap replaced, and the recency heap
+// the windowed LRU list replaced, kept as the reference for
+// TestIndexMatchesLegacyHeap and BenchmarkEviction. Apart from the type
+// name, it is the heap-based cache unchanged.
 
 import (
 	"fmt"
@@ -381,6 +381,62 @@ func (h *evictHeap) pop() entry {
 			j = j2 // = 2*i + 2  // right child
 		}
 		if s[j].nextUse <= v.nextUse {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = v
+	*h = s[:n]
+	return top
+}
+
+// lruEntry is one (possibly stale) recency record for the windowed-mode
+// fallback.
+type lruEntry struct {
+	block layout.BlockID
+	seq   int32
+}
+
+// lruHeap is a min-heap on the use-sequence number, hand-rolled so a push
+// boxes nothing; the sifts move a hole instead of swapping. Sequence
+// numbers are unique, so the order is total and no tie-break subtlety
+// arises.
+type lruHeap []lruEntry
+
+// push adds e and restores the heap invariant.
+func (h *lruHeap) push(e lruEntry) {
+	s := append(*h, e)
+	*h = s
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if e.seq >= s[i].seq {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = e
+}
+
+// pop removes and returns the top (least recently used) entry.
+func (h *lruHeap) pop() lruEntry {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	v := s[n]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].seq < s[j1].seq {
+			j = j2
+		}
+		if s[j].seq >= v.seq {
 			break
 		}
 		s[i] = s[j]

@@ -43,7 +43,7 @@ func TestWindowedEvictionFallsBackToLRU(t *testing.T) {
 	}
 
 	// Advancing to position 1 pulls block 2 inside the horizon (next use
-	// 1 < cursor 1 + window 1 = 2); its stale LRU entry must be skipped
+	// 1 < cursor 1 + window 1 = 2); it must leave the LRU fallback
 	// and block 3 becomes the fallback victim.
 	o.Advance(1)
 	c.Touched(0)

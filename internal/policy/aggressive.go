@@ -67,7 +67,7 @@ func (a *Aggressive) Poll() {
 		// Poll: with a full cache no fetch can be issued. The cache may only
 		// be consulted when that position's own disk is free — then it is
 		// provably the loop's first fetch attempt, and this is the same
-		// FurthestEvictable call the loop would make (recency-heap pops in
+		// FurthestEvictable call the loop would make (recency-list removals in
 		// windowed mode and all); on any other Poll shape the loop decides
 		// without the cache or with a different first candidate, so fall
 		// through to it.

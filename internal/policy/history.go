@@ -140,26 +140,12 @@ func (h *History) Poll() {
 		if !s.Cache.Absent(sl.block) {
 			continue // present or already in flight
 		}
-		if !h.speculativeFetch(trigger, sl.block) {
+		if !h.rec.fetch(sl.block, true) {
 			return
 		}
+		h.prefetchedBy[sl.block] = trigger
+		h.prefetchedAt[sl.block] = s.Cursor()
 	}
-}
-
-// speculativeFetch issues an association prefetch of b triggered by t.
-func (h *History) speculativeFetch(t, b layout.BlockID) bool {
-	s := h.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-	} else if v := h.rec.leastRecent(); v != cache.NoBlock {
-		s.Issue(b, v)
-	} else {
-		return false
-	}
-	h.rec.noteInserted(b)
-	h.prefetchedBy[b] = t
-	h.prefetchedAt[b] = s.Cursor()
-	return true
 }
 
 // OnStall implements engine.Policy: demand-fetch the missed block with an
@@ -169,14 +155,5 @@ func (h *History) OnStall(b layout.BlockID) {
 	h.rec.track()
 	h.observe()
 	h.prefetchedBy[b] = cache.NoBlock
-	s := h.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		return
-	}
-	if v := h.rec.leastRecent(); v != cache.NoBlock {
-		s.Issue(b, v)
-	}
-	// Otherwise every buffer is in flight; the engine retries after the
-	// next completion.
+	h.rec.fetch(b, false)
 }

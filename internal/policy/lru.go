@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"container/heap"
-
 	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
 	"ppcsim/internal/layout"
@@ -12,67 +10,98 @@ import (
 // hint-less policies (demand-lru, readahead, history). It works from
 // State.Observed — the exact access history any real buffer cache sees —
 // so it is immune to hint quality and never consults the oracle.
+//
+// It keeps two lists. used holds the present blocks in the order of
+// their last observed reference. spec holds the blocks the policy
+// prefetched that have not been referenced since, in the order of their
+// key: the cursor at insertion, or a later reference the block took
+// while still in flight. The victim is the head of used; with used
+// empty it is the present spec block of the lowest (key, block ID).
+// Every member holds a buffer, so both lists are capacity-sized.
 type recency struct {
 	s *engine.State
 
-	lastUse []int // per block: most recent reference position, -1 if never
-	seen    int   // cursor position up to which lastUse is updated
-	h       lruHeap
+	used, spec cache.List
+	specKey    []int32 // per block: its spec key while a member of spec
+	seen       int     // cursor position up to which the lists are updated
 }
 
 func (r *recency) attach(s *engine.State) {
 	r.s = s
-	r.lastUse = make([]int, s.Layout.NumBlocks())
-	for i := range r.lastUse {
-		r.lastUse[i] = -1
-	}
+	k, n := s.Cache.Capacity(), s.Layout.NumBlocks()
+	r.used = cache.NewList(k, n)
+	r.spec = cache.NewList(k, n)
+	r.specKey = make([]int32, n)
 	r.seen = 0
-	r.h = r.h[:0]
 }
 
-// track folds newly consumed references into the recency bookkeeping.
+// track folds newly consumed references into the recency lists. A
+// present block moves to the back of used; a spec block still in flight
+// (only a write can reference one) to the back of spec, keyed by this
+// reference.
+//
+//ppcvet:hotpath
 func (r *recency) track() {
 	c := r.s.Cursor()
 	for ; r.seen < c; r.seen++ {
 		b := r.s.Observed(r.seen)
-		r.lastUse[b] = r.seen
-		if r.s.Cache.Present(b) {
-			heap.Push(&r.h, lruEntry{block: b, used: int32(r.seen)})
+		switch {
+		case r.s.Cache.Present(b):
+			r.spec.Remove(b)
+			r.used.Remove(b)
+			r.used.PushBack(b)
+		case r.spec.Contains(b):
+			r.spec.Remove(b)
+			r.spec.PushBack(b)
+			r.specKey[b] = int32(r.seen)
 		}
 	}
 }
 
-// noteInserted registers a block the policy prefetched speculatively: it
-// enters the recency order at the current cursor position (without a heap
-// entry — it only becomes an eviction candidate once referenced), so the
-// entry-less fallback scan does not victimize a fetch that has not had a
-// chance to pay off.
-func (r *recency) noteInserted(b layout.BlockID) {
-	if c := r.s.Cursor(); r.lastUse[b] < c {
-		r.lastUse[b] = c
+// fetch issues a fetch of b into a free buffer, or over the least
+// recently used block, and reports false when no buffer can be claimed
+// (every one in flight; a demand fetch is then retried by the engine
+// after the next completion). A speculative fetch joins spec, keyed by
+// the current cursor, so it becomes a victim only when no referenced
+// block is left: a fetch that has not had a chance to pay off is the
+// last to go.
+func (r *recency) fetch(b layout.BlockID, speculative bool) bool {
+	v := cache.NoBlock
+	if r.s.Cache.FreeBuffers() == 0 {
+		if v = r.leastRecent(); v == cache.NoBlock {
+			return false
+		}
 	}
+	r.s.Issue(b, v)
+	if speculative {
+		r.spec.PushBack(b)
+		r.specKey[b] = int32(r.s.Cursor())
+	}
+	return true
 }
 
-// leastRecent pops the valid least-recently-used present block.
+// leastRecent removes and returns the victim, or cache.NoBlock when no
+// block is present.
+//
+//ppcvet:hotpath
 func (r *recency) leastRecent() layout.BlockID {
-	for r.h.Len() > 0 {
-		top := r.h[0]
-		if !r.s.Cache.Present(top.block) || int(top.used) != r.lastUse[top.block] {
-			heap.Pop(&r.h)
-			continue
-		}
-		return top.block
+	v := r.used.Front()
+	if v != cache.NoBlock {
+		r.used.Remove(v)
+		return v
 	}
-	// Present blocks that were fetched but never referenced yet have no
-	// heap entry; scan for the least recently inserted one (rare: only
-	// when prefetched blocks have not been consumed, which demand
-	// fetching itself never causes).
-	v, vUse := cache.NoBlock, 1<<62
-	for blk := range r.lastUse {
-		b := layout.BlockID(blk)
-		if r.s.Cache.Present(b) && r.lastUse[blk] < vUse {
-			v, vUse = b, r.lastUse[blk]
+	// spec is in key order; the first present member fixes the key, and
+	// the lowest block ID among the present members sharing it wins.
+	for b := r.spec.Front(); b != cache.NoBlock; b = r.spec.Next(b) {
+		if v != cache.NoBlock && r.specKey[b] != r.specKey[v] {
+			break
 		}
+		if r.s.Cache.Present(b) && (v == cache.NoBlock || b < v) {
+			v = b
+		}
+	}
+	if v != cache.NoBlock {
+		r.spec.Remove(v)
 	}
 	return v
 }
@@ -84,7 +113,6 @@ func (r *recency) leastRecent() layout.BlockID {
 // (demand fetching with offline MIN replacement) isolates the value of
 // the replacement half.
 type DemandLRU struct {
-	s   *engine.State
 	rec recency
 }
 
@@ -95,10 +123,7 @@ func NewDemandLRU() *DemandLRU { return &DemandLRU{} }
 func (d *DemandLRU) Name() string { return "demand-lru" }
 
 // Attach implements engine.Policy.
-func (d *DemandLRU) Attach(s *engine.State) {
-	d.s = s
-	d.rec.attach(s)
-}
+func (d *DemandLRU) Attach(s *engine.State) { d.rec.attach(s) }
 
 // Poll implements engine.Policy; demand fetching never prefetches, but the
 // recency list must follow the cursor.
@@ -108,35 +133,5 @@ func (d *DemandLRU) Poll() { d.rec.track() }
 // least recently used present block.
 func (d *DemandLRU) OnStall(b layout.BlockID) {
 	d.rec.track()
-	s := d.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		return
-	}
-	v := d.rec.leastRecent()
-	if v == cache.NoBlock {
-		return // every buffer in flight; the engine retries
-	}
-	s.Issue(b, v)
-}
-
-// lruEntry is a (possibly stale) recency record.
-type lruEntry struct {
-	block layout.BlockID
-	used  int32
-}
-
-// lruHeap is a min-heap on the last-use position.
-type lruHeap []lruEntry
-
-func (h lruHeap) Len() int            { return len(h) }
-func (h lruHeap) Less(i, j int) bool  { return h[i].used < h[j].used }
-func (h lruHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lruHeap) Push(x interface{}) { *h = append(*h, x.(lruEntry)) }
-func (h *lruHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	d.rec.fetch(b, false)
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,43 @@ func TestLRUOnBundledTraces(t *testing.T) {
 		}
 		if lru.CacheHits+lru.CacheMisses != int64(len(tr.Refs)) {
 			t.Errorf("%s: not every reference served", name)
+		}
+	}
+}
+
+// TestHintlessStreamAllocationIsFlat streams the hint-less policies over
+// a zipf source whose blocks all fit the cache, at n and at 4n
+// references, and requires the bytes allocated to differ by less than a
+// slack fixed before measuring: 1 MiB. Such a run evicts nothing, so a
+// recency structure that holds an entry per reference until an eviction
+// clears it grows without bound: the boxed heap the lists replaced
+// allocated 8.3 MB at n and 32.5 MB at 4n here, the lists 0.34 MB at
+// both.
+func TestHintlessStreamAllocationIsFlat(t *testing.T) {
+	const n, slack = 100_000, 1 << 20
+	alloc := func(mk func() engine.Policy, refs int64) uint64 {
+		src, err := trace.LargeSpec{Refs: refs, Blocks: 1024, Pattern: "zipf", Seed: 1}.Source()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		mustRun(t, engine.Config{
+			Source: src, Policy: mk(), Disks: 1, CacheBlocks: 2048, Model: fixed(4),
+			Hints: &engine.HintSpec{Fraction: 1, Accuracy: 1, Window: 1000},
+		})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for name, mk := range map[string]func() engine.Policy{
+		"demand-lru": func() engine.Policy { return NewDemandLRU() },
+		"readahead":  func() engine.Policy { return NewReadahead() },
+		"history":    func() engine.Policy { return NewHistory() },
+	} {
+		short, long := alloc(mk, n), alloc(mk, 4*n)
+		if long > short+slack || short > long+slack {
+			t.Errorf("%s: %d refs allocate %d B, %d refs %d B; want within %d B", name, n, short, 4*n, long, slack)
 		}
 	}
 }

@@ -12,7 +12,7 @@ const (
 	readaheadMinRun = 2
 	// readaheadMinDepth is the prefetch depth of a freshly confirmed run.
 	readaheadMinDepth = 4
-	// readaheadMaxDepth caps the adaptive depth (Readahead.MaxDepth = 0).
+	// readaheadMaxDepth caps the adaptive depth.
 	readaheadMaxDepth = 32
 )
 
@@ -28,9 +28,6 @@ const (
 // implementations. Replacement is LRU — with no future knowledge the
 // oracle-based rules are off limits.
 type Readahead struct {
-	// MaxDepth caps the adaptive prefetch depth (0 → 32).
-	MaxDepth int
-
 	s   *engine.State
 	rec recency
 
@@ -56,13 +53,6 @@ func (r *Readahead) Attach(s *engine.State) {
 	r.delta, r.runLen, r.depth = 0, 0, 0
 }
 
-func (r *Readahead) maxDepth() int {
-	if r.MaxDepth > 0 {
-		return r.MaxDepth
-	}
-	return readaheadMaxDepth
-}
-
 // observe folds newly consumed references into the run detector.
 func (r *Readahead) observe() {
 	c := r.s.Cursor()
@@ -81,11 +71,8 @@ func (r *Readahead) observe() {
 				// The run keeps confirming; ramp the depth up.
 				if r.depth == 0 {
 					r.depth = readaheadMinDepth
-				} else if r.depth < r.maxDepth() {
-					r.depth *= 2
-					if r.depth > r.maxDepth() {
-						r.depth = r.maxDepth()
-					}
+				} else {
+					r.depth = min(2*r.depth, readaheadMaxDepth)
 				}
 			}
 		default:
@@ -101,7 +88,7 @@ func (r *Readahead) observe() {
 // since the last one: Poll also fires on every disk completion, and
 // re-issuing there would let the policy chase its own evictions — under
 // cache pressure it can even evict the block the app is stalled on
-// (whose recency entry stays stale until the reference is served),
+// (which joins the recency order only when its reference is served),
 // deadlocking the simulated app.
 func (r *Readahead) Poll() {
 	r.rec.track()
@@ -117,29 +104,10 @@ func (r *Readahead) Poll() {
 		if !s.Cache.Absent(b) {
 			continue // present or already in flight
 		}
-		if !r.speculativeFetch(b) {
+		if !r.rec.fetch(b, true) {
 			return
 		}
 	}
-}
-
-// speculativeFetch issues a prefetch of b into a free buffer, or over the
-// least-recently-used block. It reports false when no buffer can be
-// claimed (every candidate in flight), which ends the batch.
-func (r *Readahead) speculativeFetch(b layout.BlockID) bool {
-	s := r.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		r.rec.noteInserted(b)
-		return true
-	}
-	v := r.rec.leastRecent()
-	if v == cache.NoBlock {
-		return false
-	}
-	s.Issue(b, v)
-	r.rec.noteInserted(b)
-	return true
 }
 
 // OnStall implements engine.Policy: demand-fetch the missed block with an
@@ -147,14 +115,5 @@ func (r *Readahead) speculativeFetch(b layout.BlockID) bool {
 func (r *Readahead) OnStall(b layout.BlockID) {
 	r.rec.track()
 	r.observe()
-	s := r.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		return
-	}
-	if v := r.rec.leastRecent(); v != cache.NoBlock {
-		s.Issue(b, v)
-	}
-	// Otherwise every buffer is in flight; the engine retries after the
-	// next completion.
+	r.rec.fetch(b, false)
 }

@@ -5,7 +5,10 @@
 # memory ceiling (GOMEMLIMIT plus a soft address-space rlimit), proving
 # the engine's resident set is bounded and independent of trace length,
 # and asserts a refs/sec floor so a streaming-path slowdown fails fast.
-# Also round-trips a slice of the workload through a columnar file and
+# Streams demand-lru over a working set that fits its cache, which
+# evicts almost nothing, and fails if its peak RSS passes 64 MB: a
+# recency structure that only sheds entries on eviction would grow with
+# the trace. Also round-trips a slice of the workload through a columnar file and
 # requires the streamed and materialized runs to print identical metrics
 # — the byte-identity acceptance criterion, exercised from the CLI.
 # Finally requires ppc-sweep to reject a streamed sweep with an offline
@@ -40,6 +43,26 @@ RPS="$(awk '/refs\/sec/ {print int($3)}' "$WORK/large.out")"
 echo "== refs/sec: $RPS (floor: $FLOOR)"
 if [ -z "$RPS" ] || [ "$RPS" -lt "$FLOOR" ]; then
     echo "streaming throughput $RPS refs/sec fell below the floor $FLOOR" >&2
+    exit 1
+fi
+
+echo "== stream $REFS refs through demand-lru with a cache that fits: peak RSS"
+"$WORK/ppc-sim" -large "$REFS:1024:zipf:1" -window 1000 -alg demand-lru -cache 2048 -disks 1 \
+    >"$WORK/lru.out" &
+pid=$!
+HWM=0
+# VmHWM only grows, so its last reading before exit is the peak up to
+# then.
+while kill -0 "$pid" 2>/dev/null; do
+    kb="$(awk '/^VmHWM:/ {print $2}' "/proc/$pid/status" 2>/dev/null || true)"
+    if [ -n "$kb" ]; then HWM="$kb"; fi
+    sleep 0.05
+done
+wait "$pid"
+cat "$WORK/lru.out"
+echo "== demand-lru peak RSS: $((HWM / 1024)) MB (ceiling: 64 MB)"
+if [ "$HWM" -gt $((64 * 1024)) ]; then
+    echo "demand-lru peak RSS $HWM kB exceeds 64 MB" >&2
     exit 1
 fi
 
