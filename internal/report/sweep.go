@@ -16,8 +16,8 @@ type SweepRun struct {
 }
 
 // SweepHeader returns the sweep CSV's column names. ppc-sweep writes
-// this dialect and `ppc-job -csv` writes it too, so a cluster sweep
-// diffs clean against the same grid run locally.
+// this dialect for a grid run locally and for one run with -coord, so
+// the two diff clean.
 func SweepHeader() []string {
 	return []string{
 		"trace", "algorithm", "disks", "scheduler", "cache_blocks", "batch", "horizon",

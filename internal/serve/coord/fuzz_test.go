@@ -10,8 +10,8 @@ import (
 // FuzzParseJobSpec hammers the /v1/jobs decoder: arbitrary bytes must
 // never panic, every rejection must be a *ppcsim.ConfigError naming a
 // field, and anything accepted must expand deterministically into a
-// bounded, well-formed cell list whose every cell passes the single-run
-// boundary.
+// bounded, well-formed cell list, one cell per point of the axes' cross
+// product, whose every cell passes the single-run boundary.
 func FuzzParseJobSpec(f *testing.F) {
 	f.Add([]byte(`{"trace":"synth","algorithms":["demand","aggressive"],"disk_counts":[1,2],"cache_sizes":[16,32]}`))
 	f.Add([]byte(`{"trace":"synth","algorithm":"demand"}`))
@@ -24,6 +24,14 @@ func FuzzParseJobSpec(f *testing.F) {
 	f.Add([]byte(`{"trace":"synth","algorithms":["demand"]} trailing`))
 	f.Add([]byte(`{"trace_spec":{"refs":1000,"blocks":64},"algorithms":["demand","reverse-aggressive"],"window":32}`))
 	f.Add([]byte(`{"trace_spec":{"refs":1000,"blocks":64},"algorithm":"demand","windows":[32,5000]}`))
+	f.Add([]byte(`{"traces":["xds","ld"],"algorithms":["demand"],"schedulers":["cscan","fcfs"],"batch_sizes":[0,8],"horizons":[20,40,60]}`))
+	f.Add([]byte(`{"traces":["xds"],"trace":"ld","algorithm":"demand"}`))
+	f.Add([]byte(`{"traces":["xds"],"trace_text":"ppctrace t false 4\nfile 4\nr 0 0.1\n","algorithm":"demand"}`))
+	f.Add([]byte(`{"traces":["xds"],"trace_spec":{"refs":1000},"algorithm":"demand"}`))
+	f.Add([]byte(`{"traces":["xds"],"trace_hash":"0000000000000000000000000000000000000000000000000000000000000000","algorithm":"demand"}`))
+	f.Add([]byte(`{"trace":"xds","algorithm":"demand","scheduler":"fcfs","schedulers":["fcfs"]}`))
+	f.Add([]byte(`{"trace":"xds","algorithm":"demand","batch_size":4,"batch_sizes":[4]}`))
+	f.Add([]byte(`{"trace":"xds","algorithm":"demand","horizon":9,"horizons":[9]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := ParseJobSpec(body)
 		if err != nil {
@@ -44,8 +52,13 @@ func FuzzParseJobSpec(f *testing.F) {
 			}
 			return
 		}
-		if len(cells) == 0 {
-			t.Fatal("accepted spec expanded to zero cells")
+		want := max(1, len(spec.Algorithms))
+		for _, n := range []int{len(spec.Traces), len(spec.DiskCounts), len(spec.Schedulers), len(spec.CacheSizes),
+			len(spec.Windows), len(spec.BatchSizes), len(spec.Horizons)} {
+			want *= max(1, n)
+		}
+		if len(cells) != want {
+			t.Fatalf("accepted spec expanded to %d cells, want the axes' product %d", len(cells), want)
 		}
 		again, err := spec.Cells(1024)
 		if err != nil || len(again) != len(cells) {

@@ -12,26 +12,36 @@ import (
 	"ppcsim/internal/serve"
 )
 
-// JobSpec is the JSON body of POST /v1/jobs: one whole sweep grid as a
-// single job. It embeds the shared serve.RunSpec (flattened into the
-// same object) as the base configuration, and the grid axes below
-// multiply it into cells: the cross product of algorithms × disk
-// counts × cache sizes × windows, every cell inheriting the base's
-// trace, scheduler, hints, and tuning fields.
+// JobSpec is the JSON body of POST /v1/jobs, and the one description
+// of a sweep grid: ppc-sweep expands the same value locally. It embeds
+// the shared serve.RunSpec (flattened into the same object) as the base
+// configuration, and the grid axes below multiply it into cells: the
+// cross product of traces × algorithms × disk counts × schedulers ×
+// cache sizes × windows × batch sizes × horizons, every cell inheriting
+// the base's other fields.
 //
 // An axis and its scalar base field are mutually exclusive — a job
 // either fixes `algorithm` or sweeps `algorithms`, never both — so a
 // spec always reads unambiguously.
 type JobSpec struct {
 	serve.RunSpec
+	// Traces sweeps RunSpec.Trace over bundled trace names; it excludes
+	// every other trace source.
+	Traces []string `json:"traces,omitempty"`
 	// Algorithms sweeps RunSpec.Algorithm. One of the two must be set.
 	Algorithms []string `json:"algorithms,omitempty"`
 	// DiskCounts sweeps RunSpec.Disks.
 	DiskCounts []int `json:"disk_counts,omitempty"`
+	// Schedulers sweeps RunSpec.Scheduler.
+	Schedulers []string `json:"schedulers,omitempty"`
 	// CacheSizes sweeps RunSpec.CacheBlocks.
 	CacheSizes []int `json:"cache_sizes,omitempty"`
 	// Windows sweeps RunSpec.Window.
 	Windows []int `json:"windows,omitempty"`
+	// BatchSizes sweeps RunSpec.BatchSize (0 = the paper's default).
+	BatchSizes []int `json:"batch_sizes,omitempty"`
+	// Horizons sweeps RunSpec.Horizon (0 = the paper's default).
+	Horizons []int `json:"horizons,omitempty"`
 	// TimeoutMs caps each cell's simulation time on the worker (host
 	// milliseconds). Transport-only: excluded from all keys.
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
@@ -40,9 +50,9 @@ type JobSpec struct {
 // Cell is one grid point of a job: a fully resolved single-run spec
 // plus its position in the deterministic expansion order.
 type Cell struct {
-	// Index is the cell's position in expansion order (algorithms-major,
-	// then disk counts, cache sizes, windows — the same nesting ppc-sweep
-	// uses, so streams sorted by Index line up with its CSV rows).
+	// Index is the cell's position in expansion order (traces-major,
+	// then algorithms, disk counts, schedulers, cache sizes, windows,
+	// batch sizes, horizons), which is the order of ppc-sweep's CSV rows.
 	Index int `json:"index"`
 	// Spec is the cell's single-run configuration, exactly what the
 	// coordinator posts to a worker's /v1/run.
@@ -51,6 +61,18 @@ type Cell struct {
 	// also derive, which is what the consistent-hash routing hashes.
 	Key string `json:"key"`
 }
+
+// CellError is a grid cell that fails the single-run boundary. It
+// unwraps to that failure, normally a *ppcsim.ConfigError.
+type CellError struct {
+	Index int
+	Spec  serve.RunSpec
+	Err   error
+}
+
+func (e *CellError) Error() string { return fmt.Sprintf("cell %d: %v", e.Index, e.Err) }
+
+func (e *CellError) Unwrap() error { return e.Err }
 
 // ParseJobSpec decodes a /v1/jobs body and checks its wire rules with
 // the same strictness as the single-run boundary: unknown fields and
@@ -80,28 +102,33 @@ func (s *JobSpec) validate() error {
 	case s.Algorithm != "" && len(s.Algorithms) > 0:
 		return &ppcsim.ConfigError{Field: "Algorithms", Reason: "algorithm and algorithms are mutually exclusive"}
 	}
-	if s.Disks != nil && len(s.DiskCounts) > 0 {
-		return &ppcsim.ConfigError{Field: "DiskCounts", Reason: "disks and disk_counts are mutually exclusive"}
+	exclusive := []struct {
+		scalar, axis  bool
+		field, reason string
+	}{
+		{s.Trace != "" || s.TraceText != "" || s.TraceSpec != nil || s.TraceHash != "", len(s.Traces) > 0,
+			"Traces", "traces excludes trace, trace_text, trace_spec and trace_hash"},
+		{s.Disks != nil, len(s.DiskCounts) > 0, "DiskCounts", "disks and disk_counts are mutually exclusive"},
+		{s.Scheduler != "", len(s.Schedulers) > 0, "Schedulers", "scheduler and schedulers are mutually exclusive"},
+		{s.CacheBlocks != nil, len(s.CacheSizes) > 0, "CacheSizes", "cache_blocks and cache_sizes are mutually exclusive"},
+		{s.Window != nil, len(s.Windows) > 0, "Windows", "window and windows are mutually exclusive"},
+		{s.BatchSize != 0, len(s.BatchSizes) > 0, "BatchSizes", "batch_size and batch_sizes are mutually exclusive"},
+		{s.Horizon != 0, len(s.Horizons) > 0, "Horizons", "horizon and horizons are mutually exclusive"},
 	}
-	if s.CacheBlocks != nil && len(s.CacheSizes) > 0 {
-		return &ppcsim.ConfigError{Field: "CacheSizes", Reason: "cache_blocks and cache_sizes are mutually exclusive"}
-	}
-	if s.Window != nil && len(s.Windows) > 0 {
-		return &ppcsim.ConfigError{Field: "Windows", Reason: "window and windows are mutually exclusive"}
-	}
-	for _, d := range s.DiskCounts {
-		if d <= 0 {
-			return &ppcsim.ConfigError{Field: "DiskCounts", Reason: fmt.Sprintf("must be positive, got %d", d)}
+	for _, x := range exclusive {
+		if x.scalar && x.axis {
+			return &ppcsim.ConfigError{Field: x.field, Reason: x.reason}
 		}
 	}
-	for _, c := range s.CacheSizes {
-		if c <= 0 {
-			return &ppcsim.ConfigError{Field: "CacheSizes", Reason: fmt.Sprintf("must be positive, got %d", c)}
-		}
-	}
-	for _, w := range s.Windows {
-		if w <= 0 {
-			return &ppcsim.ConfigError{Field: "Windows", Reason: fmt.Sprintf("must be positive, got %d", w)}
+	positive := []struct {
+		field string
+		vals  []int
+	}{{"DiskCounts", s.DiskCounts}, {"CacheSizes", s.CacheSizes}, {"Windows", s.Windows}}
+	for _, p := range positive {
+		for _, v := range p.vals {
+			if v <= 0 {
+				return &ppcsim.ConfigError{Field: p.field, Reason: fmt.Sprintf("must be positive, got %d", v)}
+			}
 		}
 	}
 	if s.TimeoutMs < 0 {
@@ -110,62 +137,60 @@ func (s *JobSpec) validate() error {
 	return nil
 }
 
-// Cells expands the grid into its deterministic cell list
-// (algorithms-major, then disk counts, cache sizes, windows) and checks
-// every cell with RunSpec.Validate, so a cell that breaks a rule
-// checkable without its trace fails the whole job before any worker is
-// touched. maxCells bounds the expansion before anything is allocated,
-// so a typo'd grid cannot fan a million simulations onto the fleet.
+// Cells expands the grid into its deterministic cell list (traces-major,
+// then algorithms, disk counts, schedulers, cache sizes, windows, batch
+// sizes, horizons) and checks every cell with RunSpec.Validate, so a
+// cell that breaks a rule checkable without its trace fails the whole
+// job, as a *CellError, before any worker is touched. maxCells bounds
+// the expansion before anything is allocated, so a typo'd grid cannot
+// fan a million simulations onto the fleet.
 func (s *JobSpec) Cells(maxCells int) ([]Cell, error) {
 	algs := s.Algorithms
 	if len(algs) == 0 {
 		algs = []string{s.Algorithm}
 	}
-	nd, nc, nw := len(s.DiskCounts), len(s.CacheSizes), len(s.Windows)
-	if nd == 0 {
-		nd = 1
+	// The axes in nesting order, outermost first; an empty axis leaves
+	// the base's field in every cell.
+	axes := []struct {
+		n   int
+		set func(r *serve.RunSpec, i int)
+	}{
+		{len(s.Traces), func(r *serve.RunSpec, i int) { r.Trace = s.Traces[i] }},
+		{len(algs), func(r *serve.RunSpec, i int) { r.Algorithm = algs[i] }},
+		{len(s.DiskCounts), func(r *serve.RunSpec, i int) { d := s.DiskCounts[i]; r.Disks = &d }},
+		{len(s.Schedulers), func(r *serve.RunSpec, i int) { r.Scheduler = s.Schedulers[i] }},
+		{len(s.CacheSizes), func(r *serve.RunSpec, i int) { c := s.CacheSizes[i]; r.CacheBlocks = &c }},
+		{len(s.Windows), func(r *serve.RunSpec, i int) { w := s.Windows[i]; r.Window = &w }},
+		{len(s.BatchSizes), func(r *serve.RunSpec, i int) { r.BatchSize = s.BatchSizes[i] }},
+		{len(s.Horizons), func(r *serve.RunSpec, i int) { r.Horizon = s.Horizons[i] }},
 	}
-	if nc == 0 {
-		nc = 1
-	}
-	if nw == 0 {
-		nw = 1
-	}
-	total := len(algs) * nd * nc * nw
-	if total > maxCells {
-		return nil, &ppcsim.ConfigError{Field: "JobSpec",
-			Reason: fmt.Sprintf("grid expands to %d cells, limit %d", total, maxCells)}
+	// Multiply one axis at a time and stop once past the limit, so no
+	// product can wrap around.
+	total := 1
+	for _, a := range axes {
+		if a.n == 0 {
+			continue
+		}
+		if total > maxCells/a.n {
+			return nil, &ppcsim.ConfigError{Field: "JobSpec",
+				Reason: fmt.Sprintf("grid expands to more than %d cells", maxCells)}
+		}
+		total *= a.n
 	}
 	cells := make([]Cell, 0, total)
-	for _, alg := range algs {
-		for di := 0; di < nd; di++ {
-			for ci := 0; ci < nc; ci++ {
-				for wi := 0; wi < nw; wi++ {
-					spec := s.RunSpec
-					spec.Algorithm = alg
-					if len(s.DiskCounts) > 0 {
-						d := s.DiskCounts[di]
-						spec.Disks = &d
-					}
-					if len(s.CacheSizes) > 0 {
-						c := s.CacheSizes[ci]
-						spec.CacheBlocks = &c
-					}
-					if len(s.Windows) > 0 {
-						w := s.Windows[wi]
-						spec.Window = &w
-					}
-					if err := spec.Validate(); err != nil {
-						return nil, fmt.Errorf("cell %d: %w", len(cells), err)
-					}
-					cells = append(cells, Cell{
-						Index: len(cells),
-						Spec:  spec,
-						Key:   spec.Key(),
-					})
-				}
+	for idx := 0; idx < total; idx++ {
+		spec := s.RunSpec
+		rem := idx
+		for a := len(axes) - 1; a >= 0; a-- {
+			if n := axes[a].n; n > 0 {
+				axes[a].set(&spec, rem%n)
+				rem /= n
 			}
 		}
+		if err := spec.Validate(); err != nil {
+			return nil, &CellError{Index: idx, Spec: spec, Err: err}
+		}
+		cells = append(cells, Cell{Index: idx, Spec: spec, Key: spec.Key()})
 	}
 	return cells, nil
 }

@@ -2,7 +2,6 @@ package coord
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -12,8 +11,8 @@ import (
 )
 
 // TestCellsExpansionOrder pins the grid nesting (algorithms-major, then
-// disk counts, cache sizes, windows) that ppc-job's CSV mode and the
-// smoke diff against ppc-sweep both depend on.
+// disk counts, cache sizes, windows) that existing cell indexes and
+// ppc-sweep's CSV row order depend on.
 func TestCellsExpansionOrder(t *testing.T) {
 	spec, err := ParseJobSpec([]byte(`{"trace":"synth","algorithms":["demand","aggressive"],"disk_counts":[1,2],"cache_sizes":[16,32]}`))
 	if err != nil {
@@ -42,6 +41,47 @@ func TestCellsExpansionOrder(t *testing.T) {
 					t.Errorf("cell %d Key does not match Spec.Key()", i)
 				}
 				i++
+			}
+		}
+	}
+}
+
+// TestCellsExpansionOrderAllAxes pins the full nesting: traces,
+// algorithms, disk counts, schedulers, cache sizes, windows, batch
+// sizes, horizons, the last varying fastest.
+func TestCellsExpansionOrderAllAxes(t *testing.T) {
+	spec, err := ParseJobSpec([]byte(`{"traces":["ld","xds"],"algorithms":["demand","forestall"],"disk_counts":[1,2],` +
+		`"schedulers":["cscan","fcfs"],"cache_sizes":[320,640],"windows":[64,128],"batch_sizes":[0,8],"horizons":[20,40]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := spec.Cells(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 256 {
+		t.Fatalf("expanded %d cells, want 256", len(cells))
+	}
+	i := 0
+	for _, tr := range []string{"ld", "xds"} {
+		for _, alg := range []string{"demand", "forestall"} {
+			for _, d := range []int{1, 2} {
+				for _, sched := range []string{"cscan", "fcfs"} {
+					for _, cb := range []int{320, 640} {
+						for _, w := range []int{64, 128} {
+							for _, b := range []int{0, 8} {
+								for _, h := range []int{20, 40} {
+									s := cells[i].Spec
+									if s.Trace != tr || s.Algorithm != alg || *s.Disks != d || s.Scheduler != sched ||
+										*s.CacheBlocks != cb || *s.Window != w || s.BatchSize != b || s.Horizon != h {
+										t.Fatalf("cell %d = %+v, want (%s,%s,%d,%s,%d,%d,%d,%d)", i, s, tr, alg, d, sched, cb, w, b, h)
+									}
+									i++
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -131,6 +171,13 @@ func TestParseJobSpecErrors(t *testing.T) {
 		{`{"trace":"synth","algorithms":[]}`, "Algorithms"},
 		{`{"trace":"synth","algorithms":["demand"],"cache_blocks":16,"cache_sizes":[16]}`, "CacheSizes"},
 		{`{"trace":"synth","algorithms":["demand"],"cache_sizes":[16,0]}`, "CacheSizes"},
+		{`{"trace":"synth","traces":["xds"],"algorithms":["demand"]}`, "Traces"},
+		{`{"trace_spec":{"refs":100},"traces":["xds"],"algorithms":["demand"]}`, "Traces"},
+		{`{"trace_hash":"` + strings.Repeat("ab", 32) + `","traces":["xds"],"algorithms":["demand"]}`, "Traces"},
+		{`{"trace_text":"x","traces":["xds"],"algorithms":["demand"]}`, "Traces"},
+		{`{"trace":"synth","algorithm":"demand","scheduler":"fcfs","schedulers":["cscan"]}`, "Schedulers"},
+		{`{"trace":"synth","algorithm":"demand","batch_size":8,"batch_sizes":[4]}`, "BatchSizes"},
+		{`{"trace":"synth","algorithm":"demand","horizon":20,"horizons":[40]}`, "Horizons"},
 	}
 	for _, tc := range cases {
 		_, err := ParseJobSpec([]byte(tc.body))
@@ -145,26 +192,43 @@ func TestParseJobSpecErrors(t *testing.T) {
 	}
 }
 
-// TestJobKeyStable pins the job-key construction: any change to the
-// canonical key derivation or the hash breaks stored-grid lookup for
-// existing stores, and should have to change this test to do it.
+// TestJobKeyStable pins the job keys of specs of every shape: any
+// change to the grid expansion, the canonical key derivation or the
+// hash breaks stored-grid lookup and result caches for existing stores,
+// and should have to change this test to do it.
 func TestJobKeyStable(t *testing.T) {
-	spec, err := ParseJobSpec([]byte(`{"trace":"synth","algorithms":["demand"],"cache_sizes":[16]}`))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		body  string
+		cells int
+		key   string
+	}{
+		{`{"trace":"synth","algorithms":["demand","aggressive","forestall"],"disk_counts":[1,2,4],"cache_sizes":[640,1280]}`,
+			18, "7187c53ab526e9daa6a8ad3e182b5bcdd6b60fef03b299bfcb12fb9e63cdf6a8"},
+		{`{"trace_spec":{"refs":100000,"blocks":4096,"pattern":"zipf","seed":1},"algorithms":["demand","forestall"],"disk_counts":[1,4],"windows":[64,4096]}`,
+			8, "a70d8dbf41ea9df739eae43976e6924bf673d8091d1b49778001c8dfb1164850"},
+		{`{"trace_text":"ppctrace t false 4\nfile 4\nr 0 0.1\nr 1 0.1\n","algorithm":"demand","disk_counts":[1,2]}`,
+			2, "c19eaa7168f44e58e105f431fca7f0e2d166c4eb72f083f9ae6882aad53b5b16"},
+		{`{"trace":"xds","algorithms":["fixed-horizon","aggressive"],"scheduler":"fcfs","hints":{"fraction":0.5,"accuracy":0.9,"seed":3},"disk_counts":[2,3]}`,
+			4, "37bd181cd8023c3af947a1314d9c142265611c82de580f198cf9a1136675ee81"},
+		{`{"trace":"cscope3","algorithm":"forestall","disks":4,"cache_blocks":1280,"window":128,"batch_size":8,"horizon":40}`,
+			1, "9da3957b6035449749d21a7d83655c8134a58417e82305ccb94cfe495097806b"},
 	}
-	cells, err := spec.Cells(10)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		spec, err := ParseJobSpec([]byte(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := spec.Cells(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != tc.cells {
+			t.Errorf("%s: %d cells, want %d", tc.body, len(cells), tc.cells)
+		}
+		if key := JobKey(cells); key != tc.key {
+			t.Errorf("%s: job key %s, want %s", tc.body, key, tc.key)
+		}
 	}
-	key := JobKey(cells)
-	if len(key) != 64 {
-		t.Fatalf("job key %q is not hex SHA-256", key)
-	}
-	if again := JobKey(cells); again != key {
-		t.Error("JobKey is not deterministic")
-	}
-	_ = fmt.Sprintf("%s", key)
 }
 
 // TestJobSpecChecksEveryCell: a grid whose first cell is valid but a
@@ -200,30 +264,56 @@ func TestJobSpecChecksEveryCell(t *testing.T) {
 
 // TestOversizeGridRejectedCheaply: a small body whose axes multiply to a
 // million cells is rejected on its cell count before any cell is built,
-// so parsing and expanding it allocates almost nothing.
+// so parsing and expanding it allocates almost nothing. Grids whose
+// product wraps a 64-bit int (four 65,536-entry axes, or eight 256-entry
+// ones) are rejected as cheaply: the count stops at the limit.
 func TestOversizeGridRejectedCheaply(t *testing.T) {
-	axis := func() string {
-		vals := make([]string, 100)
+	axis := func(n int, quote bool) string {
+		vals := make([]string, n)
 		for i := range vals {
-			vals[i] = strconv.Itoa(i + 2)
+			vals[i] = strconv.Itoa(i%1000 + 2)
+			if quote {
+				vals[i] = `"demand"`
+			}
 		}
 		return "[" + strings.Join(vals, ",") + "]"
 	}
-	body := []byte(`{"trace_spec":{"refs":1000000,"blocks":64},"algorithm":"demand","disk_counts":` + axis() +
-		`,"cache_sizes":` + axis() + `,"windows":` + axis() + `}`)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	spec, err := ParseJobSpec(body)
-	if err == nil {
-		_, err = spec.Cells(1024)
+	// reject parses body and expands it against a 1024-cell limit; with
+	// parsed set, only the expansion is measured, since decoding a body
+	// of several 65,536-entry axes itself allocates megabytes.
+	reject := func(name string, body []byte, parsed bool) {
+		t.Helper()
+		var spec *JobSpec
+		var err error
+		if parsed {
+			if spec, err = ParseJobSpec(body); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if !parsed {
+			spec, err = ParseJobSpec(body)
+		}
+		if err == nil {
+			_, err = spec.Cells(1024)
+		}
+		runtime.ReadMemStats(&after)
+		var ce *ppcsim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "JobSpec" {
+			t.Fatalf("%s: err = %v, want a ConfigError on JobSpec", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte body allocated %d bytes, want under 1 MB", name, len(body), alloc)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	var ce *ppcsim.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "JobSpec" {
-		t.Fatalf("err = %v, want a ConfigError on JobSpec", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Errorf("rejecting a %d-byte body allocated %d bytes, want under 1 MB", len(body), alloc)
-	}
+	reject("million", []byte(`{"trace_spec":{"refs":1000000,"blocks":64},"algorithm":"demand","disk_counts":`+axis(100, false)+
+		`,"cache_sizes":`+axis(100, false)+`,"windows":`+axis(100, false)+`}`), false)
+	big := axis(1<<16, false)
+	reject("four 2^16 axes", []byte(`{"trace_spec":{"refs":1000000,"blocks":64},"algorithm":"demand","disk_counts":`+big+
+		`,"cache_sizes":`+big+`,"windows":`+big+`,"batch_sizes":`+big+`}`), true)
+	ints, strs := axis(256, false), axis(256, true)
+	reject("eight 2^8 axes", []byte(`{"traces":`+strs+`,"algorithms":`+strs+`,"disk_counts":`+ints+`,"schedulers":`+strs+
+		`,"cache_sizes":`+ints+`,"windows":`+ints+`,"batch_sizes":`+ints+`,"horizons":`+ints+`}`), true)
 }

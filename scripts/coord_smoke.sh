@@ -2,8 +2,8 @@
 # coord_smoke.sh — end-to-end smoke test of the sweep cluster.
 #
 # Brings up two ppc-serve workers and a ppc-coord coordinator, runs the
-# same grid through `ppc-job -csv` (cluster) and `ppc-sweep` (local),
-# and requires the CSVs to be byte-identical — the determinism claim the
+# same `ppc-sweep` command line locally and with `-coord` (cluster), and
+# requires the CSVs to be byte-identical — the determinism claim the
 # whole sharded-cache design rests on. Then resubmits the grid and
 # requires the coordinator to serve every cell from its persisted store
 # with zero recomputation, checked against /v1/statsz counters. A grid
@@ -20,7 +20,8 @@ W1_PORT=$((BASE + 1))
 W2_PORT=$((BASE + 2))
 COORD_PORT=$((BASE + 3))
 WORK="$(mktemp -d)"
-GRID=(-trace synth -algs demand,aggressive -disks 1,2 -caches 500,1000)
+GRID=(-traces synth -algs demand,aggressive -disks 1,2 -caches 500,1000)
+COORD=(-coord "http://127.0.0.1:$COORD_PORT")
 
 PIDS=()
 cleanup() {
@@ -35,7 +36,6 @@ trap cleanup EXIT
 echo "== build"
 go build -o "$WORK/ppc-serve" ./cmd/ppc-serve
 go build -o "$WORK/ppc-coord" ./cmd/ppc-coord
-go build -o "$WORK/ppc-job" ./cmd/ppc-job
 go build -o "$WORK/ppc-sweep" ./cmd/ppc-sweep
 
 echo "== start fleet (workers :$W1_PORT :$W2_PORT, coordinator :$COORD_PORT)"
@@ -48,13 +48,11 @@ PIDS+=($!)
     -store "$WORK/store" 2>"$WORK/coord.log" &
 PIDS+=($!)
 
-echo "== run grid through the cluster (ppc-job -csv)"
-"$WORK/ppc-job" -coord "http://127.0.0.1:$COORD_PORT" -retry-for 10s \
-    "${GRID[@]}" -csv -o "$WORK/cluster.csv"
+echo "== run the grid through the cluster (ppc-sweep -coord)"
+"$WORK/ppc-sweep" "${GRID[@]}" -o "$WORK/cluster.csv" "${COORD[@]}" -retry-for 10s
 
 echo "== run the same grid locally (ppc-sweep)"
-"$WORK/ppc-sweep" -traces synth -algs demand,aggressive -disks 1,2 -caches 500,1000 \
-    -o "$WORK/local.csv"
+"$WORK/ppc-sweep" "${GRID[@]}" -o "$WORK/local.csv"
 
 echo "== diff cluster vs local"
 if ! diff "$WORK/cluster.csv" "$WORK/local.csv"; then
@@ -64,8 +62,7 @@ fi
 echo "byte-identical"
 
 echo "== resubmit: must replay from the persisted store"
-"$WORK/ppc-job" -coord "http://127.0.0.1:$COORD_PORT" \
-    "${GRID[@]}" -csv -o "$WORK/replay.csv" 2>"$WORK/replay.log"
+"$WORK/ppc-sweep" "${GRID[@]}" -o "$WORK/replay.csv" "${COORD[@]}" 2>"$WORK/replay.log"
 cat "$WORK/replay.log"
 if ! diff "$WORK/replay.csv" "$WORK/local.csv"; then
     echo "FAIL: store replay differs from the local sweep" >&2
@@ -120,14 +117,12 @@ echo "rejected at the boundary; worker requests unchanged ($after)"
 
 echo "== streaming leg: 10^7-ref generator sweep sharded across the fleet"
 LARGE="1e7:65536:zipf:1"
-STREAMGRID=(-large "$LARGE" -algs aggressive,forestall -disks 2 -windows 4096)
-"$WORK/ppc-job" -coord "http://127.0.0.1:$COORD_PORT" \
-    "${STREAMGRID[@]}" -csv -o "$WORK/stream-cluster.csv" 2>"$WORK/stream.log"
+STREAMGRID=(-large "$LARGE" -algs aggressive,forestall -disks 2 -window 4096)
+"$WORK/ppc-sweep" "${STREAMGRID[@]}" -o "$WORK/stream-cluster.csv" "${COORD[@]}" 2>"$WORK/stream.log"
 cat "$WORK/stream.log"
 
 echo "== run the same sweep locally (ppc-sweep -large)"
-"$WORK/ppc-sweep" -large "$LARGE" -algs aggressive,forestall -disks 2 -window 4096 \
-    -o "$WORK/stream-local.csv"
+"$WORK/ppc-sweep" "${STREAMGRID[@]}" -o "$WORK/stream-local.csv"
 
 echo "== diff streamed cluster vs local streamed sweep"
 if ! diff "$WORK/stream-cluster.csv" "$WORK/stream-local.csv"; then
@@ -154,8 +149,7 @@ print("streamed %d cells, best %.0f refs/sec, peak in-use %.1f MiB" % (streamed,
 '
 
 echo "== resubmit the streamed sweep: must replay from the persisted store"
-"$WORK/ppc-job" -coord "http://127.0.0.1:$COORD_PORT" \
-    "${STREAMGRID[@]}" -csv -o "$WORK/stream-replay.csv" 2>"$WORK/stream-replay.log"
+"$WORK/ppc-sweep" "${STREAMGRID[@]}" -o "$WORK/stream-replay.csv" "${COORD[@]}" 2>"$WORK/stream-replay.log"
 cat "$WORK/stream-replay.log"
 if ! diff "$WORK/stream-replay.csv" "$WORK/stream-local.csv"; then
     echo "FAIL: streamed store replay differs from the local sweep" >&2
