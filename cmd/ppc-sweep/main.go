@@ -149,10 +149,10 @@ func parseArgs(args []string) (*sweep, error) {
 	if js.DiskCounts, err = splitInts(*disks); err != nil {
 		return nil, err
 	}
-	if js.CacheSizes, err = axis(*caches); err != nil {
+	if js.CacheSizes, err = positiveAxis(*caches, "caches", "CacheBlocks"); err != nil {
 		return nil, err
 	}
-	if js.Windows, err = axis(*window); err != nil {
+	if js.Windows, err = positiveAxis(*window, "window", "Window"); err != nil {
 		return nil, err
 	}
 	if js.BatchSizes, err = axis(*batches); err != nil {
@@ -533,6 +533,18 @@ func axis(s string) ([]int, error) {
 	vals, err := splitInts(s)
 	if len(vals) == 1 && vals[0] == 0 {
 		vals = nil
+	}
+	return vals, err
+}
+
+// positiveAxis is axis for a flag whose listed values must be positive,
+// as they must be on the wire.
+func positiveAxis(s, flag, field string) ([]int, error) {
+	vals, err := axis(s)
+	for _, v := range vals {
+		if v <= 0 && err == nil {
+			err = &ppcsim.ConfigError{Field: field, Reason: fmt.Sprintf("-%s values must be positive, got %d (a lone 0 selects the default)", flag, v)}
+		}
 	}
 	return vals, err
 }

@@ -156,6 +156,28 @@ func TestSweepReportsConfigErrors(t *testing.T) {
 	}
 }
 
+// TestSweepAxisErrorsNameTheFlag: a non-positive value listed in -window
+// or -caches is rejected in the flags' own terms, where a lone 0 is the
+// default, not in the wire's.
+func TestSweepAxisErrorsNameTheFlag(t *testing.T) {
+	for _, c := range []struct{ flag, val, field string }{
+		{"-window", "-5", "Window"},
+		{"-window", "0,64", "Window"},
+		{"-caches", "0,640", "CacheBlocks"},
+	} {
+		out, err := sweepCSV(t, "-traces", "xds", "-algs", "demand", "-disks", "1", c.flag, c.val)
+		var ce *ppcsim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != c.field || out != "" {
+			t.Errorf("%s %s: err %v, output %q; want a ConfigError on %s and no output", c.flag, c.val, err, out, c.field)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.flag+" values must be positive") ||
+			!strings.Contains(msg, "a lone 0 selects the default") || strings.Contains(msg, "omit the field") {
+			t.Errorf("%s %s: error %q is not worded for the flag", c.flag, c.val, msg)
+		}
+	}
+}
+
 // TestSweepValidatesBeforeRunning: a -large sweep whose last algorithm
 // cannot stream is rejected with a ConfigError naming that cell before
 // any cell runs, so nothing is written, not even the CSV header.

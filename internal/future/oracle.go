@@ -24,13 +24,12 @@ const Never = math.MaxInt32
 type Oracle struct {
 	refs   []layout.BlockID // the disclosed block at each position, in its ring slot
 	uses   chains           // occurrences grouped by block
-	used   []int32          // per block: occurrences the cursor has consumed (see Consumed)
 	filled int              // positions appended; the next Append is position filled
 	cursor int
 }
 
 func newOracle(refs []layout.BlockID, nBlocks int, sliding bool) *Oracle {
-	return &Oracle{refs: refs, uses: newChains(nBlocks, len(refs), sliding), used: make([]int32, nBlocks)}
+	return &Oracle{refs: refs, uses: newChains(nBlocks, len(refs), sliding)}
 }
 
 // New builds an oracle for the given reference sequence over a block ID
@@ -89,7 +88,6 @@ func (o *Oracle) Advance(c int) {
 	for ; o.cursor < c; o.cursor++ {
 		b := o.refs[o.cursor&o.uses.mask]
 		o.uses.pop(o.cursor, int(b))
-		o.used[b]++
 	}
 }
 
@@ -115,15 +113,6 @@ func (o *Oracle) Slots() (n, mask int) { return len(o.refs), o.uses.mask }
 // the cursor has not consumed, such as an answer of NextUse; uses not
 // yet appended read as Never.
 func (o *Oracle) NextUseAfter(u int) int { return o.uses.after(u) }
-
-// Consumed returns the number of occurrences of block b the cursor has
-// passed. It changes exactly when NextUse(b) moves to a later position
-// (or Never) because an occurrence was consumed — so it serves as a
-// per-block epoch for detecting that movement even when both the old and
-// new answers read as Never, as happens under a streaming oracle whose
-// window slides past an occurrence and onward until the block's next use
-// is no longer disclosed.
-func (o *Oracle) Consumed(b layout.BlockID) int { return int(o.used[b]) }
 
 // NextUseWithin returns b's next reference position when it falls inside
 // the lookahead window [cursor, cursor+window), and Never otherwise. It

@@ -132,11 +132,6 @@ func TestOracleAccessors(t *testing.T) {
 	if o.Cursor() != 2 {
 		t.Errorf("Cursor = %d after Advance(2)", o.Cursor())
 	}
-	for b, want := range []int{0, 1, 0, 1} {
-		if got := o.Consumed(layout.BlockID(b)); got != want {
-			t.Errorf("Consumed(%d) = %d after Advance(2), want %d", b, got, want)
-		}
-	}
 	if n, mask := o.Slots(); n != 3 || mask != -1 || o.At(0) != 3 || o.At(2) != 2 {
 		t.Errorf("materialized Slots = (%d, %d), At(0), At(2) = %d, %d; want (3, -1), 3, 2", n, mask, o.At(0), o.At(2))
 	}

@@ -165,9 +165,8 @@ type Sim struct {
 	used     int
 	capacity int
 
-	h        valueHeap
-	inFlight map[layout.BlockID]int // block -> disk
-	now      float64
+	h   valueHeap
+	now float64
 }
 
 // New prepares a multi-process simulation.
@@ -223,7 +222,6 @@ func New(cfg Config) (*Sim, error) {
 		owner:    make([]int16, next),
 		lastUsed: make([]float64, next),
 		capacity: cfg.CacheBlocks,
-		inFlight: make(map[layout.BlockID]int),
 	}
 	s.drives = make([]*disk.Drive, cfg.Disks)
 	for i := range s.drives {
@@ -346,7 +344,6 @@ func (s *Sim) issue(p *proc, b layout.BlockID) bool {
 	s.st[b] = inFlight
 	pl := s.lay.Lookup(b)
 	s.drives[pl.Disk].Enqueue(&disk.Request{Block: b, LBN: pl.LBN}, s.now)
-	s.inFlight[b] = pl.Disk
 	p.fetches++
 	p.driverMs += s.overhead
 	if !p.stalled && !p.done {
@@ -563,7 +560,6 @@ func (s *Sim) Run() (Result, error) {
 			s.st[req.Block] = present
 			s.lastUsed[req.Block] = s.now
 			s.push(req.Block)
-			delete(s.inFlight, req.Block)
 			// Wake any process stalled on this block.
 			for _, p := range s.procs {
 				if p.done || !p.stalled {

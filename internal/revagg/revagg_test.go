@@ -15,6 +15,7 @@ import (
 	"ppcsim/internal/future"
 	"ppcsim/internal/layout"
 	"ppcsim/internal/policy"
+	"ppcsim/internal/spec"
 	"ppcsim/internal/trace"
 	"ppcsim/internal/trace/tracetest"
 )
@@ -191,8 +192,8 @@ func neverReusedRefs(rng *rand.Rand, n int) ([]layout.BlockID, int) {
 	return refs, next
 }
 
-// TestBuildScheduleMatchesLegacy checks the reverse pass against the
-// reference in legacy_test.go: the same ops, field for field, on random
+// TestBuildScheduleMatchesLegacy checks the reverse pass against its
+// statement, spec.ReversePass: the same ops, field for field, on random
 // traces where Never ties are common and on the bundled traces of the
 // benchmark's paper-offline workload. It also checks that some step
 // completed flights from different disks' queues into one heap in an
@@ -214,20 +215,17 @@ func TestBuildScheduleMatchesLegacy(t *testing.T) {
 			}
 		}
 		defer func() { testHookDrain = nil }()
-		want, err := legacyBuildSchedule(refs, diskOf, nBlocks, disks, capacity, f, batch)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", name, err)
-		}
 		got, err := BuildSchedule(refs, diskOf, nBlocks, disks, capacity, f, batch)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(got.Ops) != len(want.Ops) {
-			t.Fatalf("%s: %d ops, want %d", name, len(got.Ops), len(want.Ops))
+		want := spec.ReversePass(refs, diskOf, nBlocks, disks, capacity, f, batch)
+		if len(got.Ops) != len(want) {
+			t.Fatalf("%s: %d ops, want %d", name, len(got.Ops), len(want))
 		}
-		for k := range got.Ops {
-			if got.Ops[k] != want.Ops[k] {
-				t.Fatalf("%s: op %d is %+v, want %+v", name, k, got.Ops[k], want.Ops[k])
+		for k, op := range got.Ops {
+			if w := want[k]; op.Fetch != w.Fetch || op.Evict != w.Evict || int(op.NeedIdx) != w.NeedIdx || int(op.Release) != w.Release {
+				t.Fatalf("%s: op %d is %+v, want %+v", name, k, op, w)
 			}
 		}
 	}
@@ -348,30 +346,22 @@ func TestPolicyEndToEndRandomTraces(t *testing.T) {
 func layoutBlocks(n int) int { return n }
 
 // TestReplayMatchesLegacy checks the incremental replay against the
-// reference replay in legacy_test.go: the same Result and Stats on
-// random traces and on xds, across array sizes and both (F, batch)
-// settings the benchmark uses.
+// replay restated by spec.Queues and spec.Ready (specReplay): the same
+// Result and Stats on random traces and on xds, across array sizes and
+// both (F, batch) settings the benchmark uses.
 func TestReplayMatchesLegacy(t *testing.T) {
-	type input struct {
-		name string
-		tr   *trace.Trace
-	}
-	var inputs []input
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := tracetest.Random(rng, tracetest.RandomConfig{MaxBlocks: 500, MaxRefs: 4000, RandomPlacement: true})
 		// Keep the cache well below the block count so the replay evicts.
 		tr.CacheBlocks = 2 + rng.Intn(tr.NumBlocks()/2)
-		inputs = append(inputs, input{fmt.Sprintf("rand%d", seed), tr})
-	}
-	for _, in := range inputs {
 		for _, disks := range []int{1, 2, 4, 16} {
 			for _, fb := range []struct {
 				f     float64
 				batch int
 			}{{4, 80}, {32, 0}} {
-				name := fmt.Sprintf("%s/F%g-b%d/%dd", in.name, fb.f, fb.batch, disks)
-				compareWithLegacy(t, name, in.tr, disks, fb.f, fb.batch)
+				name := fmt.Sprintf("rand%d/F%g-b%d/%dd", seed, fb.f, fb.batch, disks)
+				compareWithSpec(t, name, tr, disks, fb.f, fb.batch)
 			}
 		}
 	}
@@ -382,21 +372,21 @@ func TestReplayMatchesLegacy(t *testing.T) {
 // arrives later must not make the op eligible a second time. xds at 4
 // disks with F=4, batch 80 issues ops that way.
 func TestReplayForcedBeforeRelease(t *testing.T) {
-	ref := compareWithLegacy(t, "xds/F4-b80/4d", tracetest.Bundled(t, "xds"), 4, 4, 80)
+	ref := compareWithSpec(t, "xds/F4-b80/4d", tracetest.Bundled(t, "xds"), 4, 4, 80)
 	if ref.earlyForced == 0 {
 		t.Fatal("no op was force-issued before its release; the case is not exercised")
 	}
 }
 
-// compareWithLegacy runs Policy and legacyPolicy on one input and
-// reports any difference in Result or Stats. It returns the reference
-// policy after its run.
-func compareWithLegacy(t *testing.T, name string, tr *trace.Trace, disks int, f float64, batch int) *legacyPolicy {
+// compareWithSpec runs Policy and specReplay on one input and reports
+// any difference in Result or Stats. It returns the specReplay after
+// its run.
+func compareWithSpec(t *testing.T, name string, tr *trace.Trace, disks int, f float64, batch int) *specReplay {
 	t.Helper()
-	ref := &legacyPolicy{FetchEstimate: f, BatchSize: batch}
+	ref := &specReplay{Policy: New(f, batch), t: t, name: name}
 	want, err := engine.Run(engine.Config{Trace: tr, Policy: ref, Disks: disks})
 	if err != nil {
-		t.Fatalf("%s legacy: %v", name, err)
+		t.Fatalf("%s spec: %v", name, err)
 	}
 	p := New(f, batch)
 	got, err := engine.Run(engine.Config{Trace: tr, Policy: p, Disks: disks})
@@ -410,6 +400,102 @@ func compareWithLegacy(t *testing.T, name string, tr *trace.Trace, disks int, f 
 		t.Errorf("%s: stats %+v, want %+v", name, p.Stat, ref.Stat)
 	}
 	return ref
+}
+
+// specReplay is Policy with its poll restated by spec.Ready over the
+// queues spec.Queues lays out, which Attach checks Policy's queue layout
+// against. Its OnStall is Policy's, checked to force the stalled block's
+// first unissued op in schedule order; earlyForced counts the forced
+// ops that were not released yet.
+type specReplay struct {
+	*Policy
+	t    *testing.T
+	name string
+
+	sched       []Op    // the schedule in schedule order
+	slot        []int32 // schedule index → queue position
+	earlyForced int
+}
+
+func (r *specReplay) Attach(s *engine.State) {
+	r.Policy.Attach(s)
+	f := r.FetchEstimate
+	if f <= 0 {
+		f = 32
+	}
+	sched, err := BuildSchedule(s.Refs, s.DiskOf, s.Layout.NumBlocks(), len(s.Drives), s.Cache.Capacity(), f, r.batch)
+	if err != nil {
+		r.t.Fatalf("%s: %v", r.name, err)
+	}
+	r.sched = sched.Ops
+	ops := make([]spec.Op, len(r.sched))
+	for k, op := range r.sched {
+		ops[k] = spec.Op{Fetch: op.Fetch, Evict: op.Evict, NeedIdx: int(op.NeedIdx), Release: int(op.Release)}
+	}
+	r.slot = make([]int32, len(ops))
+	g := int32(0)
+	for d, q := range spec.Queues(ops, len(s.Drives), s.DiskOf) {
+		for _, k := range q {
+			if r.ops[g] != r.sched[k] {
+				r.t.Fatalf("%s: queue position %d holds %+v, want schedule op %d %+v", r.name, g, r.ops[g], k, r.sched[k])
+			}
+			r.slot[k] = g
+			g++
+		}
+		if r.diskEnd[d] != g {
+			r.t.Fatalf("%s: disk %d queue ends at %d, want %d", r.name, d, r.diskEnd[d], g)
+		}
+	}
+}
+
+func (r *specReplay) Poll() {
+	s := r.s
+	for d := range s.Drives {
+		if !s.DriveFree(d) {
+			continue
+		}
+		start := int32(0)
+		if d > 0 {
+			start = r.diskEnd[d-1]
+		}
+		issued := func(i int) bool { return r.isIssued(start + int32(i)) }
+		released := func(i int) bool {
+			op := r.ops[start+int32(i)]
+			return op.Evict == cache.NoBlock || int(op.Release) <= s.Cursor()
+		}
+		budget := r.batch
+		for _, i := range spec.Ready(int(r.diskEnd[d]-start), scanWindow, issued, released) {
+			if budget == 0 {
+				break
+			}
+			if r.issueOp(start + int32(i)) {
+				budget--
+			}
+		}
+	}
+}
+
+func (r *specReplay) OnStall(b layout.BlockID) {
+	s := r.s
+	want := int32(-1)
+	for k, op := range r.sched {
+		if op.Fetch == b && !r.isIssued(r.slot[k]) {
+			want = r.slot[k]
+			break
+		}
+	}
+	fetches, adHoc := s.Fetches(), r.Stat.AdHocIssues
+	r.Policy.OnStall(b)
+	switch {
+	case want < 0 && r.Stat.AdHocIssues == adHoc:
+		r.t.Errorf("%s: block %d has no unissued op, but OnStall did not fall back", r.name, b)
+	case want >= 0 && s.Fetches() > fetches && !r.isIssued(want):
+		r.t.Errorf("%s: OnStall(%d) did not force its first unissued op, at queue position %d", r.name, b, want)
+	case want >= 0 && s.Fetches() > fetches:
+		if op := r.ops[want]; op.Evict != cache.NoBlock && int(op.Release) > s.Cursor() {
+			r.earlyForced++
+		}
+	}
 }
 
 // stallTally wraps Policy and counts the OnStall calls that issued a
