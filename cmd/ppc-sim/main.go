@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"ppcsim"
@@ -39,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceFile = fs.String("trace-file", "", "columnar trace file to run instead of a bundled trace (see ppc-traces convert)")
 		largeSpec = fs.String("large", "", "stream a synthetic trace refs[:blocks[:pattern[:seed]]] (pattern: loop or zipf), e.g. 1e7:65536:zipf:1; requires -window")
 		stream    = fs.Bool("stream", false, "run through the streaming engine (bounded memory; requires -window; implied by -large)")
-		alg       = fs.String("alg", "forestall", "algorithm: demand, fixed-horizon, aggressive, reverse-aggressive, forestall")
+		alg       = fs.String("alg", "forestall", "algorithm: "+algorithmList())
 		disks     = fs.Int("disks", 1, "number of disks in the array")
 		cacheBlk  = fs.Int("cache", 0, "cache size in 8K blocks (0 = trace default)")
 		sched     = fs.String("sched", "cscan", "disk-head scheduling: cscan or fcfs")
@@ -271,4 +272,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  wrote time series:  %s\n", *series)
 	}
 	return 0
+}
+
+// algorithmList names every algorithm ppcsim runs, for the -alg help.
+func algorithmList() string {
+	names := make([]string, len(ppcsim.Algorithms))
+	for i, a := range ppcsim.Algorithms {
+		names[i] = string(a)
+	}
+	return strings.Join(names, ", ")
 }

@@ -35,6 +35,11 @@ func TestBoundaryExitCodes(t *testing.T) {
 		{"zero window", []string{"-alg", "fixed-horizon", "-window", "0"}, 2, "Window"},
 		{"negative window", []string{"-alg", "fixed-horizon", "-window", "-4"}, 2, "Window"},
 		{"bad hint fraction", []string{"-alg", "fixed-horizon", "-hint-fraction", "1.5"}, 2, "hint fraction"},
+		{"NaN hint fraction", []string{"-alg", "fixed-horizon", "-hint-fraction", "NaN"}, 2, "hint fraction"},
+		{"NaN fetch estimate", []string{"-alg", "reverse-aggressive", "-f", "NaN"}, 2, "FetchEstimate"},
+		{"NaN forestall F", []string{"-alg", "forestall", "-forestall-f", "NaN"}, 2, "ForestallFixedF"},
+		{"NaN driver overhead", []string{"-driver-ms", "NaN"}, 2, "DriverOverheadMs"},
+		{"infinite driver overhead", []string{"-driver-ms", "Inf"}, 2, "DriverOverheadMs"},
 		{"windowed reverse-aggressive", []string{"-alg", "reverse-aggressive", "-window", "10"}, 2, "Hints"},
 		{"unparseable flag", []string{"-disks", "many"}, 2, ""},
 		{"unknown flag", []string{"-frobnicate"}, 2, ""},

@@ -51,6 +51,11 @@ func HP97560Geometry() Geometry {
 
 // Validate checks the geometry for usability.
 func (g Geometry) Validate() error {
+	for _, x := range []float64{g.RPM, g.SeekConst, g.SeekSqrt, g.SeekLinConst, g.SeekLin, g.BusMBPerSec} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("disk: non-finite parameter %g", x)
+		}
+	}
 	switch {
 	case g.SectorsPerTrack <= 0:
 		return fmt.Errorf("disk: SectorsPerTrack %d", g.SectorsPerTrack)

@@ -119,10 +119,11 @@ const WindowNone = -1
 
 // Validate checks the spec's ranges.
 func (h *HintSpec) Validate() error {
-	if h.Fraction < 0 || h.Fraction > 1 {
+	// Written so that NaN, for which every comparison is false, fails.
+	if !(h.Fraction >= 0 && h.Fraction <= 1) {
 		return fmt.Errorf("engine: hint fraction %g out of [0,1]", h.Fraction)
 	}
-	if h.Accuracy < 0 || h.Accuracy > 1 {
+	if !(h.Accuracy >= 0 && h.Accuracy <= 1) {
 		return fmt.Errorf("engine: hint accuracy %g out of [0,1]", h.Accuracy)
 	}
 	if h.Window < WindowNone {

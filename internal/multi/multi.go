@@ -58,7 +58,8 @@ type ProcessSpec struct {
 	// space (block IDs are namespaced per process).
 	Trace *trace.Trace
 	// Algorithm is the prefetching strategy; hinted processes may use
-	// FixedHorizon or Aggressive, unhinted ones are forced to Demand.
+	// FixedHorizon, Aggressive or Forestall, unhinted ones are forced to
+	// Demand.
 	Algorithm Algorithm
 	// Hinted discloses the process's future accesses to the cache
 	// manager. Unhinted processes are valued by recency (LRU).
@@ -182,6 +183,8 @@ func New(cfg Config) (*Sim, error) {
 	}
 	overhead := cfg.DriverOverheadMs
 	switch {
+	case math.IsNaN(overhead) || math.IsInf(overhead, 0):
+		return nil, fmt.Errorf("multi: driver overhead %g is not finite", overhead)
 	case overhead == 0: //ppcvet:ignore unset-config sentinel, assigned by the caller rather than computed
 		overhead = engine.DefaultDriverOverheadMs
 	case overhead < 0:

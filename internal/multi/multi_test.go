@@ -1,6 +1,7 @@
 package multi
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,6 +57,8 @@ func TestConfigValidation(t *testing.T) {
 		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 0, CacheBlocks: 10},
 		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 1},
 		{Processes: []ProcessSpec{{Trace: nil}}, Disks: 1, CacheBlocks: 10},
+		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 10, DriverOverheadMs: math.NaN()},
+		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 10, DriverOverheadMs: math.Inf(1)},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {

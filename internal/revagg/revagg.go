@@ -69,6 +69,9 @@ var testHookDrain func(due []int32, pairs []Op)
 // diskOf maps each block to its disk; nBlocks is the block ID space;
 // capacity is the cache size K. refs is shorter than future.Never, as
 // the engine ensures for every trace, so its positions fit Op's fields.
+// refs may also name block nBlocks, the engine's stand-in for a
+// write-behind update: the model serves it like a hit, and it neither
+// occupies a buffer nor appears in the schedule.
 //
 //ppcvet:hotpath
 func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBlocks, disks, capacity int, f float64, batch int) (*Schedule, error) {
@@ -86,16 +89,18 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	for i, b := range refs {
 		rev[n-1-i] = b
 	}
-	oracle := future.New(rev, nBlocks)
+	oracle := future.New(rev, nBlocks+1)
 
-	st := make([]uint8, nBlocks) // 0 absent, 1 in-flight, 2 present
+	st := make([]uint8, nBlocks+1) // 0 absent, 1 in-flight, 2 present, 3 pinned
 	const (
 		absent  = 0
 		flying  = 1
 		present = 2
+		pinned  = 3 // the write stand-in: always served, never cached
 	)
+	st[nBlocks] = pinned
 	used := 0
-	lastUse := make([]int32, nBlocks) // last consumed reverse index, -1 if none
+	lastUse := make([]int32, nBlocks+1) // last consumed reverse index, -1 if none
 	for i := range lastUse {
 		lastUse[i] = -1
 	}
@@ -252,7 +257,7 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 		// Advance: serve the reference if present, otherwise jump to the
 		// earliest in-flight completion.
 		b := rev[cursor]
-		if st[b] == present {
+		if st[b] >= present {
 			lastUse[b] = int32(cursor)
 			cursor++
 			oracle.Advance(cursor)

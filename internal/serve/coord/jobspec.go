@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"ppcsim"
@@ -131,8 +132,8 @@ func (s *JobSpec) validate() error {
 			}
 		}
 	}
-	if s.TimeoutMs < 0 {
-		return &ppcsim.ConfigError{Field: "TimeoutMs", Reason: fmt.Sprintf("must be non-negative, got %g", s.TimeoutMs)}
+	if math.IsNaN(s.TimeoutMs) || math.IsInf(s.TimeoutMs, 0) || s.TimeoutMs < 0 {
+		return &ppcsim.ConfigError{Field: "TimeoutMs", Reason: fmt.Sprintf("must be finite and non-negative, got %g", s.TimeoutMs)}
 	}
 	return nil
 }

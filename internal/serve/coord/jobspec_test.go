@@ -2,12 +2,14 @@ package coord
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"ppcsim"
+	"ppcsim/internal/serve"
 )
 
 // TestCellsExpansionOrder pins the grid nesting (algorithms-major, then
@@ -316,4 +318,17 @@ func TestOversizeGridRejectedCheaply(t *testing.T) {
 	ints, strs := axis(256, false), axis(256, true)
 	reject("eight 2^8 axes", []byte(`{"traces":`+strs+`,"algorithms":`+strs+`,"disk_counts":`+ints+`,"schedulers":`+strs+
 		`,"cache_sizes":`+ints+`,"windows":`+ints+`,"batch_sizes":`+ints+`,"horizons":`+ints+`}`), true)
+}
+
+// TestNonFiniteTimeout: JSON cannot carry NaN or an infinity, but a
+// JobSpec built in Go can, and its validation must reject both.
+func TestNonFiniteTimeout(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		spec := JobSpec{RunSpec: serve.RunSpec{Trace: "synth"}, Algorithms: []string{"demand"}, TimeoutMs: x}
+		err := spec.validate()
+		var cfgErr *ppcsim.ConfigError
+		if !errors.As(err, &cfgErr) || cfgErr.Field != "TimeoutMs" {
+			t.Errorf("TimeoutMs %g: validate() = %v, want a *ConfigError on TimeoutMs", x, err)
+		}
+	}
 }

@@ -135,11 +135,14 @@ func (o Options) check(refs int64, stream bool) error {
 	if o.Horizon < 0 {
 		return &ConfigError{Field: "Horizon", Reason: fmt.Sprintf("must be non-negative, got %d", o.Horizon)}
 	}
-	if o.FetchEstimate < 0 {
-		return &ConfigError{Field: "FetchEstimate", Reason: fmt.Sprintf("must be non-negative, got %g", o.FetchEstimate)}
+	if !finite(o.FetchEstimate) || o.FetchEstimate < 0 {
+		return &ConfigError{Field: "FetchEstimate", Reason: fmt.Sprintf("must be finite and non-negative, got %g", o.FetchEstimate)}
 	}
-	if o.ForestallFixedF < 0 {
-		return &ConfigError{Field: "ForestallFixedF", Reason: fmt.Sprintf("must be non-negative, got %g", o.ForestallFixedF)}
+	if !finite(o.ForestallFixedF) || o.ForestallFixedF < 0 {
+		return &ConfigError{Field: "ForestallFixedF", Reason: fmt.Sprintf("must be finite and non-negative, got %g", o.ForestallFixedF)}
+	}
+	if !finite(o.DriverOverheadMs) {
+		return &ConfigError{Field: "DriverOverheadMs", Reason: fmt.Sprintf("must be finite (negative for none), got %g", o.DriverOverheadMs)}
 	}
 	if o.Hints != nil {
 		if err := o.Hints.Validate(); err != nil {
@@ -164,3 +167,7 @@ func (o Options) check(refs int64, stream bool) error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite. A range check
+// alone passes NaN, since every comparison with NaN is false.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

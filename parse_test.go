@@ -2,6 +2,7 @@ package ppcsim_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -69,6 +70,46 @@ func TestParseDiscipline(t *testing.T) {
 			t.Errorf("ParseDiscipline(%q): %v", c.in, err)
 		} else if got != c.want {
 			t.Errorf("ParseDiscipline(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestOptionsRejectNonFinite: every float option rejects NaN and both
+// infinities with a *ConfigError naming it. A plain range check passes
+// NaN, since every comparison with NaN is false.
+func TestOptionsRejectNonFinite(t *testing.T) {
+	tr, err := ppcsim.NewTrace("ld")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []struct {
+		field string
+		set   func(o *ppcsim.Options, x float64)
+	}{
+		{"FetchEstimate", func(o *ppcsim.Options, x float64) { o.FetchEstimate = x }},
+		{"ForestallFixedF", func(o *ppcsim.Options, x float64) { o.ForestallFixedF = x }},
+		{"DriverOverheadMs", func(o *ppcsim.Options, x float64) { o.DriverOverheadMs = x }},
+		{"Hints", func(o *ppcsim.Options, x float64) { o.Hints = &ppcsim.HintSpec{Fraction: x, Accuracy: 1} }},
+		{"Hints", func(o *ppcsim.Options, x float64) { o.Hints = &ppcsim.HintSpec{Fraction: 1, Accuracy: x} }},
+		{"DiskGeometry", func(o *ppcsim.Options, x float64) {
+			g := ppcsim.HP97560Geometry()
+			g.SeekLin = x
+			o.DiskGeometry = &g
+		}},
+	}
+	for _, f := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			o := ppcsim.Options{Trace: tr, Algorithm: ppcsim.Forestall}
+			f.set(&o, x)
+			err := o.Validate()
+			var cfgErr *ppcsim.ConfigError
+			if !errors.As(err, &cfgErr) || cfgErr.Field != f.field {
+				t.Errorf("%s = %g: Validate() = %v, want a *ConfigError on %s", f.field, x, err, f.field)
+				continue
+			}
+			if _, err := ppcsim.Run(o); !errors.As(err, &cfgErr) {
+				t.Errorf("%s = %g: Run error %v is not a *ConfigError", f.field, x, err)
+			}
 		}
 	}
 }

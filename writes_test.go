@@ -46,7 +46,7 @@ func TestWritesNeverStallButCost(t *testing.T) {
 	if st.Writes != 500 || st.Reads != 2000 {
 		t.Fatalf("stats %+v", st)
 	}
-	for _, alg := range []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.Forestall, ppcsim.Demand} {
+	for _, alg := range []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.Forestall, ppcsim.Demand, ppcsim.ReverseAggressive} {
 		ro, err := ppcsim.Run(ppcsim.Options{Trace: readOnly, Algorithm: alg, Disks: 1})
 		if err != nil {
 			t.Fatal(err)
