@@ -180,6 +180,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if errors.As(err, &ce) {
 		return named(ce.Spec, ce.Err)
 	}
+	if err == nil {
+		// The job-level rules a coordinator applies to the same spec,
+		// once a bad grid point has had the chance to name itself.
+		err = sw.spec.Validate()
+	}
 	if err != nil {
 		return err
 	}

@@ -156,6 +156,20 @@ func TestSweepReportsConfigErrors(t *testing.T) {
 	}
 }
 
+// TestSweepValidatesTimeout: the grid built from flags passes the
+// job-level rules a coordinator applies, so a negative or NaN
+// -timeout-ms is a ConfigError (exit 2) before any cell runs, as a
+// coordinator rejects the same timeout with a 400.
+func TestSweepValidatesTimeout(t *testing.T) {
+	for _, v := range []string{"-1", "NaN"} {
+		out, err := sweepCSV(t, "-traces", "ld", "-algs", "demand", "-timeout-ms", v)
+		var ce *ppcsim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "TimeoutMs" || out != "" {
+			t.Errorf("-timeout-ms %s: err %v, output %q; want a ConfigError on TimeoutMs and no output", v, err, out)
+		}
+	}
+}
+
 // TestSweepAxisErrorsNameTheFlag: a non-positive value listed in -window
 // or -caches is rejected in the flags' own terms, where a lone 0 is the
 // default, not in the wire's.

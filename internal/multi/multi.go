@@ -170,21 +170,32 @@ type Sim struct {
 	now float64
 }
 
-// New prepares a multi-process simulation.
+// ConfigError is a configuration mistake New rejects. Field names the
+// Config field at fault (a process's trace counts as Processes);
+// ppcsim.RunMulti returns it as a *ppcsim.ConfigError.
+type ConfigError struct {
+	Field  string
+	Reason string
+}
+
+func (e *ConfigError) Error() string { return "multi: " + e.Reason }
+
+// New prepares a multi-process simulation. Every configuration mistake
+// it finds is a *ConfigError.
 func New(cfg Config) (*Sim, error) {
 	if len(cfg.Processes) == 0 {
-		return nil, fmt.Errorf("multi: no processes")
+		return nil, &ConfigError{Field: "Processes", Reason: "no processes"}
 	}
 	if cfg.Disks <= 0 {
-		return nil, fmt.Errorf("multi: disks must be positive")
+		return nil, &ConfigError{Field: "Disks", Reason: "disks must be positive"}
 	}
 	if cfg.CacheBlocks <= 1 {
-		return nil, fmt.Errorf("multi: cache of %d blocks is too small", cfg.CacheBlocks)
+		return nil, &ConfigError{Field: "CacheBlocks", Reason: fmt.Sprintf("cache of %d blocks is too small", cfg.CacheBlocks)}
 	}
 	overhead := cfg.DriverOverheadMs
 	switch {
 	case math.IsNaN(overhead) || math.IsInf(overhead, 0):
-		return nil, fmt.Errorf("multi: driver overhead %g is not finite", overhead)
+		return nil, &ConfigError{Field: "DriverOverheadMs", Reason: fmt.Sprintf("driver overhead %g is not finite", overhead)}
 	case overhead == 0: //ppcvet:ignore unset-config sentinel, assigned by the caller rather than computed
 		overhead = engine.DefaultDriverOverheadMs
 	case overhead < 0:
@@ -201,10 +212,10 @@ func New(cfg Config) (*Sim, error) {
 	next := 0
 	for i, ps := range cfg.Processes {
 		if ps.Trace == nil {
-			return nil, fmt.Errorf("multi: process %d has no trace", i)
+			return nil, &ConfigError{Field: "Processes", Reason: fmt.Sprintf("process %d has no trace", i)}
 		}
 		if err := ps.Trace.Validate(); err != nil {
-			return nil, fmt.Errorf("multi: process %d: %w", i, err)
+			return nil, &ConfigError{Field: "Processes", Reason: fmt.Sprintf("process %d: %v", i, err)}
 		}
 		offsets[i] = next
 		for _, f := range ps.Trace.Files {
@@ -249,7 +260,7 @@ func New(cfg Config) (*Sim, error) {
 		p.compute = make([]float64, len(ps.Trace.Refs))
 		for j, r := range ps.Trace.Refs {
 			if r.Write {
-				return nil, fmt.Errorf("multi: process %d: write references are not supported", i)
+				return nil, &ConfigError{Field: "Processes", Reason: fmt.Sprintf("process %d: write references are not supported", i)}
 			}
 			p.refs[j] = r.Block + layout.BlockID(offsets[i])
 			p.compute[j] = r.ComputeMs

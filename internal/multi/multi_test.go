@@ -1,6 +1,7 @@
 package multi
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,24 +53,30 @@ func randTrace(name string, nBlocks, n int, computeMs float64, seed int64) *trac
 
 func TestConfigValidation(t *testing.T) {
 	tr := loopTrace("a", 10, 1, 1)
-	cases := []Config{
-		{Disks: 1, CacheBlocks: 10},
-		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 0, CacheBlocks: 10},
-		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 1},
-		{Processes: []ProcessSpec{{Trace: nil}}, Disks: 1, CacheBlocks: 10},
-		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 10, DriverOverheadMs: math.NaN()},
-		{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 10, DriverOverheadMs: math.Inf(1)},
-	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-	// Writes are not supported in multi-process runs.
 	w := loopTrace("w", 4, 1, 1)
 	w.Refs[0].Write = true
-	if _, err := Run(Config{Processes: []ProcessSpec{{Trace: w}}, Disks: 1, CacheBlocks: 8}); err == nil {
-		t.Error("write refs should be rejected")
+	bad := loopTrace("bad", 4, 1, 1)
+	bad.Refs[0].Block = 99
+	cases := []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{Disks: 1, CacheBlocks: 10}, "Processes"},
+		{Config{Processes: []ProcessSpec{{Trace: tr}}, Disks: 0, CacheBlocks: 10}, "Disks"},
+		{Config{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 1}, "CacheBlocks"},
+		{Config{Processes: []ProcessSpec{{Trace: nil}}, Disks: 1, CacheBlocks: 10}, "Processes"},
+		{Config{Processes: []ProcessSpec{{Trace: bad}}, Disks: 1, CacheBlocks: 10}, "Processes"},
+		{Config{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 10, DriverOverheadMs: math.NaN()}, "DriverOverheadMs"},
+		{Config{Processes: []ProcessSpec{{Trace: tr}}, Disks: 1, CacheBlocks: 10, DriverOverheadMs: math.Inf(1)}, "DriverOverheadMs"},
+		// Writes are not supported in multi-process runs.
+		{Config{Processes: []ProcessSpec{{Trace: w}}, Disks: 1, CacheBlocks: 8}, "Processes"},
+	}
+	for i, c := range cases {
+		_, err := Run(c.cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != c.field {
+			t.Errorf("case %d: err %v, want a *ConfigError on %s", i, err, c.field)
+		}
 	}
 }
 

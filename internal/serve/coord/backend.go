@@ -97,7 +97,8 @@ func NewHTTPBackend(name, baseURL string, client *http.Client) *HTTPBackend {
 func (b *HTTPBackend) Name() string { return b.name }
 
 // Run implements Backend: POST {base}/v1/run, classifying the response
-// for the retry scheduler.
+// for the retry scheduler. A request recorded in ctx (serve.WithRequest)
+// is ignored: the remote worker decodes its own copy of body.
 func (b *HTTPBackend) Run(ctx context.Context, body []byte) ([]byte, serve.RunMeta, error) {
 	var meta serve.RunMeta
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.baseURL+"/v1/run", bytes.NewReader(body))
@@ -131,12 +132,24 @@ func (b *HTTPBackend) Run(ctx context.Context, body []byte) ([]byte, serve.RunMe
 	if jsonErr := json.Unmarshal(data, &env); jsonErr == nil && env.Error.Message != "" {
 		if env.Error.Field != "" {
 			return nil, meta, &cellError{kind: kindForStatus(resp.StatusCode),
-				err: &ppcsim.ConfigError{Field: env.Error.Field, Reason: env.Error.Message}}
+				err: &workerConfigError{msg: env.Error.Message, cfg: &ppcsim.ConfigError{Field: env.Error.Field}}}
 		}
 		errMsg = fmt.Sprintf("worker %s: %s", b.name, env.Error.Message)
 	}
 	return nil, meta, &cellError{kind: kindForStatus(resp.StatusCode), err: errors.New(errMsg)}
 }
+
+// workerConfigError is a remote worker's error envelope that named a
+// field. Its text is the worker's message verbatim, and it unwraps to a
+// *ppcsim.ConfigError with that field, so the coordinator relays the
+// envelope an embedded worker's own ConfigError would render.
+type workerConfigError struct {
+	msg string
+	cfg *ppcsim.ConfigError
+}
+
+func (e *workerConfigError) Error() string { return e.msg }
+func (e *workerConfigError) Unwrap() error { return e.cfg }
 
 // TraceHas implements TraceBackend via HEAD /v1/traces/<hash>.
 func (b *HTTPBackend) TraceHas(ctx context.Context, hash string) (bool, error) {
@@ -234,9 +247,20 @@ func (b *LocalBackend) Name() string { return b.name }
 func (b *LocalBackend) Server() *serve.Server { return b.srv }
 
 // Run implements Backend via serve.Server.RunJSONMeta, classifying
-// errors exactly as the HTTP status mapping would.
+// errors exactly as the HTTP status mapping would. When ctx records the
+// coordinator's decoding of this very body (serve.WithRequest), it runs
+// that request and skips the second decode.
 func (b *LocalBackend) Run(ctx context.Context, body []byte) ([]byte, serve.RunMeta, error) {
-	val, meta, err := b.srv.RunJSONMeta(body)
+	var (
+		val  []byte
+		meta serve.RunMeta
+		err  error
+	)
+	if req, key, ok := serve.RequestFor(ctx, body); ok {
+		val, meta, err = b.srv.RunRequest(req, key)
+	} else {
+		val, meta, err = b.srv.RunJSONMeta(body)
+	}
 	if err != nil {
 		return nil, serve.RunMeta{}, &cellError{kind: kindForStatus(serve.StatusForError(err)), err: err}
 	}

@@ -201,8 +201,12 @@ type Summary struct {
 
 // cellTask is a cell plus its scheduling state.
 type cellTask struct {
-	cell     Cell
-	body     []byte // the /v1/run request this cell posts to a worker
+	cell Cell
+	// req is the /v1/run request this cell posts to a worker, and body
+	// its encoding; an embedded worker takes req, a remote one decodes
+	// body.
+	req      *serve.Request
+	body     []byte
 	attempts int
 }
 
@@ -247,15 +251,15 @@ func (c *Coordinator) newJobRun(ctx context.Context, cells []Cell, timeoutMs flo
 	}
 	j.cond = sync.NewCond(&j.mu)
 	for i := range cells {
-		body, err := json.Marshal(struct {
-			serve.RunSpec
-			TimeoutMs float64 `json:"timeout_ms,omitempty"`
-		}{cells[i].Spec, timeoutMs})
+		// Cells already validated each spec, and the job boundary the
+		// timeout, so req is what ParseRequest would decode from body.
+		req := &serve.Request{RunSpec: cells[i].Spec, TimeoutMs: timeoutMs}
+		body, err := json.Marshal(req)
 		if err != nil {
 			// RunSpec contains only marshalable fields; unreachable.
 			panic(err)
 		}
-		j.enqueueLocked(&cellTask{cell: cells[i], body: body}, "")
+		j.enqueueLocked(&cellTask{cell: cells[i], req: req, body: body}, "")
 	}
 	return j
 }
@@ -384,7 +388,7 @@ func (j *jobRun) markDeadLocked(name string) {
 // invalid, mark-dead-and-reroute on transport failure.
 func (j *jobRun) runCell(b Backend, t *cellTask) {
 	t.attempts++
-	result, meta, err := b.Run(j.ctx, t.body)
+	result, meta, err := b.Run(serve.WithRequest(j.ctx, t.body, t.req, t.cell.Key), t.body)
 	name := b.Name()
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -228,6 +228,8 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	c.proxiedRuns.Inc()
 	key := req.Key()
+	// An embedded worker takes this decoding instead of parsing body again.
+	ctx := serve.WithRequest(r.Context(), body, req, key)
 	dead := make(map[string]bool)
 	var lastErr error
 	for range c.names {
@@ -236,7 +238,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		c.perBackend[name].assigned.Inc()
-		result, meta, err := c.byName[name].Run(r.Context(), body)
+		result, meta, err := c.byName[name].Run(ctx, body)
 		if err == nil {
 			c.perBackend[name].completed.Inc()
 			xcache := "miss"

@@ -90,13 +90,18 @@ func ParseJobSpec(body []byte) (*JobSpec, error) {
 	if dec.More() {
 		return nil, &ppcsim.ConfigError{Field: "JobSpec", Reason: "trailing data after JSON body"}
 	}
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return &spec, nil
 }
 
-func (s *JobSpec) validate() error {
+// Validate checks the job-level wire rules ParseJobSpec applies after
+// decoding: one algorithm form, the exclusive scalar and axis pairs,
+// positive disk, cache and window axes, and a finite non-negative
+// timeout. Each failure is a *ppcsim.ConfigError naming the field.
+// ppc-sweep runs it on the grid it builds from flags.
+func (s *JobSpec) Validate() error {
 	switch {
 	case s.Algorithm == "" && len(s.Algorithms) == 0:
 		return &ppcsim.ConfigError{Field: "Algorithms", Reason: "one of algorithm or algorithms is required"}

@@ -325,10 +325,10 @@ func TestOversizeGridRejectedCheaply(t *testing.T) {
 func TestNonFiniteTimeout(t *testing.T) {
 	for _, x := range []float64{math.NaN(), math.Inf(1)} {
 		spec := JobSpec{RunSpec: serve.RunSpec{Trace: "synth"}, Algorithms: []string{"demand"}, TimeoutMs: x}
-		err := spec.validate()
+		err := spec.Validate()
 		var cfgErr *ppcsim.ConfigError
 		if !errors.As(err, &cfgErr) || cfgErr.Field != "TimeoutMs" {
-			t.Errorf("TimeoutMs %g: validate() = %v, want a *ConfigError on TimeoutMs", x, err)
+			t.Errorf("TimeoutMs %g: Validate() = %v, want a *ConfigError on TimeoutMs", x, err)
 		}
 	}
 }

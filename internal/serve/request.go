@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -43,4 +44,34 @@ func ParseRequest(body []byte) (*Request, error) {
 		return nil, &ppcsim.ConfigError{Field: "TimeoutMs", Reason: fmt.Sprintf("must be non-negative, got %g", req.TimeoutMs)}
 	}
 	return &req, nil
+}
+
+// recorded is a request decoded from body, as WithRequest stores it.
+type recorded struct {
+	body []byte
+	req  *Request
+	key  string
+}
+
+type recordedKey struct{}
+
+// WithRequest returns a copy of ctx that records req and its key as the
+// decoding of body. A coordinator that has parsed a body passes this
+// context to an in-process worker, which then takes req instead of
+// decoding body again (see RequestFor).
+func WithRequest(ctx context.Context, body []byte, req *Request, key string) context.Context {
+	return context.WithValue(ctx, recordedKey{}, &recorded{body: body, req: req, key: key})
+}
+
+// RequestFor returns the request and key ctx records for body, if any.
+// The record counts only for the very slice it was made for, the same
+// backing array and length, which costs no comparison of the bytes: a
+// wrapper that passes a different body, even one with equal content,
+// gets ok false and decodes its body itself.
+func RequestFor(ctx context.Context, body []byte) (req *Request, key string, ok bool) {
+	rec, _ := ctx.Value(recordedKey{}).(*recorded)
+	if rec == nil || len(body) == 0 || len(rec.body) != len(body) || &rec.body[0] != &body[0] {
+		return nil, "", false
+	}
+	return rec.req, rec.key, true
 }

@@ -216,7 +216,7 @@ type canonicalTraceSpec struct {
 //
 // Derivation (documented because sharding depends on it): the spec is
 // projected onto the canonical struct above — defaults spelled out
-// (disks 1, scheduler cscan, cpu_scale 1), the algorithm name
+// (disks 1, scheduler cscan, cpu_scale 1, -0 as 0), the algorithm name
 // normalized through ParseAlgorithm, and an inline trace replaced by
 // the hex SHA-256 of its text — then JSON-marshaled with fixed field
 // order. Equal keys therefore mean runs with byte-identical Result
@@ -234,9 +234,9 @@ func (r *RunSpec) Key() string {
 		Scheduler:        "cscan",
 		BatchSize:        r.BatchSize,
 		Horizon:          r.Horizon,
-		FetchEstimate:    r.FetchEstimate,
-		ForestallFixedF:  r.ForestallFixedF,
-		DriverOverheadMs: r.DriverOverheadMs,
+		FetchEstimate:    unsignedZero(r.FetchEstimate),
+		ForestallFixedF:  unsignedZero(r.ForestallFixedF),
+		DriverOverheadMs: unsignedZero(r.DriverOverheadMs),
 		SimpleDiskModel:  r.SimpleDiskModel,
 		PlacementSeed:    r.PlacementSeed,
 		CPUScale:         1,
@@ -288,6 +288,16 @@ func (r *RunSpec) Key() string {
 		panic(err)
 	}
 	return string(key)
+}
+
+// unsignedZero maps -0 to 0. Encoding a spec drops an omitempty field
+// holding -0, so a worker that decodes the body reads 0; a coordinator
+// that keys the spec it encoded must derive the worker's key.
+func unsignedZero(x float64) float64 {
+	if x == 0 { //ppcvet:ignore exact zero test: -0 and 0 compare equal, which is the point
+		return 0
+	}
+	return x
 }
 
 // SourceEnv supplies the worker-local resources BuildOptions resolves

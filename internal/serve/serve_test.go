@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -619,14 +620,17 @@ func TestLegacyShims(t *testing.T) {
 }
 
 // TestKeyCanonicalization: keys are insensitive to spelling defaults
-// explicitly and to algorithm case, but sensitive to every
-// outcome-changing option and to inline-trace content.
+// explicitly, to algorithm case and to a -0 that encoding the spec
+// drops, but sensitive to every outcome-changing option and to
+// inline-trace content.
 func TestKeyCanonicalization(t *testing.T) {
 	one := 1
+	negZero := math.Copysign(0, -1)
 	base := RunSpec{Trace: "synth", Algorithm: "demand"}
 	same := []RunSpec{
 		{Trace: "synth", Algorithm: "DEMAND"},
 		{Trace: "synth", Algorithm: "demand", Disks: &one, Scheduler: "cscan", CPUScale: 1},
+		{Trace: "synth", Algorithm: "demand", FetchEstimate: negZero, ForestallFixedF: negZero, DriverOverheadMs: negZero},
 	}
 	for i, r := range same {
 		if r.Key() != base.Key() {

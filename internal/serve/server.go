@@ -9,7 +9,8 @@
 // A Server is also the worker role of a sweep cluster: the coordinator
 // (ppcsim/internal/serve/coord) routes sweep cells to a fleet of these
 // servers over the same /v1/run contract, either via HTTP or embedded
-// in process through RunJSON.
+// in process through RunRequest, which takes the request the
+// coordinator already decoded.
 //
 // v1 endpoints (see docs/api-v1.md):
 //
@@ -103,7 +104,7 @@ type Server struct {
 	draining atomic.Bool
 
 	// Service-level counters (see /v1/statsz).
-	requests  obs.Counter // /v1/run bodies decoded
+	requests  obs.Counter // /v1/run requests received
 	completed obs.Counter // successful fresh runs
 	failed    obs.Counter // internal failures
 	rejected  obs.Counter // queue-full rejections (429)
@@ -379,15 +380,26 @@ type RunMeta struct {
 	PeakInuseBytes int64
 }
 
-// RunJSONMeta is RunJSON plus the run's transport metadata.
+// RunJSONMeta is RunJSON plus the run's transport metadata: ParseRequest
+// followed by RunRequest.
 func (s *Server) RunJSONMeta(body []byte) (val []byte, meta RunMeta, err error) {
-	s.requests.Inc()
 	req, err := ParseRequest(body)
 	if err != nil {
+		s.requests.Inc()
 		return nil, meta, err
 	}
+	return s.RunRequest(req, req.Key())
+}
+
+// RunRequest serves one decoded /v1/run request: from the result cache,
+// or run on the worker pool, deduplicating concurrent identical
+// requests. req must have passed ParseRequest's checks and key must be
+// req.Key(); a caller that already decoded the body (the coordinator's
+// embedded workers) calls it instead of RunJSONMeta to skip a second
+// decode.
+func (s *Server) RunRequest(req *Request, key string) (val []byte, meta RunMeta, err error) {
+	s.requests.Inc()
 	start := time.Now()
-	key := req.Key()
 	if cached, ok := s.cache.get(key); ok {
 		s.cacheHits.Inc()
 		s.latencyHit.Observe(float64(time.Since(start)) / float64(time.Millisecond))

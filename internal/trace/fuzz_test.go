@@ -2,12 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ppcsim/internal/spec"
 )
 
-// FuzzParseTrace checks the trace parser never panics and that anything
-// it accepts is valid and round-trips. Seed inputs live both here and in
+// FuzzParseTrace checks the trace parser never panics, that it reads
+// every input as spec.ReadText's line rule does (the same accept or
+// reject, the same error string, the same Trace), and that anything it
+// accepts is valid and round-trips. Seed inputs live both here and in
 // testdata/fuzz/FuzzParseTrace, so `go test` replays the corpus and the
 // CI fuzz smoke extends it.
 func FuzzParseTrace(f *testing.F) {
@@ -17,10 +22,30 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("garbage")
 	f.Add("ppctrace a true 10\nfile 0\n")
 	f.Add("ppctrace a true 10\nfile 2\nr 5 1\n")
+	// Every ASCII separator strings.Fields accepts, CRLF line ends and
+	// trailing spaces.
+	f.Add("ppctrace t\vtrue\f16 \r\nfile\t4 \r\n\vr 0\f1.0\t\r\nw  1   0.5   \r\n\r\n")
+	f.Add("ppctrace\tt true 16\nfile 4\n")
+	f.Add("ppctrace \"a b\"\ttrue 4\r\nfile 2\r\nr 1 0.5 \r\n")
+	// U+0085 and U+00A0 separate fields; U+200B does not.
+	f.Add("ppctrace t false\u00854\nfile\u00852\nr 1\u00a00.5\u00a0\n\u0085\u00a0\nw\u00a0\u00851 0.5\n")
+	f.Add("ppctrace t false 4\nfile 2\nr 1\u200b 0.5\n")
+	// Invalid UTF-8 is a field byte, never a separator.
+	f.Add("ppctrace t false 4\nfile 2\nr 1\xff 0.5\n")
+	f.Add("ppctrace t\xc2 false 4\nfile 2\nr\xa0 1 0.5\n")
+	f.Add("ppctrace \xe2\x80 false 4\nfile 2\nr 1 0.5\xc2\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Read(strings.NewReader(in))
-		if err != nil {
+		want, werr := specRead(in)
+		switch {
+		case (err == nil) != (werr == nil):
+			t.Fatalf("Read error %v, spec.ReadText error %v", err, werr)
+		case err != nil && err.Error() != werr.Error():
+			t.Fatalf("Read error %q, spec.ReadText error %q", err, werr)
+		case err != nil:
 			return
+		case !reflect.DeepEqual(tr, want):
+			t.Fatalf("Read gave %+v, spec.ReadText %+v", tr, want)
 		}
 		if verr := tr.Validate(); verr != nil {
 			t.Fatalf("Read accepted an invalid trace: %v", verr)
@@ -37,4 +62,21 @@ func FuzzParseTrace(f *testing.F) {
 			t.Fatal("round trip changed the trace shape")
 		}
 	})
+}
+
+// specRead is Read restated on spec.ReadText: the line rule, then the
+// same Validate.
+func specRead(in string) (*Trace, error) {
+	st, err := spec.ReadText(strings.NewReader(in))
+	if err != nil {
+		return nil, err
+	}
+	tr := &Trace{Name: st.Name, PlaceByFile: st.PlaceByFile, CacheBlocks: st.CacheBlocks, Files: st.Files}
+	for _, r := range st.Refs {
+		tr.Refs = append(tr.Refs, Ref{Block: r.Block, ComputeMs: r.ComputeMs, Write: r.Write})
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }

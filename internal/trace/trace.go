@@ -8,12 +8,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"ppcsim/internal/layout"
 )
@@ -230,94 +231,150 @@ func needsQuoting(name string) bool {
 	return false
 }
 
-// parseHeader splits the `ppctrace <name> <placeByFile> <cacheBlocks>`
-// line, accepting both bare and Go-quoted names.
-func parseHeader(line string) (name string, rest []string, err error) {
-	const prefix = "ppctrace "
-	if !strings.HasPrefix(line, prefix) {
-		return "", nil, fmt.Errorf("trace: bad header %q", line)
-	}
-	tail := line[len(prefix):]
-	tail = strings.TrimLeft(tail, " \t")
-	if strings.HasPrefix(tail, `"`) {
-		q, qerr := strconv.QuotedPrefix(tail)
-		if qerr != nil {
-			return "", nil, fmt.Errorf("trace: bad quoted name in header %q", line)
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts, the table
+// strings.Fields consults before it decodes a rune. Its upper half is
+// false: a byte from utf8.RuneSelf up starts a multi-byte rune.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits line around each run of Unicode white space, the
+// rule of strings.Fields: ASCII bytes by the asciiSpace table, every
+// other byte by decoding its rune (an invalid byte decodes to
+// utf8.RuneError, which is not space). It stores the first len(out)
+// fields in out as subslices of line and returns how many fields the
+// line has.
+//
+//ppcvet:hotpath
+func splitFields(line []byte, out [][]byte) int {
+	n, start := 0, -1
+	// The end of the line, i == len(line), counts as one more space, so
+	// a field that runs to the end is closed like any other.
+	for i := 0; i <= len(line); {
+		space, size := true, 1
+		if i < len(line) {
+			space = asciiSpace[line[i]]
+			if line[i] >= utf8.RuneSelf {
+				var r rune
+				r, size = utf8.DecodeRune(line[i:])
+				space = unicode.IsSpace(r)
+			}
 		}
-		if name, err = strconv.Unquote(q); err != nil {
-			return "", nil, fmt.Errorf("trace: bad quoted name in header %q", line)
+		switch {
+		case space && start >= 0:
+			if n < len(out) {
+				out[n] = line[start:i]
+			}
+			n++
+			start = -1
+		case !space && start < 0:
+			start = i
 		}
-		rest = strings.Fields(tail[len(q):])
-	} else {
-		f := strings.Fields(tail)
-		if len(f) == 0 {
-			return "", nil, fmt.Errorf("trace: bad header %q", line)
-		}
-		name, rest = f[0], f[1:]
+		i += size
 	}
-	if len(rest) != 2 {
-		return "", nil, fmt.Errorf("trace: bad header %q", line)
-	}
-	return name, rest, nil
+	return n
 }
 
-// Read parses a trace previously serialized with Write.
+// parseHeader splits the `ppctrace <name> <placeByFile> <cacheBlocks>`
+// line, accepting both bare and Go-quoted names.
+func parseHeader(line []byte) (name string, rest [2][]byte, err error) {
+	const prefix = "ppctrace "
+	if !bytes.HasPrefix(line, []byte(prefix)) {
+		return "", rest, fmt.Errorf("trace: bad header %q", line)
+	}
+	tail := bytes.TrimLeft(line[len(prefix):], " \t")
+	var f [3][]byte
+	var n int
+	if bytes.HasPrefix(tail, []byte(`"`)) {
+		q, qerr := strconv.QuotedPrefix(string(tail))
+		if qerr == nil {
+			name, qerr = strconv.Unquote(q)
+		}
+		if qerr != nil {
+			return "", rest, fmt.Errorf("trace: bad quoted name in header %q", line)
+		}
+		n = 1 + splitFields(tail[len(q):], f[1:])
+	} else {
+		n = splitFields(tail, f[:])
+		if n > 0 {
+			name = string(f[0])
+		}
+	}
+	if n != 3 {
+		return "", rest, fmt.Errorf("trace: bad header %q", line)
+	}
+	return name, [2][]byte{f[1], f[2]}, nil
+}
+
+// Read parses a trace previously serialized with Write. Fields are
+// separated by runs of Unicode white space, as strings.Fields splits
+// them (spec.ReadText states the rule), and are parsed in place as
+// subslices of the scanner's line, so a reference line allocates
+// nothing.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024), 1024*1024)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("trace: empty input")
 	}
-	name, head, err := parseHeader(sc.Text())
+	name, head, err := parseHeader(sc.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{Name: name}
-	if t.PlaceByFile, err = strconv.ParseBool(head[0]); err != nil {
+	if t.PlaceByFile, err = strconv.ParseBool(string(head[0])); err != nil {
 		return nil, fmt.Errorf("trace: bad placeByFile: %v", err)
 	}
-	if t.CacheBlocks, err = strconv.Atoi(head[1]); err != nil {
+	if t.CacheBlocks, err = strconv.Atoi(string(head[1])); err != nil {
 		return nil, fmt.Errorf("trace: bad cacheBlocks: %v", err)
 	}
-	next := 0
-	for sc.Scan() {
-		f := strings.Fields(sc.Text())
-		if len(f) == 0 {
-			continue
-		}
-		switch f[0] {
-		case "file":
-			if len(f) != 2 {
-				return nil, fmt.Errorf("trace: bad file line %q", sc.Text())
-			}
-			n, err := strconv.Atoi(f[1])
-			if err != nil {
-				return nil, fmt.Errorf("trace: bad file size: %v", err)
-			}
-			t.Files = append(t.Files, layout.File{First: layout.BlockID(next), Blocks: n})
-			next += n
-		case "r", "w":
-			if len(f) != 3 {
-				return nil, fmt.Errorf("trace: bad ref line %q", sc.Text())
-			}
-			b, err := strconv.Atoi(f[1])
-			if err != nil {
-				return nil, fmt.Errorf("trace: bad block: %v", err)
-			}
-			c, err := strconv.ParseFloat(f[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: bad compute: %v", err)
-			}
-			t.Refs = append(t.Refs, Ref{Block: layout.BlockID(b), ComputeMs: c, Write: f[0] == "w"})
-		default:
-			return nil, fmt.Errorf("trace: unknown line %q", sc.Text())
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if err := readLines(sc, t); err != nil {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// readLines parses the `file`, `r` and `w` lines that follow the header
+// into t, skipping blank lines.
+//
+//ppcvet:hotpath
+func readLines(sc *bufio.Scanner, t *Trace) error {
+	var f [3][]byte
+	next := 0
+	for sc.Scan() {
+		line := sc.Bytes()
+		n := splitFields(line, f[:])
+		if n == 0 {
+			continue
+		}
+		switch string(f[0]) {
+		case "file":
+			if n != 2 {
+				return fmt.Errorf("trace: bad file line %q", line)
+			}
+			size, err := strconv.Atoi(string(f[1]))
+			if err != nil {
+				return fmt.Errorf("trace: bad file size: %v", err)
+			}
+			t.Files = append(t.Files, layout.File{First: layout.BlockID(next), Blocks: size})
+			next += size
+		case "r", "w":
+			if n != 3 {
+				return fmt.Errorf("trace: bad ref line %q", line)
+			}
+			b, err := strconv.Atoi(string(f[1]))
+			if err != nil {
+				return fmt.Errorf("trace: bad block: %v", err)
+			}
+			c, err := strconv.ParseFloat(string(f[2]), 64)
+			if err != nil {
+				return fmt.Errorf("trace: bad compute: %v", err)
+			}
+			t.Refs = append(t.Refs, Ref{Block: layout.BlockID(b), ComputeMs: c, Write: f[0][0] == 'w'})
+		default:
+			return fmt.Errorf("trace: unknown line %q", line)
+		}
+	}
+	return sc.Err()
 }

@@ -1,6 +1,8 @@
 package ppcsim
 
 import (
+	"errors"
+
 	"ppcsim/internal/multi"
 )
 
@@ -46,7 +48,15 @@ const (
 	MultiDemand = multi.Demand
 )
 
-// RunMulti executes a multi-process simulation.
+// RunMulti executes a multi-process simulation. A configuration mistake
+// (no processes, disks <= 0, a cache under 2 blocks, a non-finite driver
+// overhead, a process without a valid trace, a write reference) is a
+// *ConfigError whose Field names the MultiConfig field.
 func RunMulti(cfg MultiConfig) (MultiResult, error) {
-	return multi.Run(cfg)
+	res, err := multi.Run(cfg)
+	var ce *multi.ConfigError
+	if errors.As(err, &ce) {
+		return res, &ConfigError{Field: ce.Field, Reason: ce.Reason}
+	}
+	return res, err
 }

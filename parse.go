@@ -52,7 +52,8 @@ func ParseDiscipline(s string) (Discipline, error) {
 // return it (wrapped in error) so callers can point users at the exact
 // field: errors.As(err, &cfgErr) then cfgErr.Field.
 type ConfigError struct {
-	// Field is the Options field name, e.g. "Disks".
+	// Field is the Options field name, e.g. "Disks" (the MultiConfig
+	// field name when RunMulti returns it).
 	Field string
 	// Reason says what is wrong with the value.
 	Reason string

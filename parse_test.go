@@ -219,3 +219,48 @@ func TestOptionsValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestRunMultiConfigError: RunMulti reports each configuration mistake
+// as a *ConfigError naming the MultiConfig field, as Run does for
+// Options.
+func TestRunMultiConfigError(t *testing.T) {
+	build := func(writes bool) *ppcsim.Trace {
+		b := ppcsim.NewTraceBuilder("m").Seed(1)
+		f := b.AddFile(8)
+		b.Loop(f, 2)
+		if writes {
+			b.WriteSequential(f, 0, 2)
+		}
+		tr, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	tr, w := build(false), build(true)
+	one := []ppcsim.ProcessSpec{{Trace: tr}}
+	cases := []struct {
+		name  string
+		cfg   ppcsim.MultiConfig
+		field string
+	}{
+		{"no processes", ppcsim.MultiConfig{Disks: 1, CacheBlocks: 8}, "Processes"},
+		{"zero disks", ppcsim.MultiConfig{Processes: one, CacheBlocks: 8}, "Disks"},
+		{"negative disks", ppcsim.MultiConfig{Processes: one, Disks: -2, CacheBlocks: 8}, "Disks"},
+		{"1-block cache", ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 1}, "CacheBlocks"},
+		{"NaN driver overhead", ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 8, DriverOverheadMs: math.NaN()}, "DriverOverheadMs"},
+		{"infinite driver overhead", ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 8, DriverOverheadMs: math.Inf(-1)}, "DriverOverheadMs"},
+		{"no trace", ppcsim.MultiConfig{Processes: []ppcsim.ProcessSpec{{}}, Disks: 1, CacheBlocks: 8}, "Processes"},
+		{"write ref", ppcsim.MultiConfig{Processes: []ppcsim.ProcessSpec{{Trace: w}}, Disks: 1, CacheBlocks: 8}, "Processes"},
+	}
+	for _, c := range cases {
+		_, err := ppcsim.RunMulti(c.cfg)
+		var ce *ppcsim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != c.field {
+			t.Errorf("%s: err %v, want a *ConfigError on %s", c.name, err, c.field)
+		}
+	}
+	if _, err := ppcsim.RunMulti(ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 8}); err != nil {
+		t.Errorf("a valid config failed: %v", err)
+	}
+}
