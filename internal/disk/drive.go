@@ -67,9 +67,8 @@ type Drive struct {
 	nextSeq int64
 
 	// Statistics.
-	busyTime      float64
+	busyTime      float64 // sum of service times, the in-service request's included
 	completed     int64
-	totalService  float64
 	totalResponse float64
 }
 
@@ -77,20 +76,6 @@ type Drive struct {
 func NewDrive(model Model, d Discipline) *Drive {
 	bm, _ := model.(BreakdownModel)
 	return &Drive{model: model, breakdown: bm, discipline: d}
-}
-
-// Reset returns the drive to its initial idle state and clears statistics.
-func (dr *Drive) Reset() {
-	dr.model.Reset()
-	dr.queue = dr.queue[:0]
-	dr.current = nil
-	dr.busyEnd = 0
-	dr.headLBN = 0
-	dr.nextSeq = 0
-	dr.busyTime = 0
-	dr.completed = 0
-	dr.totalService = 0
-	dr.totalResponse = 0
 }
 
 // EnableBreakdown turns on per-request service-time decomposition in the
@@ -106,10 +91,6 @@ func (dr *Drive) EnableBreakdown() {
 // Busy reports whether a request is in service.
 func (dr *Drive) Busy() bool { return dr.current != nil }
 
-// QueueLen returns the number of requests waiting (not counting the one in
-// service).
-func (dr *Drive) QueueLen() int { return len(dr.queue) }
-
 // Outstanding returns the total number of requests at the drive, including
 // the one in service.
 func (dr *Drive) Outstanding() int {
@@ -124,9 +105,6 @@ func (dr *Drive) Outstanding() int {
 // only meaningful when Busy() is true.
 func (dr *Drive) BusyEnd() float64 { return dr.busyEnd }
 
-// Current returns the in-service request, or nil.
-func (dr *Drive) Current() *Request { return dr.current }
-
 // Enqueue adds a request at time now and starts it immediately if the
 // drive is idle.
 func (dr *Drive) Enqueue(r *Request, now float64) {
@@ -140,6 +118,8 @@ func (dr *Drive) Enqueue(r *Request, now float64) {
 }
 
 // pick removes and returns the next request per the discipline.
+//
+//ppcvet:hotpath
 func (dr *Drive) pick() *Request {
 	best := -1
 	switch dr.discipline {
@@ -174,6 +154,9 @@ func (dr *Drive) pick() *Request {
 	return r
 }
 
+// startNext puts the next queued request, if any, into service.
+//
+//ppcvet:hotpath
 func (dr *Drive) startNext(now float64) {
 	if len(dr.queue) == 0 {
 		return
@@ -185,7 +168,6 @@ func (dr *Drive) startNext(now float64) {
 	dr.busyEnd = now + svc
 	dr.headLBN = r.LBN
 	dr.busyTime += svc
-	dr.totalService += svc
 	if dr.OnStart != nil {
 		var b Breakdown
 		if dr.breakdown != nil {
@@ -223,7 +205,7 @@ func (dr *Drive) MeanServiceMs() float64 {
 	if dr.completed == 0 {
 		return 0
 	}
-	return dr.totalService / float64(dr.completed)
+	return dr.busyTime / float64(dr.completed)
 }
 
 // MeanResponseMs returns the average request response time (queueing plus

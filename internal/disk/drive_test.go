@@ -13,7 +13,6 @@ func (m *constModel) Service(lbn int64, now float64) float64 {
 	m.order = append(m.order, lbn)
 	return 1.0
 }
-func (m *constModel) Reset() { m.order = nil }
 
 // drain completes requests until the drive idles, returning completion
 // order.
@@ -102,12 +101,12 @@ func TestEveryRequestServedOnce(t *testing.T) {
 	}
 }
 
-func TestDriveStatsAndReset(t *testing.T) {
+func TestDriveStats(t *testing.T) {
 	dr := NewDrive(&constModel{}, FCFS)
 	dr.Enqueue(&Request{Block: 0, LBN: 0}, 0)
 	dr.Enqueue(&Request{Block: 1, LBN: 1}, 0)
-	if dr.Outstanding() != 2 || dr.QueueLen() != 1 || !dr.Busy() {
-		t.Fatalf("outstanding=%d queue=%d busy=%v", dr.Outstanding(), dr.QueueLen(), dr.Busy())
+	if dr.Outstanding() != 2 || !dr.Busy() {
+		t.Fatalf("outstanding=%d busy=%v", dr.Outstanding(), dr.Busy())
 	}
 	drain(dr)
 	if dr.BusyTime() != 2.0 {
@@ -116,9 +115,35 @@ func TestDriveStatsAndReset(t *testing.T) {
 	if dr.MeanServiceMs() != 1.0 {
 		t.Errorf("mean service %g, want 1", dr.MeanServiceMs())
 	}
-	dr.Reset()
-	if dr.Busy() || dr.Outstanding() != 0 || dr.Completed() != 0 || dr.BusyTime() != 0 || dr.MeanServiceMs() != 0 {
-		t.Error("reset did not clear drive state")
+	if dr.MeanResponseMs() != 1.5 {
+		t.Errorf("mean response %g, want 1.5", dr.MeanResponseMs())
+	}
+	if dr.Busy() || dr.Outstanding() != 0 || dr.Completed() != 2 {
+		t.Errorf("drained drive: busy=%v outstanding=%d completed=%d", dr.Busy(), dr.Outstanding(), dr.Completed())
+	}
+}
+
+// TestDriveCycleAllocatesNothing: once its queue has grown, a drive
+// over the paper's model queues, schedules, services and completes
+// requests without allocating, under either discipline.
+func TestDriveCycleAllocatesNothing(t *testing.T) {
+	for _, disc := range []Discipline{CSCAN, FCFS} {
+		dr := NewDrive(NewHP97560(), disc)
+		reqs := make([]Request, 16)
+		now := 0.0
+		cycle := func() {
+			for i := range reqs {
+				reqs[i] = Request{Block: layout.BlockID(i), LBN: int64((i * 7919) % 50000)}
+				dr.Enqueue(&reqs[i], now)
+			}
+			for dr.Busy() {
+				now = dr.BusyEnd()
+				dr.Complete(now)
+			}
+		}
+		if n := testing.AllocsPerRun(50, cycle); n != 0 {
+			t.Errorf("%v: an Enqueue/Complete cycle of %d requests made %v allocations", disc, len(reqs), n)
+		}
 	}
 }
 

@@ -1,40 +1,18 @@
-// Package disk models the storage devices of the simulation: an
-// HP 97560-like disk drive (the drive simulated by the paper's UW
-// simulator, after Ruemmler & Wilkes and Kotz et al.) together with the
-// driver-level request queueing and head-scheduling disciplines (CSCAN and
-// FCFS) that the paper shows are crucial to prefetching performance.
+// Package disk models the storage devices of the simulation: a
+// disk-accurate drive model (Parametric), which at HP97560Geometry() is
+// the HP 97560 simulated by the paper's UW simulator (after Ruemmler &
+// Wilkes and Kotz et al.), together with the driver-level request
+// queueing and head-scheduling disciplines (CSCAN and FCFS) that the
+// paper shows are crucial to prefetching performance.
 //
 // All times are in milliseconds.
 package disk
 
-import (
-	"fmt"
-	"math"
-)
-
-// Geometry and timing constants for the HP 97560, from Table 1 of the
-// paper and Ruemmler & Wilkes, "An Introduction to Disk Drive Modelling".
 const (
-	SectorSize        = 512
-	SectorsPerTrack   = 72
-	TracksPerCylinder = 19
-	Cylinders         = 1962
-	RPM               = 4002
-	CacheBytes        = 128 * 1024 // on-drive readahead cache
-	BusMBPerSec       = 10.0       // SCSI-II transfer rate
-
+	// SectorSize is the size of one sector in bytes.
+	SectorSize = 512
 	// BlockSectors is the number of sectors in one 8 Kbyte file block.
 	BlockSectors = 8192 / SectorSize
-
-	// RevolutionMs is the rotation period: 60,000 ms/min / 4002 rpm.
-	RevolutionMs = 60000.0 / RPM
-
-	// sectorsPerCylinder is the number of sectors under all heads of one
-	// cylinder.
-	sectorsPerCylinder = SectorsPerTrack * TracksPerCylinder
-
-	// cacheSectors is the capacity of the readahead cache in sectors.
-	cacheSectors = CacheBytes / SectorSize
 )
 
 // Model computes the service time of one block-sized read. Implementations
@@ -46,8 +24,6 @@ type Model interface {
 	// request is started at time now. Implementations update their
 	// internal head/cache state.
 	Service(lbn int64, now float64) float64
-	// Reset returns the model to its initial state.
-	Reset()
 }
 
 // Breakdown decomposes one service time into its physical components.
@@ -72,169 +48,24 @@ type BreakdownModel interface {
 	RecordBreakdown(on bool)
 }
 
-// HP97560 is a disk-accurate model of the HP 97560 drive: a two-segment
-// seek-time curve, rotational latency derived from the modeled angular
-// position of the platter, media-rate transfer, and a readahead cache that
-// serves sequential re-reads at SCSI bus speed and sequential
-// continuations at media speed without seek or rotational delay.
-type HP97560 struct {
-	initialized bool
-	headCyl     int     // cylinder the head is parked over
-	lastEnd     int64   // linear sector just past the previous request
-	idleFrom    float64 // completion time of the previous request
-	cacheLo     int64   // readahead cache window [cacheLo, cacheHi)
-	cacheHi     int64
-	record      bool      // record per-call decompositions into last
-	last        Breakdown // decomposition of the last Service call
-}
+// simplePositionMs is the Simple model's fixed positioning (seek plus
+// rotation) cost of a non-sequential access.
+const simplePositionMs = 11.0
 
-// LastBreakdown implements BreakdownModel.
-func (m *HP97560) LastBreakdown() Breakdown { return m.last }
-
-// RecordBreakdown implements BreakdownModel.
-func (m *HP97560) RecordBreakdown(on bool) { m.record = on }
-
-// NewHP97560 returns a fresh HP 97560 drive model.
-func NewHP97560() *HP97560 { return &HP97560{} }
-
-// Reset implements Model.
-func (m *HP97560) Reset() { *m = HP97560{record: m.record} }
-
-// SeekMs returns the HP 97560 seek time for a move of dist cylinders
-// (Ruemmler & Wilkes): 3.24 + 0.400*sqrt(d) ms for short seeks and
-// 8.00 + 0.008*d ms for seeks of at least 383 cylinders. A zero-distance
-// seek is free.
-func SeekMs(dist int) float64 {
-	if dist < 0 {
-		dist = -dist
-	}
-	switch {
-	case dist == 0:
-		return 0
-	case dist < 383:
-		return 3.24 + 0.400*math.Sqrt(float64(dist))
-	default:
-		return 8.00 + 0.008*float64(dist)
-	}
-}
-
-// MediaTransferMs is the time for the platter to pass n sectors under the
-// head.
-func MediaTransferMs(n int) float64 {
-	return float64(n) / SectorsPerTrack * RevolutionMs
-}
-
-// BusTransferMs is the time to move n sectors over the SCSI bus.
-func BusTransferMs(n int) float64 {
-	return float64(n*SectorSize) / (BusMBPerSec * 1e6) * 1000.0
-}
-
-// BlockMediaMs is the media transfer time of one 8K block (~3.33 ms).
-var BlockMediaMs = MediaTransferMs(BlockSectors)
-
-// BlockBusMs is the bus transfer time of one 8K block (~0.82 ms).
-var BlockBusMs = BusTransferMs(BlockSectors)
-
-// Service implements Model.
-func (m *HP97560) Service(lbn int64, now float64) float64 {
-	start := lbn * BlockSectors
-	end := start + BlockSectors
-	cyl := int(start / sectorsPerCylinder % Cylinders)
-
-	if !m.initialized {
-		m.initialized = true
-		// Cold drive: average-ish positioning cost.
-		m.headCyl = cyl
-		m.lastEnd = end
-		seek := SeekMs(Cylinders / 3)
-		if m.record {
-			m.last = Breakdown{SeekMs: seek, RotationMs: RevolutionMs / 2, TransferMs: BlockMediaMs}
-		}
-		t := seek + RevolutionMs/2 + BlockMediaMs
-		m.idleFrom = now + t
-		m.cacheLo, m.cacheHi = start, end
-		return t
-	}
-
-	// Let the readahead cache grow during the idle period since the last
-	// request completed: the drive keeps streaming sectors at media rate.
-	if idle := now - m.idleFrom; idle > 0 {
-		grown := int64(idle / RevolutionMs * SectorsPerTrack)
-		m.cacheHi += grown
-		if m.cacheHi > m.cacheLo+int64(cacheSectors) {
-			m.cacheHi = m.cacheLo + int64(cacheSectors)
-		}
-	}
-
-	var t float64
-	switch {
-	case start >= m.cacheLo && end <= m.cacheHi:
-		// Whole extent already in the readahead cache: bus transfer only.
-		t = BlockBusMs
-		if m.record {
-			m.last = Breakdown{TransferMs: BlockBusMs}
-		}
-	case start == m.lastEnd:
-		// Sequential continuation: the head is already positioned; pay
-		// media transfer (plus a track/cylinder crossing if we wrapped).
-		t = BlockMediaMs
-		var seek float64
-		if cyl != m.headCyl {
-			seek = SeekMs(1)
-			t += seek
-		}
-		if m.record {
-			m.last = Breakdown{SeekMs: seek, TransferMs: BlockMediaMs}
-		}
-	default:
-		// Positioning: seek plus rotational latency from the modeled
-		// angular position after the seek, plus the media transfer.
-		seek := SeekMs(cyl - m.headCyl)
-		arrive := now + seek
-		// Angle of the platter at arrival, measured in sectors.
-		angle := math.Mod(arrive, RevolutionMs) / RevolutionMs * SectorsPerTrack
-		target := float64(start % SectorsPerTrack)
-		rot := target - angle
-		if rot < 0 {
-			rot += SectorsPerTrack
-		}
-		rotMs := rot / SectorsPerTrack * RevolutionMs
-		if m.record {
-			m.last = Breakdown{SeekMs: seek, RotationMs: rotMs, TransferMs: BlockMediaMs}
-		}
-		t = seek + rotMs + BlockMediaMs
-	}
-
-	m.headCyl = cyl
-	m.lastEnd = end
-	m.idleFrom = now + t
-	if start >= m.cacheLo && start <= m.cacheHi {
-		// Extend the cached window over the newly read data.
-		if end > m.cacheHi {
-			m.cacheHi = end
-		}
-	} else {
-		m.cacheLo, m.cacheHi = start, end
-	}
-	if m.cacheHi-m.cacheLo > int64(cacheSectors) {
-		m.cacheLo = m.cacheHi - int64(cacheSectors)
-	}
-	return t
-}
+// simpleMediaMs is the Simple model's transfer time for one block: the
+// HP 97560's media rate.
+var simpleMediaMs = HP97560Geometry().blockMediaMs()
 
 // Simple is a simplified fixed-latency drive model standing in for the
 // paper's second (CMU RaidSim / IBM 0661 Lightning) simulator in the
 // Table 2 cross-validation: sequential continuations cost the media
-// transfer time; everything else costs a fixed positioning delay plus the
-// transfer.
+// transfer time; everything else costs a fixed 11 ms positioning delay
+// plus the transfer.
 type Simple struct {
-	// PositionMs is the fixed positioning (seek+rotation) cost of a
-	// non-sequential access.
-	PositionMs float64
-	lastEnd    int64
-	started    bool
-	record     bool
-	last       Breakdown
+	lastEnd int64
+	started bool
+	record  bool
+	last    Breakdown
 }
 
 // LastBreakdown implements BreakdownModel; the fixed positioning cost is
@@ -244,37 +75,22 @@ func (m *Simple) LastBreakdown() Breakdown { return m.last }
 // RecordBreakdown implements BreakdownModel.
 func (m *Simple) RecordBreakdown(on bool) { m.record = on }
 
-// NewSimple returns a Simple model with a typical 11 ms positioning cost.
-func NewSimple() *Simple { return &Simple{PositionMs: 11.0} }
-
-// Reset implements Model.
-func (m *Simple) Reset() { *m = Simple{PositionMs: m.PositionMs, record: m.record} }
+// NewSimple returns a fresh Simple model.
+func NewSimple() *Simple { return &Simple{} }
 
 // Service implements Model.
 func (m *Simple) Service(lbn int64, now float64) float64 {
 	start := lbn * BlockSectors
-	t := BlockMediaMs
+	t := simpleMediaMs
 	var pos float64
 	if !m.started || start != m.lastEnd {
-		t += m.PositionMs
-		pos = m.PositionMs
+		t += simplePositionMs
+		pos = simplePositionMs
 	}
 	if m.record {
-		m.last = Breakdown{SeekMs: pos, TransferMs: BlockMediaMs}
+		m.last = Breakdown{SeekMs: pos, TransferMs: simpleMediaMs}
 	}
 	m.started = true
 	m.lastEnd = start + BlockSectors
 	return t
-}
-
-// Validate sanity-checks the compile-time geometry so a bad edit fails
-// fast in tests rather than silently skewing every experiment.
-func Validate() error {
-	if BlockSectors*SectorSize != 8192 {
-		return fmt.Errorf("disk: block is %d bytes, want 8192", BlockSectors*SectorSize)
-	}
-	if RevolutionMs < 14.9 || RevolutionMs > 15.1 {
-		return fmt.Errorf("disk: revolution %.3f ms out of range for 4002 rpm", RevolutionMs)
-	}
-	return nil
 }

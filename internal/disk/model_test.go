@@ -7,53 +7,76 @@ import (
 	"testing/quick"
 )
 
+// hp is the paper's drive geometry, and the timings the tests expect
+// from it, derived here from the geometry rather than read off the model.
+var (
+	hp        = HP97560Geometry()
+	hpRevMs   = 60000.0 / hp.RPM
+	hpMediaMs = float64(BlockSectors) / float64(hp.SectorsPerTrack) * hpRevMs
+	hpBusMs   = float64(BlockSectors*SectorSize) / (hp.BusMBPerSec * 1e6) * 1000.0
+)
+
 func TestValidateGeometry(t *testing.T) {
-	if err := Validate(); err != nil {
+	if err := hp.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if BlockSectors*SectorSize != 8192 {
+		t.Errorf("block is %d bytes, want 8192", BlockSectors*SectorSize)
+	}
+	if hpRevMs < 14.9 || hpRevMs > 15.1 {
+		t.Errorf("revolution %.3f ms out of range for 4002 rpm", hpRevMs)
+	}
+	// Paper Table 1: a 1.3 Gbyte drive.
+	if bytes := float64(hp.SectorsPerTrack*hp.TracksPerCylinder*hp.Cylinders) * SectorSize; bytes < 1.3e9 || bytes > 1.4e9 {
+		t.Errorf("capacity %.3g bytes, want about 1.3 GB", bytes)
 	}
 }
 
 func TestSeekCurve(t *testing.T) {
-	if SeekMs(0) != 0 {
-		t.Errorf("zero-distance seek = %g, want 0", SeekMs(0))
+	if hp.seekMs(0) != 0 {
+		t.Errorf("zero-distance seek = %g, want 0", hp.seekMs(0))
 	}
 	// Short-seek form: 3.24 + 0.400*sqrt(d).
-	if got, want := SeekMs(100), 3.24+0.400*10.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("SeekMs(100) = %g, want %g", got, want)
+	if got, want := hp.seekMs(100), 3.24+0.400*10.0; math.Abs(got-want) > 1e-9 {
+		t.Errorf("seekMs(100) = %g, want %g", got, want)
 	}
 	// Long-seek form: 8.00 + 0.008*d.
-	if got, want := SeekMs(1000), 8.00+8.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("SeekMs(1000) = %g, want %g", got, want)
+	if got, want := hp.seekMs(1000), 8.00+8.0; math.Abs(got-want) > 1e-9 {
+		t.Errorf("seekMs(1000) = %g, want %g", got, want)
 	}
-	if SeekMs(-100) != SeekMs(100) {
+	if hp.seekMs(-100) != hp.seekMs(100) {
 		t.Error("seek must be symmetric in distance")
 	}
 	// The curve should be monotone nondecreasing.
 	prev := 0.0
-	for d := 0; d <= Cylinders; d++ {
-		s := SeekMs(d)
+	for d := 0; d <= hp.Cylinders; d++ {
+		s := hp.seekMs(d)
 		if s < prev-1e-9 {
 			t.Fatalf("seek not monotone at distance %d: %g < %g", d, s, prev)
 		}
 		prev = s
 	}
 	// Paper Table 1: maximum seek within a 100-cylinder group is 7.24 ms.
-	if got := SeekMs(100); math.Abs(got-7.24) > 1e-9 {
-		t.Errorf("SeekMs(100) = %g, want 7.24 (paper section 3.2)", got)
+	if got := hp.seekMs(100); math.Abs(got-7.24) > 1e-9 {
+		t.Errorf("seekMs(100) = %g, want 7.24 (paper section 3.2)", got)
 	}
 }
 
 func TestTransferTimes(t *testing.T) {
+	m := NewHP97560()
 	// 16 sectors of a 72-sector track at 4002 rpm: ~3.33 ms.
-	if math.Abs(BlockMediaMs-16.0/72.0*RevolutionMs) > 1e-9 {
-		t.Errorf("BlockMediaMs = %g", BlockMediaMs)
+	if m.mediaMs != hpMediaMs {
+		t.Errorf("media time %g, want %g", m.mediaMs, hpMediaMs)
 	}
-	if BlockMediaMs < 3.2 || BlockMediaMs > 3.4 {
-		t.Errorf("BlockMediaMs = %g, want ~3.33", BlockMediaMs)
+	if hpMediaMs < 3.2 || hpMediaMs > 3.4 {
+		t.Errorf("media time %g, want ~3.33", hpMediaMs)
 	}
 	// 8192 bytes over a 10 MB/s bus: ~0.82 ms.
-	if BlockBusMs < 0.8 || BlockBusMs > 0.85 {
-		t.Errorf("BlockBusMs = %g, want ~0.82", BlockBusMs)
+	if m.busMs != hpBusMs {
+		t.Errorf("bus time %g, want %g", m.busMs, hpBusMs)
+	}
+	if hpBusMs < 0.8 || hpBusMs > 0.85 {
+		t.Errorf("bus time %g, want ~0.82", hpBusMs)
 	}
 }
 
@@ -66,10 +89,10 @@ func TestHP97560Sequential(t *testing.T) {
 		now += svc
 		// Back-to-back sequential reads cost about the media transfer
 		// time (plus an occasional cylinder crossing).
-		if svc > BlockMediaMs+SeekMs(1)+1e-9 {
+		if svc > hpMediaMs+hp.seekMs(1)+1e-9 {
 			t.Fatalf("sequential block %d cost %g ms, want <= media+headswitch", lbn, svc)
 		}
-		if svc < BlockBusMs-1e-9 {
+		if svc < hpBusMs-1e-9 {
 			t.Fatalf("sequential block %d cost %g ms, below bus transfer", lbn, svc)
 		}
 	}
@@ -84,8 +107,8 @@ func TestHP97560ReadaheadCacheHit(t *testing.T) {
 	// cache at bus speed.
 	now += 100.0
 	svc := m.Service(101, now)
-	if math.Abs(svc-BlockBusMs) > 1e-9 {
-		t.Errorf("readahead hit cost %g ms, want bus transfer %g", svc, BlockBusMs)
+	if math.Abs(svc-hpBusMs) > 1e-9 {
+		t.Errorf("readahead hit cost %g ms, want bus transfer %g", svc, hpBusMs)
 	}
 }
 
@@ -96,10 +119,10 @@ func TestHP97560RandomAccessCost(t *testing.T) {
 	// A far-away random access pays seek + rotation + transfer: strictly
 	// more than the transfer, at most seek_max + full rotation + transfer.
 	svc := m.Service(50000, now)
-	if svc <= BlockMediaMs {
+	if svc <= hpMediaMs {
 		t.Errorf("random access cost %g ms, want > media transfer", svc)
 	}
-	max := SeekMs(Cylinders) + RevolutionMs + BlockMediaMs
+	max := hp.seekMs(hp.Cylinders) + hpRevMs + hpMediaMs
 	if svc > max {
 		t.Errorf("random access cost %g ms, want <= %g", svc, max)
 	}
@@ -119,32 +142,17 @@ func TestHP97560RotationalPosition(t *testing.T) {
 	}
 }
 
-func TestHP97560Reset(t *testing.T) {
-	m := NewHP97560()
-	a := m.Service(0, 0)
-	m.Service(1, a)
-	m.Reset()
-	b := m.Service(0, 0)
-	if math.Abs(a-b) > 1e-9 {
-		t.Errorf("service after reset %g, want %g (same as cold)", b, a)
-	}
-}
-
 func TestSimpleModel(t *testing.T) {
 	m := NewSimple()
 	svc := m.Service(0, 0)
-	if math.Abs(svc-(11.0+BlockMediaMs)) > 1e-9 {
+	if math.Abs(svc-(11.0+hpMediaMs)) > 1e-9 {
 		t.Errorf("cold simple access = %g", svc)
 	}
-	if got := m.Service(1, svc); math.Abs(got-BlockMediaMs) > 1e-9 {
-		t.Errorf("sequential simple access = %g, want %g", got, BlockMediaMs)
+	if got := m.Service(1, svc); math.Abs(got-hpMediaMs) > 1e-9 {
+		t.Errorf("sequential simple access = %g, want %g", got, hpMediaMs)
 	}
-	if got := m.Service(100, 20); math.Abs(got-(11.0+BlockMediaMs)) > 1e-9 {
+	if got := m.Service(100, 20); math.Abs(got-(11.0+hpMediaMs)) > 1e-9 {
 		t.Errorf("random simple access = %g", got)
-	}
-	m.Reset()
-	if got := m.Service(1, 0); math.Abs(got-(11.0+BlockMediaMs)) > 1e-9 {
-		t.Errorf("post-reset simple access = %g, want positioning again", got)
 	}
 }
 
@@ -173,7 +181,7 @@ func TestServicePositive(t *testing.T) {
 func TestHP97560AverageAccessTime(t *testing.T) {
 	m := NewHP97560()
 	rng := rand.New(rand.NewSource(42))
-	maxLBN := int64(Cylinders) * sectorsPerCylinder / BlockSectors
+	maxLBN := int64(hp.Cylinders*hp.SectorsPerTrack*hp.TracksPerCylinder) / BlockSectors
 	now := 0.0
 	now += m.Service(rng.Int63n(maxLBN), now)
 	sum, n := 0.0, 0

@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// Geometry parameterizes a Parametric drive model, so workloads can be
-// simulated against hardware other than the HP 97560. The zero value is
-// not usable; see HP97560Geometry for a complete example.
+// Geometry parameterizes the drive model: its per-cylinder capacity, a
+// two-segment seek curve, rotational speed, readahead cache and bus
+// rate. The paper's drive is HP97560Geometry(); other values simulate
+// other hardware. The zero value is not usable.
 type Geometry struct {
 	// SectorsPerTrack and TracksPerCylinder define the per-cylinder
 	// capacity (512-byte sectors).
@@ -31,21 +32,25 @@ type Geometry struct {
 	BusMBPerSec float64
 }
 
-// HP97560Geometry returns the geometry of the paper's drive; a
-// Parametric model built from it behaves like NewHP97560.
+// HP97560Geometry returns the geometry of the paper's drive, the
+// HP 97560 of its Table 1: 72 sectors per track, 19 tracks per
+// cylinder, 1962 cylinders at 4002 rpm, the Ruemmler & Wilkes seek
+// curve (3.24 + 0.400*sqrt(d) ms below 383 cylinders, 8.00 + 0.008*d
+// ms beyond), a 128 Kbyte readahead cache and a 10 MB/s SCSI-II bus.
+// NewHP97560 is the model at this geometry.
 func HP97560Geometry() Geometry {
 	return Geometry{
-		SectorsPerTrack:   SectorsPerTrack,
-		TracksPerCylinder: TracksPerCylinder,
-		Cylinders:         Cylinders,
-		RPM:               RPM,
+		SectorsPerTrack:   72,
+		TracksPerCylinder: 19,
+		Cylinders:         1962,
+		RPM:               4002,
 		SeekConst:         3.24,
 		SeekSqrt:          0.400,
 		SeekBoundary:      383,
 		SeekLinConst:      8.00,
 		SeekLin:           0.008,
-		CacheBytes:        CacheBytes,
-		BusMBPerSec:       BusMBPerSec,
+		CacheBytes:        128 * 1024,
+		BusMBPerSec:       10.0,
 	}
 }
 
@@ -61,6 +66,9 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("disk: SectorsPerTrack %d", g.SectorsPerTrack)
 	case g.TracksPerCylinder <= 0:
 		return fmt.Errorf("disk: TracksPerCylinder %d", g.TracksPerCylinder)
+	case g.SectorsPerTrack > math.MaxInt/g.TracksPerCylinder:
+		return fmt.Errorf("disk: %d sectors per track times %d tracks per cylinder overflows",
+			g.SectorsPerTrack, g.TracksPerCylinder)
 	case g.Cylinders <= 0:
 		return fmt.Errorf("disk: Cylinders %d", g.Cylinders)
 	case g.RPM <= 0:
@@ -78,8 +86,15 @@ func (g Geometry) Validate() error {
 // revolutionMs is the rotation period.
 func (g Geometry) revolutionMs() float64 { return 60000.0 / g.RPM }
 
-// seekMs evaluates the two-segment seek curve.
-func (g Geometry) seekMs(dist int) float64 {
+// blockMediaMs is the time for the platter to pass one block's sectors
+// under the head.
+func (g Geometry) blockMediaMs() float64 {
+	return float64(BlockSectors) / float64(g.SectorsPerTrack) * g.revolutionMs()
+}
+
+// seekMs evaluates the two-segment seek curve. A zero-distance seek is
+// free.
+func (g *Geometry) seekMs(dist int) float64 {
 	if dist < 0 {
 		dist = -dist
 	}
@@ -93,20 +108,33 @@ func (g Geometry) seekMs(dist int) float64 {
 	}
 }
 
-// Parametric is a drive model with the same structure as the HP 97560
-// model (seek curve, rotational position, media/bus transfer, readahead
-// cache) but arbitrary parameters.
+// Parametric is the disk-accurate drive model: a two-segment seek
+// curve, rotational latency derived from the modeled angular position
+// of the platter, media-rate transfer, and a readahead cache that serves
+// sequential re-reads at bus speed and sequential continuations at media
+// speed without seek or rotational delay. Everything Service needs from
+// the geometry is worked out once, when the model is built.
 type Parametric struct {
-	g Geometry
+	g            Geometry // for the seek curve
+	revMs        float64  // rotation period
+	sectors      float64  // sectors per track
+	secPerTrack  int64
+	secPerCyl    int64 // sectors under all heads of one cylinder
+	cylinders    int64
+	cacheSectors int64 // readahead cache capacity; 0 disables it
+	mediaMs      float64
+	busMs        float64
+	coldSeekMs   float64 // the first request's seek, a third of the range
+	crossSeekMs  float64 // a sequential read crossing into the next cylinder
 
 	initialized bool
-	headCyl     int
-	lastEnd     int64
-	idleFrom    float64
-	cacheLo     int64
+	headCyl     int     // cylinder the head is parked over
+	lastEnd     int64   // linear sector just past the previous request
+	idleFrom    float64 // completion time of the previous request
+	cacheLo     int64   // readahead cache window [cacheLo, cacheHi)
 	cacheHi     int64
-	record      bool
-	last        Breakdown
+	record      bool      // record per-call decompositions into last
+	last        Breakdown // decomposition of the last Service call
 }
 
 // LastBreakdown implements BreakdownModel.
@@ -120,98 +148,115 @@ func NewParametric(g Geometry) (*Parametric, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return &Parametric{g: g}, nil
+	return newParametric(g), nil
 }
 
-// Geometry returns the model's parameters.
-func (m *Parametric) Geometry() Geometry { return m.g }
+// NewHP97560 returns a fresh model of the paper's drive:
+// NewParametric(HP97560Geometry()).
+func NewHP97560() *Parametric { return newParametric(HP97560Geometry()) }
 
-// Reset implements Model.
-func (m *Parametric) Reset() {
-	g := m.g
-	*m = Parametric{g: g, record: m.record}
-}
-
-// Service implements Model.
-func (m *Parametric) Service(lbn int64, now float64) float64 {
-	g := m.g
-	rev := g.revolutionMs()
-	secPerCyl := int64(g.SectorsPerTrack * g.TracksPerCylinder)
-	cacheSec := int64(g.CacheBytes / SectorSize)
-	mediaMs := float64(BlockSectors) / float64(g.SectorsPerTrack) * rev
+func newParametric(g Geometry) *Parametric {
 	busMs := math.Inf(1)
 	if g.BusMBPerSec > 0 {
 		busMs = float64(BlockSectors*SectorSize) / (g.BusMBPerSec * 1e6) * 1000.0
 	}
+	return &Parametric{
+		g:            g,
+		revMs:        g.revolutionMs(),
+		sectors:      float64(g.SectorsPerTrack),
+		secPerTrack:  int64(g.SectorsPerTrack),
+		secPerCyl:    int64(g.SectorsPerTrack * g.TracksPerCylinder),
+		cylinders:    int64(g.Cylinders),
+		cacheSectors: int64(g.CacheBytes / SectorSize),
+		mediaMs:      g.blockMediaMs(),
+		busMs:        busMs,
+		coldSeekMs:   g.seekMs(g.Cylinders / 3),
+		crossSeekMs:  g.seekMs(1),
+	}
+}
 
+// Service implements Model.
+//
+//ppcvet:hotpath
+func (m *Parametric) Service(lbn int64, now float64) float64 {
 	start := lbn * BlockSectors
 	end := start + BlockSectors
-	cyl := int(start / secPerCyl % int64(g.Cylinders))
+	cyl := int(start / m.secPerCyl % m.cylinders)
 
 	if !m.initialized {
 		m.initialized = true
+		// Cold drive: average-ish positioning cost.
 		m.headCyl = cyl
 		m.lastEnd = end
-		seek := g.seekMs(g.Cylinders / 3)
 		if m.record {
-			m.last = Breakdown{SeekMs: seek, RotationMs: rev / 2, TransferMs: mediaMs}
+			m.last = Breakdown{SeekMs: m.coldSeekMs, RotationMs: m.revMs / 2, TransferMs: m.mediaMs}
 		}
-		t := seek + rev/2 + mediaMs
+		t := m.coldSeekMs + m.revMs/2 + m.mediaMs
 		m.idleFrom = now + t
 		m.cacheLo, m.cacheHi = start, end
 		return t
 	}
-	if idle := now - m.idleFrom; idle > 0 && cacheSec > 0 {
-		grown := int64(idle / rev * float64(g.SectorsPerTrack))
-		m.cacheHi += grown
-		if m.cacheHi > m.cacheLo+cacheSec {
-			m.cacheHi = m.cacheLo + cacheSec
+
+	// Let the readahead cache grow during the idle period since the last
+	// request completed: the drive keeps streaming sectors at media rate.
+	if idle := now - m.idleFrom; idle > 0 && m.cacheSectors > 0 {
+		m.cacheHi += int64(idle / m.revMs * m.sectors)
+		if m.cacheHi > m.cacheLo+m.cacheSectors {
+			m.cacheHi = m.cacheLo + m.cacheSectors
 		}
 	}
+
 	var t float64
 	switch {
-	case cacheSec > 0 && start >= m.cacheLo && end <= m.cacheHi:
-		t = busMs
+	case m.cacheSectors > 0 && start >= m.cacheLo && end <= m.cacheHi:
+		// Whole extent already in the readahead cache: bus transfer only.
+		t = m.busMs
 		if m.record {
-			m.last = Breakdown{TransferMs: busMs}
+			m.last = Breakdown{TransferMs: m.busMs}
 		}
 	case start == m.lastEnd:
-		t = mediaMs
+		// Sequential continuation: the head is already positioned; pay
+		// media transfer (plus a cylinder crossing if we wrapped).
+		t = m.mediaMs
 		var seek float64
 		if cyl != m.headCyl {
-			seek = g.seekMs(1)
+			seek = m.crossSeekMs
 			t += seek
 		}
 		if m.record {
-			m.last = Breakdown{SeekMs: seek, TransferMs: mediaMs}
+			m.last = Breakdown{SeekMs: seek, TransferMs: m.mediaMs}
 		}
 	default:
-		seek := g.seekMs(cyl - m.headCyl)
+		// Positioning: seek plus rotational latency from the modeled
+		// angular position after the seek, plus the media transfer.
+		seek := m.g.seekMs(cyl - m.headCyl)
 		arrive := now + seek
-		angle := math.Mod(arrive, rev) / rev * float64(g.SectorsPerTrack)
-		target := float64(start % int64(g.SectorsPerTrack))
-		rot := target - angle
+		// Angle of the platter at arrival, measured in sectors.
+		angle := math.Mod(arrive, m.revMs) / m.revMs * m.sectors
+		rot := float64(start%m.secPerTrack) - angle
 		if rot < 0 {
-			rot += float64(g.SectorsPerTrack)
+			rot += m.sectors
 		}
-		rotMs := rot / float64(g.SectorsPerTrack) * rev
+		rotMs := rot / m.sectors * m.revMs
 		if m.record {
-			m.last = Breakdown{SeekMs: seek, RotationMs: rotMs, TransferMs: mediaMs}
+			m.last = Breakdown{SeekMs: seek, RotationMs: rotMs, TransferMs: m.mediaMs}
 		}
-		t = seek + rotMs + mediaMs
+		t = seek + rotMs + m.mediaMs
 	}
+
 	m.headCyl = cyl
 	m.lastEnd = end
 	m.idleFrom = now + t
 	if start >= m.cacheLo && start <= m.cacheHi {
+		// Extend the cached window over the newly read data.
 		if end > m.cacheHi {
 			m.cacheHi = end
 		}
 	} else {
 		m.cacheLo, m.cacheHi = start, end
 	}
-	if cacheSec > 0 && m.cacheHi-m.cacheLo > cacheSec {
-		m.cacheLo = m.cacheHi - cacheSec
+	if m.cacheSectors > 0 && m.cacheHi-m.cacheLo > m.cacheSectors {
+		m.cacheLo = m.cacheHi - m.cacheSectors
 	}
 	return t
 }

@@ -17,7 +17,6 @@ import (
 type fixedModel struct{ ms float64 }
 
 func (m fixedModel) Service(int64, float64) float64 { return m.ms }
-func (m fixedModel) Reset()                         {}
 
 // demandPolicy is a minimal in-package demand fetcher for engine tests.
 type demandPolicy struct{ s *State }

@@ -13,7 +13,6 @@ import (
 type fixedModel struct{ ms float64 }
 
 func (m fixedModel) Service(int64, float64) float64 { return m.ms }
-func (m fixedModel) Reset()                         {}
 
 func fixed(ms float64) func() disk.Model {
 	return func() disk.Model { return fixedModel{ms} }

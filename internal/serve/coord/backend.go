@@ -57,10 +57,18 @@ const (
 	errPermanent
 )
 
-// cellError is a classified failure from a Backend.Run call.
+// cellError is a classified failure from a Backend.Run call. status is
+// the HTTP status the worker answered, or would have answered, with; the
+// coordinator relays it for a permanent failure.
 type cellError struct {
-	kind errKind
-	err  error
+	kind   errKind
+	status int
+	err    error
+}
+
+// workerFailure classifies a worker's answer at status.
+func workerFailure(status int, err error) *cellError {
+	return &cellError{kind: kindForStatus(status), status: status, err: err}
 }
 
 func (e *cellError) Error() string { return e.err.Error() }
@@ -103,7 +111,7 @@ func (b *HTTPBackend) Run(ctx context.Context, body []byte) ([]byte, serve.RunMe
 	var meta serve.RunMeta
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.baseURL+"/v1/run", bytes.NewReader(body))
 	if err != nil {
-		return nil, meta, &cellError{kind: errPermanent, err: err}
+		return nil, meta, &cellError{kind: errPermanent, status: http.StatusInternalServerError, err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := b.client.Do(req)
@@ -125,18 +133,18 @@ func (b *HTTPBackend) Run(ctx context.Context, body []byte) ([]byte, serve.RunMe
 		}
 		return data, meta, nil
 	}
-	// Prefer the worker's envelope message so the diagnostic a client
-	// sees matches what the worker reported.
-	errMsg := fmt.Sprintf("worker %s: status %d", b.name, resp.StatusCode)
+	// Relay the worker's status and envelope message verbatim, so a
+	// client sees what the worker reported, as it would from an embedded
+	// worker.
 	var env serve.ErrorEnvelope
-	if jsonErr := json.Unmarshal(data, &env); jsonErr == nil && env.Error.Message != "" {
-		if env.Error.Field != "" {
-			return nil, meta, &cellError{kind: kindForStatus(resp.StatusCode),
-				err: &workerConfigError{msg: env.Error.Message, cfg: &ppcsim.ConfigError{Field: env.Error.Field}}}
-		}
-		errMsg = fmt.Sprintf("worker %s: %s", b.name, env.Error.Message)
+	if jsonErr := json.Unmarshal(data, &env); jsonErr != nil || env.Error.Message == "" {
+		return nil, meta, workerFailure(resp.StatusCode, fmt.Errorf("worker %s: status %d", b.name, resp.StatusCode))
 	}
-	return nil, meta, &cellError{kind: kindForStatus(resp.StatusCode), err: errors.New(errMsg)}
+	if env.Error.Field != "" {
+		return nil, meta, workerFailure(resp.StatusCode,
+			&workerConfigError{msg: env.Error.Message, cfg: &ppcsim.ConfigError{Field: env.Error.Field}})
+	}
+	return nil, meta, workerFailure(resp.StatusCode, errors.New(env.Error.Message))
 }
 
 // workerConfigError is a remote worker's error envelope that named a
@@ -262,7 +270,7 @@ func (b *LocalBackend) Run(ctx context.Context, body []byte) ([]byte, serve.RunM
 		val, meta, err = b.srv.RunJSONMeta(body)
 	}
 	if err != nil {
-		return nil, serve.RunMeta{}, &cellError{kind: kindForStatus(serve.StatusForError(err)), err: err}
+		return nil, serve.RunMeta{}, workerFailure(serve.StatusForError(err), err)
 	}
 	return val, meta, nil
 }

@@ -425,7 +425,7 @@ func (j *jobRun) runCell(b Backend, t *cellTask) {
 	ce := classify(err)
 	switch {
 	case ce.kind == errPermanent:
-		j.failLocked(t, serve.StatusForError(ce.err), ce.err)
+		j.failLocked(t, ce.status, ce.err)
 	case t.attempts >= j.c.cfg.MaxAttempts:
 		j.failLocked(t, http.StatusBadGateway,
 			fmt.Errorf("coord: cell %d failed %d attempts, last: %w", t.cell.Index, t.attempts, ce.err))

@@ -261,7 +261,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		ce := classify(err)
 		switch ce.kind {
 		case errPermanent:
-			serve.WriteError(w, serve.StatusForError(ce.err), ce.err)
+			serve.WriteError(w, ce.status, ce.err)
 			return
 		case errBusy:
 			w.Header().Set("Retry-After", "1")

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"ppcsim"
 	"ppcsim/internal/load"
 	"ppcsim/internal/serve"
 )
@@ -108,19 +110,33 @@ func postRun(t *testing.T, url string, body []byte) response {
 	return response{resp.StatusCode, resp.Header.Get("X-Cache"), resp.Header.Get("X-Worker"), data}
 }
 
+// waitOutShortDeadlines runs the simulator, except that a run given
+// less than a second waits for its deadline and times out, so a body
+// with a short timeout_ms fails the same way on every worker.
+func waitOutShortDeadlines(ctx context.Context, opts ppcsim.Options) (ppcsim.Result, error) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < time.Second {
+		<-ctx.Done()
+		return ppcsim.Result{}, fmt.Errorf("%w: %w", ppcsim.ErrCanceled, ctx.Err())
+	}
+	return ppcsim.RunContext(ctx, opts)
+}
+
 // TestEmbeddedMatchesHTTPWorkers: a coordinator over embedded workers,
 // which take its decoded requests, answers every /v1/run body and job
 // cell exactly as one over HTTP workers, which decode their own copies:
 // the same status, X-Cache and worker, and byte-identical bodies.
 func TestEmbeddedMatchesHTTPWorkers(t *testing.T) {
 	const maxBody = 64 << 10
-	embedded, closeAll := NewEmbeddedBackends(2, serve.Config{Workers: 1})
+	scfg := serve.Config{Workers: 1, Runner: waitOutShortDeadlines}
+	embedded, closeAll := NewEmbeddedBackends(2, scfg)
 	defer closeAll()
 	var remote []Backend
 	for i := 0; i < 2; i++ {
+		srv := serve.New(scfg)
+		ts := httptest.NewServer(srv.Handler())
+		defer func() { ts.Close(); srv.Close() }()
 		// The embedded workers' names, so both rings route alike.
-		_, _, b := newHTTPWorker(t, fmt.Sprintf("local-%d", i))
-		remote = append(remote, b)
+		remote = append(remote, NewHTTPBackend(fmt.Sprintf("local-%d", i), ts.URL, nil))
 	}
 	urls := map[string]string{}
 	for name, backends := range map[string][]Backend{"embedded": embedded, "http": remote} {
@@ -158,6 +174,7 @@ func TestEmbeddedMatchesHTTPWorkers(t *testing.T) {
 		run{"block out of range", []byte(fmt.Sprintf(`{"trace_text":%q,"algorithm":"demand"}`, text+"r 99 0.1\n"))},
 		run{"window over an offline algorithm", []byte(fmt.Sprintf(`{"trace_text":%q,"algorithm":"reverse-aggressive","window":8}`, text))},
 		run{"bad JSON", []byte(`{"trace":`)},
+		run{"timeout", []byte(`{"trace":"xds","algorithm":"aggressive","timeout_ms":300}`)},
 	)
 	for _, r := range runs {
 		e, h := postRun(t, urls["embedded"], r.body), postRun(t, urls["http"], r.body)
@@ -165,11 +182,15 @@ func TestEmbeddedMatchesHTTPWorkers(t *testing.T) {
 			t.Errorf("%s: embedded %d %q %q %s\nhttp %d %q %q %s", r.name,
 				e.status, e.cache, e.worker, e.body, h.status, h.cache, h.worker, h.body)
 		}
+		if r.name == "timeout" && e.status != http.StatusGatewayTimeout {
+			t.Errorf("timeout: status %d, want %d", e.status, http.StatusGatewayTimeout)
+		}
 	}
 
 	jobs := []string{
 		jobBody(t),
 		fmt.Sprintf(`{"trace_text":%q,"algorithms":["demand","reverse-aggressive"],"windows":[8],"timeout_ms":60000}`, text),
+		`{"trace":"xds","algorithms":["aggressive"],"timeout_ms":300}`,
 	}
 	for i, body := range jobs {
 		e, h := submitJob(t, urls["embedded"], body), submitJob(t, urls["http"], body)
@@ -190,6 +211,9 @@ func TestEmbeddedMatchesHTTPWorkers(t *testing.T) {
 			if ec.Key != hc.Key || ec.Worker != hc.Worker || ec.Cache != hc.Cache ||
 				!bytes.Equal(ec.Result, hc.Result) || !bytes.Equal(ej, hj) {
 				t.Errorf("job %d cell %d: embedded %+v %s\nhttp %+v %s", i, ec.Index, ec, ej, hc, hj)
+			}
+			if timedOut := ec.Error != nil && ec.Error.Code == serve.CodeTimeout; timedOut != (i == 2) {
+				t.Errorf("job %d cell %d: error %s, want a timeout exactly in job 2", i, ec.Index, ej)
 			}
 		}
 	}

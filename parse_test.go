@@ -190,6 +190,13 @@ func TestOptionsValidate(t *testing.T) {
 			o.DiskGeometry = &g
 			return o
 		}(), "DiskGeometry"},
+		{"geometry whose sectors per cylinder overflow", func() ppcsim.Options {
+			o := ok()
+			g := ppcsim.HP97560Geometry()
+			g.SectorsPerTrack, g.TracksPerCylinder = 1<<32, 1<<32
+			o.DiskGeometry = &g
+			return o
+		}(), "DiskGeometry"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -89,11 +89,13 @@ type Result = engine.Result
 // Discipline selects the disk-head scheduling policy.
 type Discipline = disk.Discipline
 
-// DiskGeometry parameterizes a custom drive model (seek curve, rotation,
-// readahead cache); see HP97560Geometry for the paper's drive.
+// DiskGeometry parameterizes the drive model (seek curve, rotation,
+// readahead cache); the paper's drive is the model at HP97560Geometry().
 type DiskGeometry = disk.Geometry
 
-// HP97560Geometry returns the parameters of the paper's HP 97560 drive.
+// HP97560Geometry returns the parameters of the paper's HP 97560 drive,
+// the geometry every run uses unless DiskGeometry or SimpleDiskModel is
+// set.
 func HP97560Geometry() DiskGeometry { return disk.HP97560Geometry() }
 
 // HintSpec models incomplete or inaccurate application hints: each
