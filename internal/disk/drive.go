@@ -41,7 +41,6 @@ type Request struct {
 	// ServiceMs is the modeled service time, filled in when the request
 	// enters service.
 	ServiceMs float64
-	seq       int64 // arrival order, for FCFS
 }
 
 // Drive is one disk of the array: a service model plus a queue of
@@ -60,11 +59,15 @@ type Drive struct {
 	// path keeps the smaller request allocation.
 	OnStart func(r *Request, b Breakdown, now float64)
 
-	queue   []*Request
-	current *Request
-	busyEnd float64
-	headLBN int64
-	nextSeq int64
+	// The queue. Under CSCAN, ahead holds the requests at or past the
+	// head and behind the rest, each a heap in (LBN, arrival) order; under
+	// FCFS, fifo holds them in arrival order.
+	ahead, behind lbnHeap
+	fifo          fifo
+	current       *Request
+	busyEnd       float64
+	headLBN       int64
+	nextSeq       int64
 
 	// Statistics.
 	busyTime      float64 // sum of service times, the in-service request's included
@@ -94,7 +97,7 @@ func (dr *Drive) Busy() bool { return dr.current != nil }
 // Outstanding returns the total number of requests at the drive, including
 // the one in service.
 func (dr *Drive) Outstanding() int {
-	n := len(dr.queue)
+	n := dr.queued()
 	if dr.current != nil {
 		n++
 	}
@@ -105,63 +108,50 @@ func (dr *Drive) Outstanding() int {
 // only meaningful when Busy() is true.
 func (dr *Drive) BusyEnd() float64 { return dr.busyEnd }
 
+// queued returns the number of requests waiting for service.
+func (dr *Drive) queued() int { return len(dr.ahead) + len(dr.behind) + dr.fifo.n }
+
 // Enqueue adds a request at time now and starts it immediately if the
 // drive is idle.
 func (dr *Drive) Enqueue(r *Request, now float64) {
-	r.seq = dr.nextSeq
-	dr.nextSeq++
 	r.EnqueuedAt = now
-	dr.queue = append(dr.queue, r)
-	if dr.current == nil {
-		dr.startNext(now)
+	e := queuedReq{lbn: r.LBN, seq: dr.nextSeq, r: r}
+	dr.nextSeq++
+	switch {
+	case dr.current == nil:
+		// An idle drive's queue is empty, so r is the request it picks.
+		dr.start(r, now)
+	case dr.discipline == FCFS:
+		dr.fifo.push(r)
+	case r.LBN >= dr.headLBN:
+		dr.ahead.push(e)
+	default:
+		dr.behind.push(e)
 	}
 }
 
-// pick removes and returns the next request per the discipline.
+// pick removes and returns the next request per the discipline. Under
+// CSCAN that is the smallest (LBN, arrival) at or past the head, or, when
+// none is, the smallest of all. The head only moves to the request
+// picked, so ahead's minimum becomes the head and every request left in
+// ahead stays at or past it; when ahead runs dry, the sweep wraps and
+// behind, all of the queue, becomes ahead.
 //
 //ppcvet:hotpath
 func (dr *Drive) pick() *Request {
-	best := -1
-	switch dr.discipline {
-	case FCFS:
-		for i, r := range dr.queue {
-			if best < 0 || r.seq < dr.queue[best].seq {
-				best = i
-			}
-		}
-	case CSCAN:
-		// Smallest LBN at or past the head; wrap to the global smallest.
-		wrap := -1
-		for i, r := range dr.queue {
-			if r.LBN >= dr.headLBN {
-				if best < 0 || r.LBN < dr.queue[best].LBN ||
-					(r.LBN == dr.queue[best].LBN && r.seq < dr.queue[best].seq) {
-					best = i
-				}
-			}
-			if wrap < 0 || r.LBN < dr.queue[wrap].LBN ||
-				(r.LBN == dr.queue[wrap].LBN && r.seq < dr.queue[wrap].seq) {
-				wrap = i
-			}
-		}
-		if best < 0 {
-			best = wrap
-		}
+	if dr.discipline == FCFS {
+		return dr.fifo.pop()
 	}
-	r := dr.queue[best]
-	dr.queue[best] = dr.queue[len(dr.queue)-1]
-	dr.queue = dr.queue[:len(dr.queue)-1]
-	return r
+	if len(dr.ahead) == 0 {
+		dr.ahead, dr.behind = dr.behind, dr.ahead
+	}
+	return dr.ahead.pop()
 }
 
-// startNext puts the next queued request, if any, into service.
+// start puts r into service.
 //
 //ppcvet:hotpath
-func (dr *Drive) startNext(now float64) {
-	if len(dr.queue) == 0 {
-		return
-	}
-	r := dr.pick()
+func (dr *Drive) start(r *Request, now float64) {
 	svc := dr.model.Service(r.LBN, now)
 	r.ServiceMs = svc
 	dr.current = r
@@ -190,7 +180,9 @@ func (dr *Drive) Complete(now float64) *Request {
 	dr.current = nil
 	dr.completed++
 	dr.totalResponse += now - r.EnqueuedAt
-	dr.startNext(now)
+	if dr.queued() > 0 {
+		dr.start(dr.pick(), now)
+	}
 	return r
 }
 
@@ -215,4 +207,101 @@ func (dr *Drive) MeanResponseMs() float64 {
 		return 0
 	}
 	return dr.totalResponse / float64(dr.completed)
+}
+
+// queuedReq is one request in a CSCAN heap. Its sort keys, the LBN and
+// the arrival order, sit in the slot so that comparing two does not
+// dereference either request.
+type queuedReq struct {
+	lbn, seq int64
+	r        *Request
+}
+
+func (a *queuedReq) before(b *queuedReq) bool {
+	return a.lbn < b.lbn || a.lbn == b.lbn && a.seq < b.seq
+}
+
+// lbnHeap is a min-heap of queued requests in (LBN, arrival) order.
+type lbnHeap []queuedReq
+
+// push adds e.
+//
+//ppcvet:hotpath
+func (h *lbnHeap) push(e queuedReq) {
+	*h = append(*h, e)
+	a := *h
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !a[j].before(&a[i]) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+// pop removes and returns the least request; the heap must not be empty.
+//
+//ppcvet:hotpath
+func (h *lbnHeap) pop() *Request {
+	a := *h
+	n := len(a) - 1
+	r := a[0].r
+	a[0] = a[n]
+	a[n] = queuedReq{}
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].before(&a[j]) {
+			j = j2
+		}
+		if !a[j].before(&a[i]) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	*h = a[:n]
+	return r
+}
+
+// fifo is a ring of requests in arrival order. It grows by doubling only
+// when full, so its storage stays within twice the deepest the queue has
+// been, or 8 slots.
+type fifo struct {
+	buf  []*Request // len is zero or a power of two
+	head int        // index of the oldest request
+	n    int        // number of requests held
+}
+
+// push appends r.
+//
+//ppcvet:hotpath
+func (q *fifo) push(r *Request) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+// grow doubles the full ring, unrolling it to start at index 0.
+func (q *fifo) grow() {
+	buf := make([]*Request, 0, max(8, 2*len(q.buf)))
+	buf = append(buf, q.buf[q.head:]...)
+	buf = append(buf, q.buf[:q.head]...)
+	q.buf, q.head = buf[:cap(buf)], 0
+}
+
+// pop removes and returns the oldest request; the ring must not be empty.
+//
+//ppcvet:hotpath
+func (q *fifo) pop() *Request {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
 }

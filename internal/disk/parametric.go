@@ -102,9 +102,9 @@ func (g *Geometry) seekMs(dist int) float64 {
 	case dist == 0:
 		return 0
 	case dist < g.SeekBoundary:
-		return g.SeekConst + g.SeekSqrt*math.Sqrt(float64(dist))
+		return g.SeekConst + float64(g.SeekSqrt*math.Sqrt(float64(dist)))
 	default:
-		return g.SeekLinConst + g.SeekLin*float64(dist)
+		return g.SeekLinConst + float64(g.SeekLin*float64(dist))
 	}
 }
 
@@ -191,7 +191,7 @@ func (m *Parametric) Service(lbn int64, now float64) float64 {
 		if m.record {
 			m.last = Breakdown{SeekMs: m.coldSeekMs, RotationMs: m.revMs / 2, TransferMs: m.mediaMs}
 		}
-		t := m.coldSeekMs + m.revMs/2 + m.mediaMs
+		t := m.coldSeekMs + float64(m.revMs/2) + m.mediaMs
 		m.idleFrom = now + t
 		m.cacheLo, m.cacheHi = start, end
 		return t
@@ -232,12 +232,12 @@ func (m *Parametric) Service(lbn int64, now float64) float64 {
 		seek := m.g.seekMs(cyl - m.headCyl)
 		arrive := now + seek
 		// Angle of the platter at arrival, measured in sectors.
-		angle := math.Mod(arrive, m.revMs) / m.revMs * m.sectors
+		angle := float64(remainder(arrive, m.revMs) / m.revMs * m.sectors)
 		rot := float64(start%m.secPerTrack) - angle
 		if rot < 0 {
 			rot += m.sectors
 		}
-		rotMs := rot / m.sectors * m.revMs
+		rotMs := float64(rot / m.sectors * m.revMs)
 		if m.record {
 			m.last = Breakdown{SeekMs: seek, RotationMs: rotMs, TransferMs: m.mediaMs}
 		}
@@ -259,4 +259,31 @@ func (m *Parametric) Service(lbn int64, now float64) float64 {
 		m.cacheLo = m.cacheHi - m.cacheSectors
 	}
 	return t
+}
+
+// remainder returns x mod rev for x >= 0 and rev > 0, bit for bit what
+// math.Mod returns, without math.Mod's frexp/ldexp loop.
+//
+// Below 2^52 periods k = floor(x/rev) is an exact integer, and rounding
+// x/rev can carry it across at most one integer, upwards, so k is the
+// true quotient or one more. x - k·rev is then the remainder or the
+// remainder less rev: a multiple of rev's last place no larger than rev,
+// hence representable, and math.FMA, which rounds once, returns it
+// exactly. The package's other products are wrapped in float64(...) so
+// that no architecture fuses them; this math.FMA is the one deliberate
+// fused multiply-add, and it is exact on every architecture.
+func remainder(x, rev float64) float64 {
+	q := x / rev
+	if q < 1 {
+		return x // x < rev, or rev is infinite
+	}
+	if !(q < 1<<52) {
+		return math.Mod(x, rev) // k would not be exact, or x is not finite
+	}
+	k := math.Floor(q)
+	r := math.FMA(-k, rev, x)
+	if r < 0 {
+		r = math.FMA(-(k - 1), rev, x)
+	}
+	return r
 }

@@ -206,3 +206,34 @@ func TestParametricFasterDrive(t *testing.T) {
 		t.Errorf("faster drive total %g >= slower %g", sumF, sumS)
 	}
 }
+
+// FuzzAngle holds the platter-angle remainder to math.Mod, bit for bit,
+// for every finite x >= 0 and every rotation speed a geometry accepts.
+// The seeds sit on multiples of the HP 97560's period and one ulp either
+// side, where a quotient rounded up across an integer must be stepped
+// back.
+func FuzzAngle(f *testing.F) {
+	rev := HP97560Geometry().revolutionMs()
+	for _, k := range []float64{1, 2, 3, 7, 1000, 65536, 1e6, 6.5e10} {
+		m := k * rev
+		for _, x := range []float64{m, math.Nextafter(m, 0), math.Nextafter(m, math.Inf(1))} {
+			f.Add(x, 4002.0)
+		}
+	}
+	for _, x := range []float64{0, 1, 1e12} {
+		f.Add(x, 4002.0)
+	}
+	f.Add(1e300, 4002.0)
+	f.Add(5e-324, 7200.0)
+	f.Add(1e5, 5e-324)
+	f.Fuzz(func(t *testing.T, x, rpm float64) {
+		if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 ||
+			math.IsNaN(rpm) || math.IsInf(rpm, 0) || rpm <= 0 {
+			t.Skip()
+		}
+		rev := Geometry{RPM: rpm}.revolutionMs()
+		if got, want := remainder(x, rev), math.Mod(x, rev); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("remainder(%v, %v) = %v, math.Mod gives %v", x, rev, got, want)
+		}
+	})
+}

@@ -192,6 +192,9 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.CacheBlocks <= 1 {
 		return nil, &ConfigError{Field: "CacheBlocks", Reason: fmt.Sprintf("cache of %d blocks is too small", cfg.CacheBlocks)}
 	}
+	if cfg.Discipline != disk.CSCAN && cfg.Discipline != disk.FCFS {
+		return nil, &ConfigError{Field: "Discipline", Reason: fmt.Sprintf("unknown disk scheduler %v", cfg.Discipline)}
+	}
 	overhead := cfg.DriverOverheadMs
 	switch {
 	case math.IsNaN(overhead) || math.IsInf(overhead, 0):

@@ -127,6 +127,9 @@ func (o Options) check(refs int64, stream bool) error {
 	if o.Disks < 0 {
 		return &ConfigError{Field: "Disks", Reason: fmt.Sprintf("must be non-negative, got %d", o.Disks)}
 	}
+	if o.Scheduler != CSCAN && o.Scheduler != FCFS {
+		return &ConfigError{Field: "Scheduler", Reason: fmt.Sprintf("unknown disk scheduler %v (valid: CSCAN, FCFS)", o.Scheduler)}
+	}
 	if o.CacheBlocks < 0 || o.CacheBlocks == 1 {
 		return &ConfigError{Field: "CacheBlocks", Reason: fmt.Sprintf("need at least 2 blocks (0 = trace default), got %d", o.CacheBlocks)}
 	}

@@ -144,6 +144,11 @@ func TestOptionsValidate(t *testing.T) {
 			o.Disks = -1
 			return o
 		}(), "Disks"},
+		{"unknown scheduler", func() ppcsim.Options {
+			o := ok()
+			o.Scheduler = ppcsim.Discipline(7)
+			return o
+		}(), "Scheduler"},
 		{"one-block cache", func() ppcsim.Options {
 			o := ok()
 			o.CacheBlocks = 1
@@ -255,6 +260,7 @@ func TestRunMultiConfigError(t *testing.T) {
 		{"zero disks", ppcsim.MultiConfig{Processes: one, CacheBlocks: 8}, "Disks"},
 		{"negative disks", ppcsim.MultiConfig{Processes: one, Disks: -2, CacheBlocks: 8}, "Disks"},
 		{"1-block cache", ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 1}, "CacheBlocks"},
+		{"unknown scheduler", ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 8, Discipline: ppcsim.Discipline(7)}, "Discipline"},
 		{"NaN driver overhead", ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 8, DriverOverheadMs: math.NaN()}, "DriverOverheadMs"},
 		{"infinite driver overhead", ppcsim.MultiConfig{Processes: one, Disks: 1, CacheBlocks: 8, DriverOverheadMs: math.Inf(-1)}, "DriverOverheadMs"},
 		{"no trace", ppcsim.MultiConfig{Processes: []ppcsim.ProcessSpec{{}}, Disks: 1, CacheBlocks: 8}, "Processes"},
