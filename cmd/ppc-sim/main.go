@@ -7,11 +7,17 @@
 //	ppc-sim -trace synth -alg aggressive -disks 3 -batch 40 -sched fcfs
 //	ppc-sim -trace cscope1 -alg forestall -disks 2 -events trace.json -series series.csv
 //	ppc-sim -large 1e7:65536:zipf:1 -window 1000 -alg forestall -disks 4
-//	ppc-sim -trace-file big.col -stream -window 1000 -alg aggressive
+//	ppc-sim -trace-file big.col -window 1000 -alg aggressive
 //
-// Exit status: 0 on success, 2 for an invalid configuration (unknown
-// trace or algorithm, non-positive -disks or -cache, and anything else
-// ppcsim reports as a ConfigError), 1 for runtime failures.
+// The flags become a serve.RunSpec, the body POST /v1/run takes, so a
+// run is defaulted and checked exactly as on the wire. An absent flag is
+// an absent field. The source decides whether a run streams: a bundled
+// -trace is materialized, while -large (trace_spec) and -trace-file
+// (trace_hash, resolved to the local file) stream, so they need -window
+// and an online algorithm.
+//
+// Exit status: 0 on success, 2 for an invalid configuration (anything
+// reported as a ppcsim.ConfigError), 1 for runtime failures.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"time"
 
 	"ppcsim"
+	"ppcsim/internal/serve"
 )
 
 func main() {
@@ -35,31 +42,31 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppc-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var spec serve.RunSpec
 	var (
 		traceName = fs.String("trace", "synth", "trace name (see ppc-traces for the list)")
-		traceFile = fs.String("trace-file", "", "columnar trace file to run instead of a bundled trace (see ppc-traces convert)")
+		traceFile = fs.String("trace-file", "", "stream this columnar trace file instead of a bundled trace (see ppc-traces convert); requires -window")
 		largeSpec = fs.String("large", "", "stream a synthetic trace refs[:blocks[:pattern[:seed]]] (pattern: loop or zipf), e.g. 1e7:65536:zipf:1; requires -window")
-		stream    = fs.Bool("stream", false, "run through the streaming engine (bounded memory; requires -window; implied by -large)")
-		alg       = fs.String("alg", "forestall", "algorithm: "+algorithmList())
 		disks     = fs.Int("disks", 1, "number of disks in the array")
-		cacheBlk  = fs.Int("cache", 0, "cache size in 8K blocks (0 = trace default)")
-		sched     = fs.String("sched", "cscan", "disk-head scheduling: cscan or fcfs")
-		batch     = fs.Int("batch", 0, "batch size for aggressive/forestall/reverse-aggressive (0 = paper default)")
-		horizon   = fs.Int("horizon", 0, "prefetch horizon H for fixed-horizon/forestall (0 = 62)")
-		festimate = fs.Float64("f", 0, "reverse aggressive's fetch time estimate F (0 = 32)")
-		fixedF    = fs.Float64("forestall-f", 0, "fix forestall's F' instead of dynamic estimation")
+		cacheBlk  = fs.Int("cache", 0, "cache size in 8K blocks (unset = trace default)")
 		window    = fs.Int("window", 0, "lookahead window in references (unset = unlimited hints)")
 		hintFrac  = fs.Float64("hint-fraction", 1, "fraction of references disclosed as hints")
 		hintAcc   = fs.Float64("hint-accuracy", 1, "probability a disclosed hint names the right block")
 		hintSeed  = fs.Int64("hint-seed", 0, "seed for hint disclosure/corruption draws")
-		overhead  = fs.Float64("driver-ms", 0, "driver overhead per request in ms (0 = 0.5, negative = none)")
-		simple    = fs.Bool("simple-disk", false, "use the simplified fixed-latency disk model")
-		seed      = fs.Int64("seed", 0, "data placement seed")
-		cpuScale  = fs.Float64("cpu-scale", 1, "scale all compute times (0.5 = double-speed CPU)")
 		perDisk   = fs.Bool("per-disk", false, "print a per-disk breakdown")
 		events    = fs.String("events", "", "write Chrome trace-event JSON to this file (view in chrome://tracing or ui.perfetto.dev)")
 		series    = fs.String("series", "", "write per-disk time-series CSV (queue depth, utilization, cache occupancy, stalls) to this file")
 	)
+	fs.StringVar(&spec.Algorithm, "alg", "forestall", "algorithm: "+algorithmList())
+	fs.StringVar(&spec.Scheduler, "sched", "cscan", "disk-head scheduling: cscan or fcfs")
+	fs.IntVar(&spec.BatchSize, "batch", 0, "batch size for aggressive/forestall/reverse-aggressive (0 = paper default)")
+	fs.IntVar(&spec.Horizon, "horizon", 0, "prefetch horizon H for fixed-horizon/forestall (0 = 62)")
+	fs.Float64Var(&spec.FetchEstimate, "f", 0, "reverse aggressive's fetch time estimate F (0 = 32)")
+	fs.Float64Var(&spec.ForestallFixedF, "forestall-f", 0, "fix forestall's F' instead of dynamic estimation")
+	fs.Float64Var(&spec.DriverOverheadMs, "driver-ms", 0, "driver overhead per request in ms (0 = 0.5, negative = none)")
+	fs.BoolVar(&spec.SimpleDiskModel, "simple-disk", false, "use the simplified fixed-latency disk model")
+	fs.Int64Var(&spec.PlacementSeed, "seed", 0, "data placement seed")
+	fs.Float64Var(&spec.CPUScale, "cpu-scale", 1, "scale all compute times (0.5 = double-speed CPU)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,118 +83,63 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// The library treats zero Disks/CacheBlocks as "use the default", so
-	// an explicit -disks 0 or -cache 0 would otherwise be silently
-	// reinterpreted instead of rejected. Catch explicit non-positive
-	// values at the flag boundary.
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["disks"] && *disks <= 0 {
-		return fail(&ppcsim.ConfigError{Field: "Disks",
-			Reason: fmt.Sprintf("must be positive, got %d", *disks)})
-	}
-	if explicit["cache"] && *cacheBlk <= 0 {
-		return fail(&ppcsim.ConfigError{Field: "CacheBlocks",
-			Reason: fmt.Sprintf("must be positive, got %d", *cacheBlk)})
-	}
-	// The library's HintSpec uses Window 0 for "unlimited" and -1 for "no
-	// lookahead"; at the CLI, absent means unlimited and anything explicit
-	// must be a positive reference count or -1 for no lookahead.
-	if explicit["window"] && (*window == 0 || *window < -1) {
-		return fail(&ppcsim.ConfigError{Field: "Window",
-			Reason: fmt.Sprintf("must be positive or -1 for no lookahead, got %d (omit the flag for unlimited lookahead)", *window)})
-	}
-	if *largeSpec != "" && *traceFile != "" {
-		return fail(&ppcsim.ConfigError{Field: "Trace", Reason: "-large and -trace-file are mutually exclusive"})
-	}
-	if (*largeSpec != "" || *traceFile != "") && explicit["trace"] {
-		return fail(&ppcsim.ConfigError{Field: "Trace", Reason: "-trace cannot be combined with -large or -trace-file"})
-	}
-
-	// Resolve the workload: a streaming source (-large, or -stream over a
-	// file/bundled trace) or a materialized trace.
-	var tr *ppcsim.Trace
-	var src ppcsim.TraceSource
-	var totalRefs int64
-	switch {
-	case *largeSpec != "":
-		spec, err := ppcsim.ParseLargeTraceSpec(*largeSpec)
-		if err != nil {
-			return fail(&ppcsim.ConfigError{Field: "Trace", Reason: err.Error()})
+	// What follows are the flag spellings the wire cannot carry. Every
+	// rule about the values is RunSpec's. -trace has a default, so it
+	// names the source when given, or when no other source is.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "trace":
+			spec.Trace = *traceName
+		case "disks":
+			spec.Disks = disks
+		case "cache":
+			spec.CacheBlocks = cacheBlk
+		case "window":
+			spec.Window = window
 		}
-		s, err := spec.Source()
-		if err != nil {
-			return fail(&ppcsim.ConfigError{Field: "Trace", Reason: err.Error()})
-		}
-		src = s
-	case *traceFile != "":
-		f, err := ppcsim.OpenColumnarTrace(*traceFile)
-		if err != nil {
-			return fail(&ppcsim.ConfigError{Field: "Trace", Reason: err.Error()})
-		}
-		defer f.Close()
-		if *stream {
-			src = f
-		} else if tr, err = ppcsim.MaterializeTrace(f); err != nil {
-			return fail(&ppcsim.ConfigError{Field: "Trace", Reason: err.Error()})
-		}
-	default:
+	})
+	if *largeSpec == "" && *traceFile == "" {
+		spec.Trace = *traceName
+	}
+	// On the wire, cpu_scale 0 means unset; here it is an explicit 0.
+	if spec.CPUScale == 0 { //ppcvet:ignore flag value, parsed rather than computed
+		return fail(&ppcsim.ConfigError{Field: "CPUScale", Reason: "must be positive, got 0"})
+	}
+	// The hint flags have defaults, and -hint-seed reaches the hints
+	// whenever any hint setting is given.
+	if spec.Window != nil || *hintFrac != 1 || *hintAcc != 1 { //ppcvet:ignore flag-default sentinels, parsed rather than computed
+		spec.Hints = &serve.Hints{Fraction: *hintFrac, Accuracy: *hintAcc, Seed: *hintSeed}
+	}
+	env := serve.SourceEnv{LoadTrace: ppcsim.NewTrace}
+	if *largeSpec != "" {
 		var err error
-		if tr, err = ppcsim.NewTrace(*traceName); err != nil {
-			return fail(&ppcsim.ConfigError{Field: "Trace", Reason: err.Error()})
-		}
-		if *stream {
-			src = tr.Source()
-			tr = nil
+		if spec.TraceSpec, err = serve.ParseTraceSpec(*largeSpec); err != nil {
+			return fail(err)
 		}
 	}
-	if src != nil {
-		if *cpuScale != 1 { //ppcvet:ignore flag-default sentinel, parsed rather than computed
-			return fail(&ppcsim.ConfigError{Field: "CPUScale", Reason: "-cpu-scale requires a materialized trace"})
+	if *traceFile != "" {
+		tf, err := serve.HashTraceFile(*traceFile)
+		if err != nil {
+			return fail(err)
 		}
-		totalRefs = src.Meta().Refs
-	} else {
-		if *cpuScale != 1 { //ppcvet:ignore flag-default sentinel, parsed rather than computed
-			tr = tr.ScaleCompute(*cpuScale)
-		}
-		totalRefs = int64(len(tr.Refs))
-	}
-	algorithm, err := ppcsim.ParseAlgorithm(*alg)
-	if err != nil {
-		return fail(err)
-	}
-	discipline, err := ppcsim.ParseDiscipline(*sched)
-	if err != nil {
-		return fail(err)
-	}
-	opts := ppcsim.Options{
-		Trace:            tr,
-		Source:           src,
-		Algorithm:        algorithm,
-		Disks:            *disks,
-		CacheBlocks:      *cacheBlk,
-		Scheduler:        discipline,
-		BatchSize:        *batch,
-		Horizon:          *horizon,
-		FetchEstimate:    *festimate,
-		ForestallFixedF:  *fixedF,
-		DriverOverheadMs: *overhead,
-		SimpleDiskModel:  *simple,
-		PlacementSeed:    *seed,
-	}
-	if *window != 0 || *hintFrac != 1 || *hintAcc != 1 { //ppcvet:ignore flag-default sentinels, parsed rather than computed
-		opts.Hints = &ppcsim.HintSpec{
-			Fraction: *hintFrac,
-			Accuracy: *hintAcc,
-			Seed:     *hintSeed,
-			Window:   *window,
-		}
+		spec.TraceHash, env.OpenHash = tf.Hash, tf.OpenHash
 	}
 
-	// Validate before opening the output files, so a rejected invocation
-	// leaves existing -events and -series files untouched.
-	if err := opts.Validate(); err != nil {
+	// Validate and build before opening the output files, so a rejected
+	// invocation leaves existing -events and -series files untouched.
+	if err := spec.Validate(); err != nil {
 		return fail(err)
+	}
+	opts, cleanup, err := spec.BuildOptions(env)
+	if err != nil {
+		return fail(err)
+	}
+	defer cleanup()
+	var totalRefs int64
+	if opts.Source != nil {
+		totalRefs = opts.Source.Meta().Refs
+	} else {
+		totalRefs = int64(len(opts.Trace.Refs))
 	}
 
 	// Attach observers only when an export was requested, so the default
@@ -196,7 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		tracer   *ppcsim.ChromeTracer
 		recorder *ppcsim.Recorder
-		stats    *ppcsim.StreamingStats
 		eventsF  *os.File
 		seriesF  *os.File
 	)
@@ -217,8 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		recorder = ppcsim.NewRecorder()
 	}
 	if tracer != nil || recorder != nil {
-		stats = ppcsim.NewStreamingStats()
-		opts.Observer = ppcsim.Tee(tracer, recorder, stats)
+		opts.Observer = ppcsim.Tee(tracer, recorder, ppcsim.NewStreamingStats())
 	}
 
 	start := time.Now() //ppcvet:ignore wall-clock throughput report (refs/sec), not simulation time

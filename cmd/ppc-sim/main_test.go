@@ -34,6 +34,16 @@ func TestBoundaryExitCodes(t *testing.T) {
 		{"negative horizon", []string{"-alg", "fixed-horizon", "-horizon", "-1"}, 2, "Horizon"},
 		{"zero window", []string{"-alg", "fixed-horizon", "-window", "0"}, 2, "Window"},
 		{"negative window", []string{"-alg", "fixed-horizon", "-window", "-4"}, 2, "Window"},
+		// -window -1 once meant "no lookahead"; as on the wire, a window
+		// must be positive. The library keeps ppcsim.WindowNone.
+		{"window -1", []string{"-alg", "demand", "-window", "-1"}, 2, "Window: must be positive"},
+		// On the wire cpu_scale 0 means unset, so an explicit 0 is an error
+		// here rather than a run with no compute.
+		{"zero cpu-scale", []string{"-cpu-scale", "0"}, 2, "CPUScale"},
+		// -stream is gone: a source streams by its kind, as on the wire.
+		{"stream flag", []string{"-alg", "demand", "-window", "16", "-stream"}, 2, "-stream"},
+		// An empty -sched is the wire's absent scheduler: CSCAN.
+		{"empty scheduler", []string{"-trace", "ld", "-alg", "demand", "-sched", ""}, 0, ""},
 		{"bad hint fraction", []string{"-alg", "fixed-horizon", "-hint-fraction", "1.5"}, 2, "hint fraction"},
 		{"NaN hint fraction", []string{"-alg", "fixed-horizon", "-hint-fraction", "NaN"}, 2, "hint fraction"},
 		{"NaN fetch estimate", []string{"-alg", "reverse-aggressive", "-f", "NaN"}, 2, "FetchEstimate"},
@@ -81,34 +91,15 @@ func TestRunWindowedSucceeds(t *testing.T) {
 	}
 }
 
-// TestRunStreaming covers the streaming flags: -stream must reproduce
-// the materialized run's metrics exactly (only the wall-clock refs/sec
-// line may differ), -large must stream a synthetic trace, and the
-// streaming-specific misconfigurations must exit 2.
+// TestRunStreaming covers the streamed sources: a -trace-file run must
+// reproduce the bundled trace's materialized metrics exactly (only the
+// wall-clock refs/sec line may differ), -large must stream a synthetic
+// trace, and the streaming-specific misconfigurations must exit 2.
 func TestRunStreaming(t *testing.T) {
-	strip := func(out string) string {
-		var kept []string
-		for _, line := range strings.Split(out, "\n") {
-			if !strings.Contains(line, "refs/sec") {
-				kept = append(kept, line)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
+	path := columnarFile(t, "ld")
+	matchesMaterialized(t, "ld", path, "-alg", "aggressive", "-disks", "2", "-window", "128")
 
-	var mat, str, stderr bytes.Buffer
-	if code := run([]string{"-trace", "ld", "-alg", "aggressive", "-disks", "2", "-window", "128"}, &mat, &stderr); code != 0 {
-		t.Fatalf("materialized exit %d\nstderr: %s", code, stderr.String())
-	}
-	if code := run([]string{"-trace", "ld", "-alg", "aggressive", "-disks", "2", "-window", "128", "-stream"}, &str, &stderr); code != 0 {
-		t.Fatalf("streamed exit %d\nstderr: %s", code, stderr.String())
-	}
-	if strip(mat.String()) != strip(str.String()) {
-		t.Errorf("streamed metrics differ from materialized:\n--- materialized\n%s\n--- streamed\n%s", mat.String(), str.String())
-	}
-
-	var out bytes.Buffer
-	stderr.Reset()
+	var out, stderr bytes.Buffer
 	if code := run([]string{"-large", "20000:512:zipf:1", "-window", "100", "-alg", "forestall", "-disks", "2"}, &out, &stderr); code != 0 {
 		t.Fatalf("-large exit %d\nstderr: %s", code, stderr.String())
 	}
@@ -116,24 +107,20 @@ func TestRunStreaming(t *testing.T) {
 		t.Errorf("-large output missing refs/sec:\n%s", out.String())
 	}
 
-	out.Reset()
-	stderr.Reset()
-	if code := run([]string{"-trace", "ld", "-alg", "demand", "-window", "-1", "-stream"}, &out, &stderr); code != 0 {
-		t.Fatalf("-window -1 -stream exit %d\nstderr: %s", code, stderr.String())
-	}
-
 	for _, c := range []struct {
 		name   string
 		args   []string
 		stderr string
 	}{
-		{"stream without window", []string{"-trace", "ld", "-alg", "demand", "-stream"}, "Hints"},
+		// -trace-file always streams, as trace_hash does on the wire.
+		{"trace-file without window", []string{"-trace-file", path, "-alg", "demand"}, "Hints"},
+		{"trace-file reverse-aggressive", []string{"-trace-file", path, "-alg", "reverse-aggressive", "-window", "16"}, "Algorithm"},
 		{"large without window", []string{"-large", "1000:64", "-alg", "demand"}, "Hints"},
 		{"bad large spec", []string{"-large", "zipf", "-window", "16"}, "Trace"},
 		{"large plus trace", []string{"-trace", "ld", "-large", "1000:64", "-window", "16"}, "Trace"},
 		{"large plus trace-file", []string{"-large", "1000:64", "-trace-file", "x.col", "-window", "16"}, "Trace"},
 		{"streaming reverse-aggressive", []string{"-large", "1000:64", "-alg", "reverse-aggressive", "-window", "16"}, "Algorithm"},
-		{"missing trace-file", []string{"-trace-file", "/nonexistent.col", "-stream", "-window", "16"}, "Trace"},
+		{"missing trace-file", []string{"-trace-file", "/nonexistent.col", "-window", "16"}, "Trace"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -161,7 +148,7 @@ func TestRejectedRunKeepsOutputs(t *testing.T) {
 		}
 	}
 	var stdout, stderr bytes.Buffer
-	args := []string{"-trace", "ld", "-stream", "-window", "16", "-alg", "reverse-aggressive", "-events", events, "-series", series}
+	args := []string{"-large", "1000:64", "-window", "16", "-alg", "reverse-aggressive", "-events", events, "-series", series}
 	if code := run(args, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit %d, want 2\nstderr: %s", code, stderr.String())
 	}
@@ -179,14 +166,21 @@ func TestRejectedRunKeepsOutputs(t *testing.T) {
 	}
 }
 
-// TestRunTraceFile runs a columnar file through both the materialized
-// and streamed paths; the metrics must match exactly.
+// TestRunTraceFile streams a columnar copy of a bundled trace; its
+// metrics must match the bundled trace's materialized run exactly.
 func TestRunTraceFile(t *testing.T) {
-	tr, err := ppcsim.NewTrace("ld")
+	matchesMaterialized(t, "ld", columnarFile(t, "ld"), "-alg", "forestall", "-disks", "2", "-window", "64")
+}
+
+// columnarFile writes the bundled trace name to a columnar file and
+// returns its path.
+func columnarFile(t *testing.T, name string) string {
+	t.Helper()
+	tr, err := ppcsim.NewTrace(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ld.col")
+	path := filepath.Join(t.TempDir(), name+".col")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +191,14 @@ func TestRunTraceFile(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+// matchesMaterialized runs -trace name (materialized) and -trace-file
+// path (streamed) with the same flags and requires the same metrics,
+// apart from the wall-clock refs/sec line.
+func matchesMaterialized(t *testing.T, name, path string, flags ...string) {
+	t.Helper()
 	strip := func(out string) string {
 		var kept []string
 		for _, line := range strings.Split(out, "\n") {
@@ -208,14 +209,14 @@ func TestRunTraceFile(t *testing.T) {
 		return strings.Join(kept, "\n")
 	}
 	var mat, str, stderr bytes.Buffer
-	if code := run([]string{"-trace-file", path, "-alg", "forestall", "-disks", "2", "-window", "64"}, &mat, &stderr); code != 0 {
+	if code := run(append([]string{"-trace", name}, flags...), &mat, &stderr); code != 0 {
 		t.Fatalf("materialized exit %d\nstderr: %s", code, stderr.String())
 	}
-	if code := run([]string{"-trace-file", path, "-stream", "-alg", "forestall", "-disks", "2", "-window", "64"}, &str, &stderr); code != 0 {
+	if code := run(append([]string{"-trace-file", path}, flags...), &str, &stderr); code != 0 {
 		t.Fatalf("streamed exit %d\nstderr: %s", code, stderr.String())
 	}
 	if strip(mat.String()) != strip(str.String()) {
-		t.Errorf("streamed -trace-file metrics differ:\n--- materialized\n%s\n--- streamed\n%s", mat.String(), str.String())
+		t.Errorf("streamed metrics differ from materialized:\n--- materialized\n%s\n--- streamed\n%s", mat.String(), str.String())
 	}
 }
 

@@ -48,7 +48,6 @@ import (
 	"ppcsim/internal/report"
 	"ppcsim/internal/serve"
 	"ppcsim/internal/serve/coord"
-	"ppcsim/internal/serve/tracestore"
 )
 
 // maxCells bounds a grid; the coordinator applies its own limit.
@@ -68,8 +67,7 @@ func main() {
 // sweep is a parsed command line: the grid and where to run it.
 type sweep struct {
 	spec      *coord.JobSpec
-	traceFile string // columnar trace file, if any, and its hash
-	traceHash string
+	traceFile *serve.TraceFile // nil without -trace-file
 	coordURL  string
 	retryFor  time.Duration
 	parallel  int
@@ -99,11 +97,10 @@ func parseArgs(args []string) (*sweep, error) {
 		out       = fs.String("o", "", "output CSV file (default stdout)")
 	)
 	fs.Parse(args)
-	sw := &sweep{traceFile: *traceFile, coordURL: strings.TrimRight(*coordURL, "/"),
-		retryFor: *retryFor, parallel: *parallel, out: *out}
+	sw := &sweep{coordURL: strings.TrimRight(*coordURL, "/"), retryFor: *retryFor, parallel: *parallel, out: *out}
 	if *traceFile != "" {
 		var err error
-		if sw.traceHash, err = hashFile(*traceFile); err != nil {
+		if sw.traceFile, err = serve.HashTraceFile(*traceFile); err != nil {
 			return nil, err
 		}
 	}
@@ -129,23 +126,17 @@ func parseArgs(args []string) (*sweep, error) {
 			Reason: "-traces, -large and -trace-file are mutually exclusive"}
 	}
 	js := &coord.JobSpec{Algorithms: all(splitList(*algs), ppcsim.Algorithms), Schedulers: splitList(*scheds), TimeoutMs: *timeoutMs}
+	var err error
 	switch {
 	case *large != "":
-		l, err := ppcsim.ParseLargeTraceSpec(*large)
-		if err == nil {
-			err = l.Validate()
+		if js.TraceSpec, err = serve.ParseTraceSpec(*large); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, &ppcsim.ConfigError{Field: "Trace", Reason: err.Error()}
-		}
-		js.TraceSpec = &serve.TraceSpec{Name: l.Name, Refs: l.Refs, Blocks: l.Blocks, Files: l.Files,
-			Pattern: l.Pattern, MeanComputeMs: l.MeanComputeMs, Seed: l.Seed, CacheBlocks: l.CacheBlocks}
-	case *traceFile != "":
-		js.TraceHash = sw.traceHash
+	case sw.traceFile != nil:
+		js.TraceHash = sw.traceFile.Hash
 	default:
 		js.Traces = all(splitList(*traces), ppcsim.TraceNames)
 	}
-	var err error
 	if js.DiskCounts, err = splitInts(*disks); err != nil {
 		return nil, err
 	}
@@ -231,13 +222,8 @@ func (sw *sweep) runLocal(cells []coord.Cell) ([]*ppcsim.Result, error) {
 		}
 		return tr, err
 	}}
-	if sw.traceFile != "" {
-		env.OpenHash = func(hash string) (io.ReadSeekCloser, error) {
-			if hash != sw.traceHash {
-				return nil, fmt.Errorf("trace %s is not -trace-file %s", hash, sw.traceFile)
-			}
-			return os.Open(sw.traceFile)
-		}
+	if sw.traceFile != nil {
+		env.OpenHash = sw.traceFile.OpenHash
 	}
 	opts := make([]ppcsim.Options, len(cells))
 	cleanups := make([]func(), len(cells))
@@ -295,8 +281,8 @@ func runCell(opts ppcsim.Options, timeout time.Duration) (ppcsim.Result, error) 
 // result from the NDJSON stream. A failed cell is reported on stderr
 // and has no result; a job that did not complete is an error.
 func (sw *sweep) runCluster(cells []coord.Cell, stderr io.Writer) ([]*ppcsim.Result, error) {
-	if sw.traceFile != "" {
-		if err := ensureTrace(sw.coordURL, sw.traceFile, sw.traceHash, sw.retryFor, stderr); err != nil {
+	if sw.traceFile != nil {
+		if err := ensureTrace(sw.coordURL, sw.traceFile.Path, sw.traceFile.Hash, sw.retryFor, stderr); err != nil {
 			return nil, err
 		}
 	}
@@ -486,20 +472,6 @@ func ensureTrace(coordBase, path, hash string, retryFor time.Duration, stderr io
 	}
 	fmt.Fprintf(stderr, "ppc-sweep: uploaded trace %s (%s)\n", hash[:12], path)
 	return nil
-}
-
-// hashFile returns the trace-store hash of the file at path.
-func hashFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	hash, _, err := tracestore.HashReader(f)
-	if err != nil {
-		return "", fmt.Errorf("hashing %s: %v", path, err)
-	}
-	return hash, nil
 }
 
 // readSpec reads a JobSpec body from path, or from stdin for "-".

@@ -332,10 +332,11 @@ func TestEnsureTrace(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	hash, err := hashFile(path)
-	if err != nil || hash != tracestore.HashBytes(blob) {
-		t.Fatalf("hashFile = %q %v", hash, err)
+	tf, err := serve.HashTraceFile(path)
+	if err != nil || tf.Hash != tracestore.HashBytes(blob) {
+		t.Fatalf("HashTraceFile = %+v %v", tf, err)
 	}
+	hash := tf.Hash
 
 	var headStatus int
 	var putBody []byte
@@ -375,7 +376,7 @@ func TestEnsureTrace(t *testing.T) {
 	}
 
 	// A missing file fails.
-	if _, err := hashFile(filepath.Join(t.TempDir(), "absent")); err == nil {
+	if _, err := serve.HashTraceFile(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Error("absent file accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package ppcsim_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -196,6 +197,46 @@ func TestRunBestReverseAggressive(t *testing.T) {
 	}
 	if !seenChoice {
 		t.Errorf("reported choice %+v is not a grid point", choice)
+	}
+
+	// A tie goes to the earliest point, estimates-major. On this slice
+	// (F=3, b=80) and (F=8, b=40) tie for the minimum, and (F=3, b=40)
+	// is slower: estimates-major order reaches (3, 80) first, while
+	// batches-major order would reach (8, 40) first.
+	tr = truncated(t, "cscope1", 1000)
+	elapsed := func(f float64, b int) float64 {
+		t.Helper()
+		r, err := ppcsim.Run(ppcsim.Options{Trace: tr, Algorithm: ppcsim.ReverseAggressive, Disks: 1, FetchEstimate: f, BatchSize: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ElapsedSec
+	}
+	if a, b, first := elapsed(3, 80), elapsed(8, 40), elapsed(3, 40); a != b || first <= a {
+		t.Fatalf("fixture moved: (3,80)=%g (8,40)=%g (3,40)=%g; want a tie below (3,40)", a, b, first)
+	}
+	best, choice, err = ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: tr, Disks: 1},
+		ppcsim.ReverseAggressiveGrid{Estimates: []float64{3, 8}, Batches: []int{40, 80}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (ppcsim.ReverseAggressiveChoice{FetchEstimate: 3, BatchSize: 80}); choice != want {
+		t.Errorf("tie went to %+v, want the earlier point %+v", choice, want)
+	}
+	if best.ElapsedSec != elapsed(3, 80) {
+		t.Errorf("best elapsed %g, want the tied %g", best.ElapsedSec, elapsed(3, 80))
+	}
+
+	// An Observer sees the grid points one at a time (-race checks it),
+	// and a bad grid point fails the search with its ConfigError.
+	grid := ppcsim.ReverseAggressiveGrid{Estimates: []float64{3, 8}, Batches: []int{40}}
+	if _, _, err := ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: tr, Observer: ppcsim.NewRecorder()}, grid); err != nil {
+		t.Fatal(err)
+	}
+	grid.Batches = []int{40, -1}
+	var ce *ppcsim.ConfigError
+	if _, _, err := ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: tr}, grid); !errors.As(err, &ce) || ce.Field != "BatchSize" {
+		t.Errorf("grid with batch -1: err %v, want a ConfigError on BatchSize", err)
 	}
 }
 

@@ -1091,8 +1091,8 @@ func runLoop(s *State, cfg Config) (Result, error) {
 			diskBusy -= d.BusyEnd() - elapsed
 		}
 		busy += diskBusy
-		svc += d.MeanServiceMs() * float64(d.Completed())
-		resp += d.MeanResponseMs() * float64(d.Completed())
+		svc += float64(d.MeanServiceMs() * float64(d.Completed()))
+		resp += float64(d.MeanResponseMs() * float64(d.Completed()))
 		served += d.Completed()
 		perDisk[i] = DiskResult{
 			Fetches:    d.Completed(),

@@ -96,7 +96,11 @@ func AppendixC(o *Options) error {
 	}
 	rev := algSeries{name: string(ppcsim.ReverseAggressive), res: map[int]ppcsim.Result{}}
 	for _, d := range disks {
-		rev.res[d] = revAggBest(o, ppcsim.Options{Trace: fast, Disks: d})
+		r, _, err := ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: fast, Disks: d}, o.revAggGrid())
+		if err != nil {
+			return err
+		}
+		rev.res[d] = r
 	}
 	series = append(series, rev)
 	t := appendixTable("Performance on the xds trace with a double-speed CPU (H=124)", disks, series)

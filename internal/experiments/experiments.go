@@ -23,11 +23,6 @@ type Options struct {
 	// Quick truncates traces and shrinks parameter grids so the whole
 	// suite runs in seconds; shapes are preserved, magnitudes shrink.
 	Quick bool
-	// RevAggEstimates / RevAggBatches override the grid used when
-	// reverse aggressive's parameters are "chosen to minimize elapsed
-	// time" (the paper's baseline rule).
-	RevAggEstimates []float64
-	RevAggBatches   []int
 	// Algs, when non-empty, restricts the multi-algorithm experiments
 	// (the appendix baselines) to the listed algorithms.
 	Algs []ppcsim.Algorithm
@@ -35,24 +30,14 @@ type Options struct {
 	SVGDir string
 }
 
-func (o *Options) estimates() []float64 {
-	if len(o.RevAggEstimates) > 0 {
-		return o.RevAggEstimates
-	}
+// revAggGrid is the grid over which reverse aggressive's parameters are
+// "chosen to minimize elapsed time" (the paper's baseline rule): the
+// library's appendix-F default, or a smaller one in quick mode.
+func (o *Options) revAggGrid() ppcsim.ReverseAggressiveGrid {
 	if o.Quick {
-		return []float64{2, 8, 32}
+		return ppcsim.ReverseAggressiveGrid{Estimates: []float64{2, 8, 32}, Batches: []int{16, 80}}
 	}
-	return []float64{2, 3, 4, 8, 16, 32, 64, 128}
-}
-
-func (o *Options) batches() []int {
-	if len(o.RevAggBatches) > 0 {
-		return o.RevAggBatches
-	}
-	if o.Quick {
-		return []int{16, 80}
-	}
-	return []int{4, 8, 16, 40, 80, 160}
+	return ppcsim.ReverseAggressiveGrid{}
 }
 
 // wantAlg reports whether the Algs filter admits the algorithm (an empty
@@ -206,29 +191,6 @@ func runParallel(cfgs []ppcsim.Options) []ppcsim.Result {
 	return out
 }
 
-// revAggBest picks reverse aggressive's parameters to minimize elapsed
-// time, as the paper's baseline tables do.
-func revAggBest(o *Options, opts ppcsim.Options) ppcsim.Result {
-	var cfgs []ppcsim.Options
-	for _, f := range o.estimates() {
-		for _, b := range o.batches() {
-			c := opts
-			c.Algorithm = ppcsim.ReverseAggressive
-			c.FetchEstimate = f
-			c.BatchSize = b
-			cfgs = append(cfgs, c)
-		}
-	}
-	results := runParallel(cfgs)
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.ElapsedSec < best.ElapsedSec {
-			best = r
-		}
-	}
-	return best
-}
-
 // algSeries holds one algorithm's results across disk counts.
 type algSeries struct {
 	name string
@@ -340,7 +302,7 @@ func collect(o *Options, traceName string, alg ppcsim.Algorithm, disks []int, mu
 }
 
 // collectRevAggBest runs the best-parameter reverse aggressive across
-// disk counts.
+// disk counts, panicking on simulator errors as run does.
 func collectRevAggBest(o *Options, traceName string, disks []int, mutate func(*ppcsim.Options)) algSeries {
 	tr := getTrace(o, traceName)
 	s := algSeries{name: string(ppcsim.ReverseAggressive), res: map[int]ppcsim.Result{}}
@@ -349,7 +311,11 @@ func collectRevAggBest(o *Options, traceName string, disks []int, mutate func(*p
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		s.res[d] = revAggBest(o, cfg)
+		r, _, err := ppcsim.RunBestReverseAggressive(cfg, o.revAggGrid())
+		if err != nil {
+			panic(err)
+		}
+		s.res[d] = r
 	}
 	return s
 }

@@ -148,16 +148,22 @@ func Table5(o *Options) error {
 		Columns: []string{"disks", "fixed horizon", "aggressive", "reverse aggressive"},
 	}
 	algs := []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.ReverseAggressive}
+	tr := getTrace(o, "postgres-select")
 	for _, d := range disks {
 		row := []string{fmt.Sprintf("%d", d)}
 		for _, alg := range algs {
 			var cs, fc ppcsim.Result
 			if alg == ppcsim.ReverseAggressive {
-				cs = revAggBest(o, ppcsim.Options{Trace: getTrace(o, "postgres-select"), Disks: d})
-				fc = revAggBest(o, ppcsim.Options{Trace: getTrace(o, "postgres-select"), Disks: d, Scheduler: ppcsim.FCFS})
+				var err error
+				if cs, _, err = ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: tr, Disks: d}, o.revAggGrid()); err != nil {
+					return err
+				}
+				if fc, _, err = ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: tr, Disks: d, Scheduler: ppcsim.FCFS}, o.revAggGrid()); err != nil {
+					return err
+				}
 			} else {
-				cs = run(ppcsim.Options{Trace: getTrace(o, "postgres-select"), Algorithm: alg, Disks: d})
-				fc = run(ppcsim.Options{Trace: getTrace(o, "postgres-select"), Algorithm: alg, Disks: d, Scheduler: ppcsim.FCFS})
+				cs = run(ppcsim.Options{Trace: tr, Algorithm: alg, Disks: d})
+				fc = run(ppcsim.Options{Trace: tr, Algorithm: alg, Disks: d, Scheduler: ppcsim.FCFS})
 			}
 			imp := (fc.ElapsedSec - cs.ElapsedSec) / fc.ElapsedSec * 100
 			row = append(row, fmt.Sprintf("%.2f", imp))

@@ -61,7 +61,7 @@ func (f *Figure) RenderSVG(w io.Writer) error {
 		bx := float64(leftPad)
 		total := 0.0
 		for si, s := range b.Segments {
-			wseg := s / maxTotal * plotW
+			wseg := float64(s / maxTotal * plotW)
 			color := svgColors[si%len(svgColors)]
 			if wseg > 0 {
 				p(`<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s"/>`+"\n", bx, y, wseg, barH, color)

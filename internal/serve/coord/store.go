@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"ppcsim/internal/serve/tracestore"
 )
 
 // StoredJob is a completed grid: every cell's exact result bytes, keyed
@@ -117,7 +119,12 @@ func (s *DirStore) Save(job *StoredJob) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	// Write and flush the bytes before the rename publishes them, so a
+	// power loss cannot leave a named job file that is empty or torn.
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -126,5 +133,8 @@ func (s *DirStore) Save(job *StoredJob) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), s.path(job.JobKey))
+	if err := os.Rename(tmp.Name(), s.path(job.JobKey)); err != nil {
+		return err
+	}
+	return tracestore.SyncDir(s.dir)
 }

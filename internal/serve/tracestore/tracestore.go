@@ -204,6 +204,11 @@ func (s *Store) Put(hash string, r io.Reader) (created bool, err error) {
 	if got != hash {
 		return false, &MismatchError{Want: hash, Got: got}
 	}
+	// Flush the bytes before the rename publishes them, so a power loss
+	// cannot leave a named blob that is empty or torn.
+	if err := tmp.Sync(); err != nil {
+		return false, fmt.Errorf("tracestore: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return false, fmt.Errorf("tracestore: %w", err)
 	}
@@ -218,6 +223,10 @@ func (s *Store) Put(hash string, r io.Reader) (created bool, err error) {
 		return false, nil
 	}
 	if err := os.Rename(tmp.Name(), s.path(hash)); err != nil {
+		return false, fmt.Errorf("tracestore: %w", err)
+	}
+	if err := SyncDir(s.dir); err != nil {
+		os.Remove(s.path(hash))
 		return false, fmt.Errorf("tracestore: %w", err)
 	}
 	// The fresh blob rides through the insertion eviction pinned:
@@ -337,6 +346,16 @@ func (s *Store) Stats() Stats {
 func HashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// SyncDir flushes the directory dir, making a rename into it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // HashReader hashes r to the store naming scheme.

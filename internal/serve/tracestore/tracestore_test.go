@@ -421,3 +421,15 @@ func TestConcurrentPutOpenStress(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncDir: flushing a directory succeeds, and a missing one fails
+// rather than reporting a rename durable.
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := SyncDir(dir); err != nil {
+		t.Fatalf("SyncDir(%s): %v", dir, err)
+	}
+	if err := SyncDir(filepath.Join(dir, "absent")); err == nil {
+		t.Error("SyncDir of a missing directory succeeded")
+	}
+}

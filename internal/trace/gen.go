@@ -68,7 +68,7 @@ func (b *builder) add(block int, weight float64) {
 // noisy returns a weight of 1 with mild multiplicative noise, modeling the
 // natural variation of measured inter-reference CPU times.
 func (b *builder) noisy() float64 {
-	return 0.5 + b.rng.Float64() // uniform in [0.5, 1.5)
+	return 0.5 + float64(b.rng.Float64()) // uniform in [0.5, 1.5)
 }
 
 // finish normalizes weights so total compute equals computeSec and
@@ -202,7 +202,7 @@ func Cscope3() *Trace {
 		if fast {
 			w = 1.0
 		}
-		b.weights[i] = w * (0.9 + 0.2*b.rng.Float64())
+		b.weights[i] = w * (0.9 + float64(0.2*b.rng.Float64()))
 	}
 	files := splitFiles(cscope3Distinct, 30, b.rng)
 	return b.finish("cscope3", files, true, defaultCacheBlocks, cscope3ComputeSec)

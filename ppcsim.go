@@ -24,6 +24,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ppcsim/internal/disk"
 	"ppcsim/internal/engine"
@@ -55,13 +58,6 @@ type LargeTraceSpec = trace.LargeSpec
 // ColumnarTraceFile is an open columnar trace file acting as a
 // TraceSource; Close it when done.
 type ColumnarTraceFile = trace.FileSource
-
-// ParseLargeTraceSpec parses the CLI shorthand for a large synthetic
-// trace, refs[:blocks[:pattern[:seed]]], with scientific-notation
-// reference counts (1e9) and a 65536-block default.
-func ParseLargeTraceSpec(s string) (LargeTraceSpec, error) {
-	return trace.ParseLargeSpec(s)
-}
 
 // OpenColumnarTrace opens a trace file in the columnar binary format
 // (see docs/trace-format.md) as a streaming TraceSource.
@@ -330,7 +326,10 @@ type ReverseAggressiveChoice struct {
 // estimates and batch sizes and returns the best-elapsed-time result and
 // the winning (F, batch) pair, the way the paper's baseline tables choose
 // reverse aggressive's parameters ("chosen to minimize its elapsed
-// time"). The zero grid selects the appendix-F sweep values.
+// time"). The zero grid selects the appendix-F sweep values. A tie goes
+// to the earliest grid point, estimates-major. The grid points run
+// concurrently, up to GOMAXPROCS at a time, sharing the read-only trace;
+// with an Observer set they run one at a time, so it sees whole runs.
 func RunBestReverseAggressive(opts Options, grid ReverseAggressiveGrid) (Result, ReverseAggressiveChoice, error) {
 	estimates := grid.Estimates
 	if len(estimates) == 0 {
@@ -340,24 +339,37 @@ func RunBestReverseAggressive(opts Options, grid ReverseAggressiveGrid) (Result,
 	if len(batches) == 0 {
 		batches = []int{4, 8, 16, 40, 80, 160}
 	}
+	// Point i is (estimates[i/nb], batches[i%nb]): estimates-major.
+	nb, points := len(batches), len(estimates)*len(batches)
+	workers := runtime.GOMAXPROCS(0)
+	if opts.Observer != nil {
+		workers = 1
+	}
 	opts.Algorithm = ReverseAggressive
-	var best Result
-	var choice ReverseAggressiveChoice
-	found := false
-	for _, f := range estimates {
-		for _, b := range batches {
-			o := opts
-			o.FetchEstimate = f
-			o.BatchSize = b
-			r, err := Run(o)
-			if err != nil {
-				return Result{}, ReverseAggressiveChoice{}, err
+	results := make([]Result, points)
+	errs := make([]error, points)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, points); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < points; i = int(next.Add(1) - 1) {
+				o := opts
+				o.FetchEstimate, o.BatchSize = estimates[i/nb], batches[i%nb]
+				results[i], errs[i] = Run(o)
 			}
-			if !found || r.ElapsedSec < best.ElapsedSec {
-				best, found = r, true
-				choice = ReverseAggressiveChoice{FetchEstimate: f, BatchSize: b}
-			}
+		}()
+	}
+	wg.Wait()
+	best := 0
+	for i := range points {
+		if errs[i] != nil {
+			return Result{}, ReverseAggressiveChoice{}, errs[i]
+		}
+		if results[i].ElapsedSec < results[best].ElapsedSec {
+			best = i
 		}
 	}
-	return best, choice, nil
+	return results[best], ReverseAggressiveChoice{FetchEstimate: estimates[best/nb], BatchSize: batches[best%nb]}, nil
 }

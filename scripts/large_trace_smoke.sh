@@ -8,9 +8,10 @@
 # Streams demand-lru over a working set that fits its cache, which
 # evicts almost nothing, and fails if its peak RSS passes 64 MB: a
 # recency structure that only sheds entries on eviction would grow with
-# the trace. Also round-trips a slice of the workload through a columnar file and
-# requires the streamed and materialized runs to print identical metrics
-# — the byte-identity acceptance criterion, exercised from the CLI.
+# the trace. Also writes a bundled trace to a columnar file and requires
+# the file's streamed run to print the same metrics as the bundled
+# trace's materialized run — the byte-identity acceptance criterion,
+# exercised from the CLI.
 # Finally requires ppc-sweep to reject a streamed sweep with an offline
 # algorithm (exit 2, nothing on stdout) before running any cell.
 #
@@ -67,11 +68,11 @@ if [ "$HWM" -gt $((64 * 1024)) ]; then
 fi
 
 echo "== columnar round-trip: streamed == materialized"
-"$WORK/ppc-traces" gen -refs 2e5 -blocks 4096 -pattern zipf -seed 1 -o "$WORK/smoke.col"
-"$WORK/ppc-traces" inspect "$WORK/smoke.col"
-"$WORK/ppc-sim" -trace-file "$WORK/smoke.col" -window 500 -alg aggressive -disks 2 \
+"$WORK/ppc-traces" convert -trace ld -o "$WORK/ld.col"
+"$WORK/ppc-traces" inspect "$WORK/ld.col"
+"$WORK/ppc-sim" -trace ld -window 500 -alg aggressive -disks 2 \
     | grep -v 'refs/sec' > "$WORK/mat.out"
-"$WORK/ppc-sim" -trace-file "$WORK/smoke.col" -stream -window 500 -alg aggressive -disks 2 \
+"$WORK/ppc-sim" -trace-file "$WORK/ld.col" -window 500 -alg aggressive -disks 2 \
     | grep -v 'refs/sec' > "$WORK/str.out"
 diff -u "$WORK/mat.out" "$WORK/str.out"
 

@@ -100,7 +100,7 @@ func (b *TraceBuilder) ComputeUniform(lo, hi float64) *TraceBuilder {
 		b.fail(fmt.Errorf("ppcsim: ComputeUniform(%g, %g): bad range", lo, hi))
 		return b
 	}
-	b.compute = func() float64 { return lo + b.rng.Float64()*(hi-lo) }
+	b.compute = func() float64 { return lo + float64(b.rng.Float64()*(hi-lo)) }
 	return b
 }
 
