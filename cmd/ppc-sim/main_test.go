@@ -40,6 +40,8 @@ func TestBoundaryExitCodes(t *testing.T) {
 		// On the wire cpu_scale 0 means unset, so an explicit 0 is an error
 		// here rather than a run with no compute.
 		{"zero cpu-scale", []string{"-cpu-scale", "0"}, 2, "CPUScale"},
+		{"NaN cpu-scale", []string{"-cpu-scale", "NaN"}, 2, "CPUScale"},
+		{"infinite cpu-scale", []string{"-cpu-scale", "Inf"}, 2, "CPUScale"},
 		// -stream is gone: a source streams by its kind, as on the wire.
 		{"stream flag", []string{"-alg", "demand", "-window", "16", "-stream"}, 2, "-stream"},
 		// An empty -sched is the wire's absent scheduler: CSCAN.

@@ -136,14 +136,19 @@ func checkFuzzResult(t *testing.T, r ppcsim.Result, refs int64, disks int) {
 
 // FuzzRun runs small byte-built traces under every algorithm. Each run
 // either fails with a *ConfigError or returns a Result that keeps the
-// accounting identities; the same Options twice give equal Results; and
-// a windowed online run gives the same Result streamed from the trace's
-// Source as materialized.
+// accounting identities; the same Options twice give equal Results; a
+// windowed online run gives the same Result streamed from the trace's
+// Source as materialized; and forestall whose stall forecast never fires
+// gives fixed horizon's Result.
 func FuzzRun(f *testing.F) {
 	f.Add([]byte{5, 1, 3, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1, 3, 1, 0, 1, 4, 1, 1, 1})
 	f.Add([]byte{40, 3, 20, 0x2b, 0x0b, 0x09, 0x12, 0x50, 7, 0xc4, 3, 2, 9, 0x81, 7, 4, 30, 8, 3, 2, 9, 1, 7, 4})
 	f.Add([]byte{63, 2, 9, 1, 2, 0x07, 0x23, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0xff, 17, 18})
 	f.Add([]byte{9, 0, 255, 0x30, 9, 0x03, 0x01, 40, 0, 0, 0, 0, 0, 0xc0, 1, 0xc0, 2, 0, 0, 0})
+	// H = 6 over a 3-block cache under FCFS: the horizon rule's
+	// evictions land inside the window it already scanned.
+	f.Add([]byte{0xcb, 0xaa, 0xcd, 0x31, 0xe3, 0x9a, 0xc8, 0x83, 0x81, 0xe5, 0x60, 0x7b, 0x58, 0x80, 0x59, 0xd9, 0xcd, 0xfd, 0xbd,
+		0x09, 0x70, 0x0c, 0x03, 0x5f, 0x41, 0x27, 0x12, 0x68, 0x28, 0x35, 0x99, 0xac, 0xbc, 0xf1, 0x44, 0x2d, 0xb6, 0x62})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeFuzzCase(data)
 		refs := int64(len(c.tr.Refs))
@@ -173,6 +178,16 @@ func FuzzRun(f *testing.F) {
 			if err != nil || !reflect.DeepEqual(res, streamed) {
 				t.Fatalf("%s: streamed run differs from materialized (err %v):\n%+v\n%+v", alg, err, res, streamed)
 			}
+		}
+		fh, fs, err := forestallAsFixedHorizon(c.options(""))
+		var cfgErr *ppcsim.ConfigError
+		switch {
+		case errors.As(err, &cfgErr):
+			// The case breaks a run rule; the loop above checked that.
+		case err != nil:
+			t.Fatalf("forestall as fixed horizon: %v", err)
+		case !reflect.DeepEqual(fh, fs):
+			t.Fatalf("forestall whose forecast never fires differs from fixed horizon:\n%+v\n%+v", fs, fh)
 		}
 	})
 }

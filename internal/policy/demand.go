@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
 	"ppcsim/internal/layout"
 )
@@ -30,20 +29,4 @@ func (d *Demand) Poll() {}
 // furthest-future block if the cache is full.
 func (d *Demand) OnStall(b layout.BlockID) {
 	demandFetch(d.s, b)
-}
-
-// demandFetch issues a demand fetch of b with optimal replacement and
-// returns the victim, or cache.NoBlock when it evicted nothing. When
-// every buffer is reserved by an in-flight fetch it does nothing; the
-// engine retries after the next completion.
-func demandFetch(s *engine.State, b layout.BlockID) layout.BlockID {
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		return cache.NoBlock
-	}
-	v, _ := s.Cache.FurthestEvictable()
-	if v != cache.NoBlock {
-		s.Issue(b, v)
-	}
-	return v
 }

@@ -22,9 +22,8 @@ const DefaultHorizon = 62
 type FixedHorizon struct {
 	H int
 
-	s       *engine.State
-	scanned int   // positions [0, scanned) have been window-checked
-	pending []int // missing in-window positions awaiting a legal fetch
+	s    *engine.State
+	rule horizonRule
 }
 
 // NewFixedHorizon returns a fixed-horizon policy with the given prefetch
@@ -42,37 +41,64 @@ func (f *FixedHorizon) Name() string { return "fixed-horizon" }
 // Attach implements engine.Policy.
 func (f *FixedHorizon) Attach(s *engine.State) {
 	f.s = s
-	f.scanned = 0
-	f.pending = f.pending[:0]
+	f.rule.attach(f.H)
 }
 
-// Poll implements engine.Policy: collect every position newly inside the
-// prefetch window [cursor, cursor+H) whose block is missing, and fetch
-// the pending positions in ascending order (the optimal-fetching rule:
-// the soonest-needed missing block first). With H <= K every pending
-// fetch is legal immediately; with huge horizons (H > K, the appendix-G
-// configurations) the do-no-harm guard can defer the tail of the queue.
-func (f *FixedHorizon) Poll() {
-	s := f.s
-	c := s.Cursor()
-	limit := scanEnd(s, f.H)
-	if f.scanned < c {
-		f.scanned = c
+// Poll implements engine.Policy.
+func (f *FixedHorizon) Poll() { f.rule.poll(f.s, nil) }
+
+// OnStall implements engine.Policy. A stall on an unissued block can only
+// happen when the horizon rule was not allowed to fetch it; fall back to a
+// demand fetch with optimal replacement.
+func (f *FixedHorizon) OnStall(b layout.BlockID) {
+	demandFetch(f.s, b)
+}
+
+// horizonRule is fixed horizon's rule, which forestall also applies:
+// fetch every missing block at most h references ahead.
+type horizonRule struct {
+	h       int
+	scanned int   // positions [0, scanned) have been window-checked
+	pending []int // missing in-window positions awaiting a legal fetch
+}
+
+// attach resets the rule for a run with horizon h (DefaultHorizon if
+// h <= 0).
+func (r *horizonRule) attach(h int) {
+	if h <= 0 {
+		h = DefaultHorizon
 	}
-	for ; f.scanned < limit; f.scanned++ {
-		if s.Cache.Absent(s.Ref(f.scanned)) {
-			f.pending = append(f.pending, f.scanned)
+	r.h, r.scanned, r.pending = h, 0, r.pending[:0]
+}
+
+// poll collects every position newly inside the prefetch window
+// [cursor, cursor+h) whose block is missing, and fetches the pending
+// positions in ascending order (the optimal-fetching rule: the
+// soonest-needed missing block first). With h <= K every pending fetch
+// is legal immediately; with huge horizons (h > K, the appendix-G
+// configurations) the do-no-harm guard can defer the tail of the queue.
+// evicted, if not nil, is called with the victim (cache.NoBlock if
+// none) of every fetch issued.
+func (r *horizonRule) poll(s *engine.State, evicted func(layout.BlockID)) {
+	c := s.Cursor()
+	limit := scanEnd(s, r.h)
+	if r.scanned < c {
+		r.scanned = c
+	}
+	for ; r.scanned < limit; r.scanned++ {
+		if s.Cache.Absent(s.Ref(r.scanned)) {
+			r.pending = append(r.pending, r.scanned)
 		}
 	}
-	if len(f.pending) == 0 {
+	if len(r.pending) == 0 {
 		return
 	}
-	sort.Ints(f.pending)
+	sort.Ints(r.pending)
 	// fetch may queue victims' next uses past the first n0 entries; they
 	// are kept after the ones this loop retains.
-	n0 := len(f.pending)
-	kept := f.pending[:0]
-	for i, p := range f.pending[:n0] {
+	n0 := len(r.pending)
+	kept := r.pending[:0]
+	for i, p := range r.pending[:n0] {
 		if p < c {
 			continue
 		}
@@ -80,47 +106,37 @@ func (f *FixedHorizon) Poll() {
 		if !s.Cache.Absent(b) {
 			continue
 		}
-		if !f.fetch(b, p) {
+		if !r.fetch(s, b, p, evicted) {
 			// The do-no-harm guard failed at p; it fails for every later
 			// position too (the victim's next use only looked worse).
-			kept = append(kept, f.pending[i:n0]...)
+			kept = append(kept, r.pending[i:n0]...)
 			break
 		}
 	}
-	f.pending = append(kept, f.pending[n0:]...)
+	r.pending = append(kept, r.pending[n0:]...)
 }
 
-// fetch issues the fixed-horizon fetch for b, needed at position p. The
+// fetch issues the horizon-rule fetch for b, needed at position p. The
 // victim is the furthest-future block, "provided that reference is
 // further than H accesses in the future (which will certainly hold if
 // H <= K)"; when a huge horizon (H > K, the appendix-G configurations)
 // breaks that guarantee, the do-no-harm rule is the operative guard —
 // the paper's measured fetch counts at H = 2048 show its implementation
 // still prefetching, which only do-no-harm permits.
-func (f *FixedHorizon) fetch(b layout.BlockID, p int) bool {
-	s := f.s
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		return true
-	}
-	v, vUse := s.Cache.FurthestEvictable()
-	if v == cache.NoBlock || vUse <= p {
+func (r *horizonRule) fetch(s *engine.State, b layout.BlockID, p int, evicted func(layout.BlockID)) bool {
+	ok, v, vUse := issueWithVictim(s, b, p)
+	if !ok {
 		return false
 	}
-	s.Issue(b, v)
-	if vUse < f.scanned {
+	if v != cache.NoBlock && vUse < r.scanned {
 		// With H > K the victim's next reference can land inside the
 		// already-scanned window; queue that position so the newly
 		// missing block is still fetched. (With H <= K the guarantee
 		// vUse > cursor+H makes this impossible.)
-		f.pending = append(f.pending, vUse)
+		r.pending = append(r.pending, vUse)
+	}
+	if evicted != nil {
+		evicted(v)
 	}
 	return true
-}
-
-// OnStall implements engine.Policy. A stall on an unissued block can only
-// happen when the horizon rule was not allowed to fetch it; fall back to a
-// demand fetch with optimal replacement.
-func (f *FixedHorizon) OnStall(b layout.BlockID) {
-	demandFetch(f.s, b)
 }

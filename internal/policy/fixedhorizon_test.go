@@ -24,15 +24,15 @@ func (p *pendingProbe) Poll() {
 	if p.queued == nil {
 		p.queued = make([]bool, s.Len())
 	}
-	for _, q := range f.pending {
+	for _, q := range f.rule.pending {
 		p.queued[q] = true
 	}
-	for q := s.Cursor(); q < f.scanned; q++ {
+	for q := s.Cursor(); q < f.rule.scanned; q++ {
 		if b := s.Ref(q); s.Cache.Absent(b) && s.Oracle.NextUse(b) == q && !p.queued[q] {
 			p.violations++
 		}
 	}
-	for _, q := range f.pending {
+	for _, q := range f.rule.pending {
 		p.queued[q] = false
 	}
 }

@@ -32,8 +32,10 @@ const (
 // stall. With dᵢ the distance to the i-th missing block on a disk and F'
 // an (over)estimate of the fetch-time/compute-time ratio, a stall is
 // inevitable once i·F' > dᵢ, so forestall starts batching prefetches for
-// that disk. It also applies fixed horizon's rule — fetch any missing
-// block within H references — to survive CSCAN reordering.
+// that disk. It also runs fixed horizon's rule, the same code
+// FixedHorizon runs — fetch any missing block within H references — to
+// survive the stalls CSCAN reordering causes when the i·F' > dᵢ rule
+// would delay fetching (section 5, "practical considerations").
 type Forestall struct {
 	// BatchSize is the per-disk batch limit (0 → Table 6 default).
 	BatchSize int
@@ -43,9 +45,8 @@ type Forestall struct {
 	// value for F' everywhere (the appendix-H configurations).
 	FixedF float64
 
-	s       *engine.State
-	batch   int
-	horizon int
+	s     *engine.State
+	batch int
 	// window bounds the missing-block scan to 2K references past the
 	// cursor, as in the paper.
 	window int
@@ -69,9 +70,8 @@ type Forestall struct {
 	// issueBatch walk instead of the disk's whole window.
 	idx missIndex
 
-	// Fixed-horizon rule scan state.
-	fhScanned int
-	fhRetry   []int
+	// rule is fixed horizon's within-Horizon rule.
+	rule horizonRule
 }
 
 // NewForestall returns the forestall policy with paper defaults.
@@ -88,10 +88,6 @@ func (f *Forestall) Attach(s *engine.State) {
 	if f.batch <= 0 {
 		f.batch = DefaultBatchSize(d)
 	}
-	f.horizon = f.Horizon
-	if f.horizon <= 0 {
-		f.horizon = DefaultHorizon
-	}
 	f.window = 2 * s.Cache.Capacity()
 	f.diskHist = make([][]float64, d)
 	for i := range f.diskHist {
@@ -104,8 +100,7 @@ func (f *Forestall) Attach(s *engine.State) {
 	f.cpuSum, f.cpuPos, f.cpuN, f.seenCPU = 0, 0, 0, 0
 	f.nextCheck = make([]int, d)
 	f.idx.attach(s)
-	f.fhScanned = 0
-	f.fhRetry = f.fhRetry[:0]
+	f.rule.attach(f.Horizon)
 	s.OnComplete = f.onComplete
 }
 
@@ -160,7 +155,7 @@ func (f *Forestall) fprime(d int) float64 {
 // Poll implements engine.Policy.
 func (f *Forestall) Poll() {
 	f.sampleCPU()
-	f.pollHorizonRule()
+	f.rule.poll(f.s, f.noteEviction)
 	s := f.s
 	c := s.Cursor()
 	for d := range s.Drives {
@@ -238,59 +233,12 @@ func (f *Forestall) issueBatch(d int) {
 		if e == noMiss {
 			break
 		}
-		ok, victim := issueWithVictim(s, e.blk, int(e.pos))
+		ok, victim, _ := issueWithVictim(s, e.blk, int(e.pos))
 		if !ok {
 			break // do no harm stops everything later too
 		}
 		f.noteEviction(victim)
 	}
-}
-
-// pollHorizonRule applies fixed horizon's rule: fetch any missing block
-// within H references, replacing the furthest-future block. This guards
-// against stalls caused by CSCAN reordering when the i·F' > dᵢ rule
-// would otherwise delay fetching (section 5, "practical considerations").
-func (f *Forestall) pollHorizonRule() {
-	s := f.s
-	c := s.Cursor()
-	limit := scanEnd(s, f.horizon)
-	if len(f.fhRetry) > 0 {
-		kept := f.fhRetry[:0]
-		for _, p := range f.fhRetry {
-			if p < c {
-				continue
-			}
-			b := s.Ref(p)
-			if !s.Cache.Absent(b) {
-				continue
-			}
-			if !f.fetchWithin(b, p) {
-				kept = append(kept, p)
-			}
-		}
-		f.fhRetry = kept
-	}
-	if f.fhScanned < c {
-		f.fhScanned = c
-	}
-	for ; f.fhScanned < limit; f.fhScanned++ {
-		b := s.Ref(f.fhScanned)
-		if !s.Cache.Absent(b) {
-			continue
-		}
-		if !f.fetchWithin(b, f.fhScanned) {
-			f.fhRetry = append(f.fhRetry, f.fhScanned)
-		}
-	}
-}
-
-// fetchWithin issues the horizon-rule fetch of b needed at position p.
-func (f *Forestall) fetchWithin(b layout.BlockID, p int) bool {
-	ok, victim := issueWithVictim(f.s, b, p)
-	if ok {
-		f.noteEviction(victim)
-	}
-	return ok
 }
 
 // noteEviction invalidates the stall forecast of the victim's disk: its

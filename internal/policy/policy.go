@@ -38,21 +38,32 @@ func scanEnd(s *engine.State, ahead int) int {
 // and the do-no-harm rule: the victim is the present block whose next
 // reference is furthest in the future; the fetch happens only if a free
 // buffer exists or the victim's next use is after needPos. It reports
-// whether the fetch was issued, and the victim used (NoBlock if none).
-func issueWithVictim(s *engine.State, b layout.BlockID, needPos int) (bool, layout.BlockID) {
+// whether the fetch was issued, and the victim used (NoBlock if none)
+// with its next use.
+func issueWithVictim(s *engine.State, b layout.BlockID, needPos int) (bool, layout.BlockID, int) {
 	if s.Cache.FreeBuffers() > 0 {
 		s.Issue(b, cache.NoBlock)
-		return true, cache.NoBlock
+		return true, cache.NoBlock, 0
 	}
 	v, vUse := s.Cache.FurthestEvictable()
 	if v == cache.NoBlock {
-		return false, cache.NoBlock
+		return false, cache.NoBlock, 0
 	}
 	if vUse <= needPos {
 		// Do no harm: never evict a block needed no later than the block
 		// being fetched.
-		return false, cache.NoBlock
+		return false, cache.NoBlock, 0
 	}
 	s.Issue(b, v)
-	return true, v
+	return true, v, vUse
+}
+
+// demandFetch issues a demand fetch of b with optimal replacement and
+// returns the victim, or cache.NoBlock when it evicted nothing. Do no
+// harm never refuses it: a victim's next use is never before the cursor.
+// When every buffer is reserved by an in-flight fetch it does nothing;
+// the engine retries after the next completion.
+func demandFetch(s *engine.State, b layout.BlockID) layout.BlockID {
+	_, v, _ := issueWithVictim(s, b, -1)
+	return v
 }

@@ -37,7 +37,7 @@ func (a specAggressive) Poll() {
 		}
 	}
 	view(s).Batch(s.Cursor(), scanEnd(s, a.horizon), budget, func(b layout.BlockID, p int) bool {
-		ok, _ := issueWithVictim(s, b, p)
+		ok, _, _ := issueWithVictim(s, b, p)
 		return ok
 	})
 }
@@ -128,7 +128,7 @@ type specForestall struct{ *Forestall }
 
 func (f specForestall) Poll() {
 	f.sampleCPU()
-	f.pollHorizonRule()
+	f.rule.poll(f.s, f.noteEviction)
 	s := f.s
 	c := s.Cursor()
 	for d := range s.Drives {
@@ -143,7 +143,13 @@ func (f specForestall) Poll() {
 		}
 		budget := make([]int, len(s.Drives))
 		budget[d] = f.batch
-		view(s).Batch(c, limit, budget, f.fetchWithin)
+		view(s).Batch(c, limit, budget, func(b layout.BlockID, p int) bool {
+			ok, victim, _ := issueWithVictim(s, b, p)
+			if ok {
+				f.noteEviction(victim)
+			}
+			return ok
+		})
 		f.nextCheck[d] = c
 	}
 }

@@ -113,7 +113,7 @@ func singleNodeResults(t *testing.T, body string) map[int][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		val, _, err := srv.RunJSON(req)
+		val, _, err := srv.RunJSONMeta(req)
 		if err != nil {
 			t.Fatalf("single-node cell %d: %v", c.Index, err)
 		}

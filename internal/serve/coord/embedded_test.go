@@ -29,7 +29,7 @@ func TestLocalBackendTakesRecordedRequest(t *testing.T) {
 	want := map[string][]byte{}
 	for name, body := range map[string][]byte{"demand": demand, "aggressive": aggressive} {
 		ref := serve.New(serve.Config{Workers: 1})
-		val, _, err := ref.RunJSON(body)
+		val, _, err := ref.RunJSONMeta(body)
 		ref.Close()
 		if err != nil {
 			t.Fatal(err)

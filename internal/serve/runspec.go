@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"ppcsim"
@@ -120,7 +121,8 @@ func (r *RunSpec) streaming() bool { return r.TraceSpec != nil || r.TraceHash !=
 
 // Validate checks the spec before any trace is resolved. It states only
 // the wire rules: one trace source, the hash syntax, explicit
-// non-positive disks, cache_blocks and window, and cpu_scale. The run
+// non-positive disks, cache_blocks and window, and a negative or
+// non-finite cpu_scale. The run
 // rules come from ppcsim through options, the trace-free half of option
 // assembly. Failures are *ppcsim.ConfigError values naming the field.
 func (r *RunSpec) Validate() error {
@@ -148,8 +150,8 @@ func (r *RunSpec) Validate() error {
 	if r.Window != nil && *r.Window <= 0 {
 		return &ppcsim.ConfigError{Field: "Window", Reason: fmt.Sprintf("must be positive, got %d (omit the field for unlimited lookahead)", *r.Window)}
 	}
-	if r.CPUScale < 0 {
-		return &ppcsim.ConfigError{Field: "CPUScale", Reason: fmt.Sprintf("must be non-negative, got %g", r.CPUScale)}
+	if r.CPUScale < 0 || math.IsNaN(r.CPUScale) || math.IsInf(r.CPUScale, 0) {
+		return &ppcsim.ConfigError{Field: "CPUScale", Reason: fmt.Sprintf("must be finite and non-negative, got %g", r.CPUScale)}
 	}
 	if r.streaming() && r.scaled() {
 		return &ppcsim.ConfigError{Field: "CPUScale", Reason: "cpu_scale requires a materialized trace"}

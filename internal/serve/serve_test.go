@@ -619,6 +619,19 @@ func TestLegacyShims(t *testing.T) {
 	}
 }
 
+// TestRunSpecRejectsNonFiniteCPUScale: JSON cannot carry NaN or an
+// infinity, but a RunSpec built in Go (ppc-sim builds one from its
+// flags) can, and Validate names CPUScale for it.
+func TestRunSpecRejectsNonFiniteCPUScale(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := (&RunSpec{Trace: "synth", Algorithm: "demand", CPUScale: x}).Validate()
+		var cfgErr *ppcsim.ConfigError
+		if !errors.As(err, &cfgErr) || cfgErr.Field != "CPUScale" {
+			t.Errorf("cpu_scale %g: got %v, want a ConfigError on CPUScale", x, err)
+		}
+	}
+}
+
 // TestKeyCanonicalization: keys are insensitive to spelling defaults
 // explicitly, to algorithm case and to a -0 that encoding the spec
 // drops, but sensitive to every outcome-changing option and to

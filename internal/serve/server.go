@@ -348,18 +348,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// RunJSON is the transport-independent worker entry point: it decodes
-// one /v1/run body, serves it from the result cache or runs it on the
-// worker pool (deduplicating concurrent identical requests), and
-// returns the exact response bytes plus whether the cache answered.
-// The HTTP handler and the coordinator's embedded single-process mode
-// both call it, so a simulation behaves identically however it
-// arrives. Errors map to HTTP statuses via StatusForError.
-func (s *Server) RunJSON(body []byte) (val []byte, cacheHit bool, err error) {
-	val, meta, err := s.RunJSONMeta(body)
-	return val, meta.CacheHit, err
-}
-
 // RunMeta is the per-run transport metadata RunJSONMeta reports
 // alongside the response bytes. It deliberately never enters the result
 // cache or the response body — wall-clock observations differ between
@@ -380,8 +368,14 @@ type RunMeta struct {
 	PeakInuseBytes int64
 }
 
-// RunJSONMeta is RunJSON plus the run's transport metadata: ParseRequest
-// followed by RunRequest.
+// RunJSONMeta is the transport-independent worker entry point: it
+// decodes one /v1/run body (ParseRequest), then serves it from the
+// result cache or runs it on the worker pool, deduplicating concurrent
+// identical requests (RunRequest). It returns the exact response bytes
+// and the run's transport metadata. The HTTP handler and an embedded
+// worker handed an undecoded body call it, so a simulation behaves
+// identically however it arrives. Errors map to HTTP statuses via
+// StatusForError.
 func (s *Server) RunJSONMeta(body []byte) (val []byte, meta RunMeta, err error) {
 	req, err := ParseRequest(body)
 	if err != nil {

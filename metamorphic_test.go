@@ -2,6 +2,7 @@ package ppcsim_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ppcsim"
@@ -231,6 +232,56 @@ func TestMetamorphicMoreDisksNoSlower(t *testing.T) {
 						tr.Name, alg, prevD, d, prev, r.ElapsedSec)
 				}
 				prev, prevD = r.ElapsedSec, d
+			}
+		}
+	}
+}
+
+// neverFiringF is a fixed forestall F' so small that no missing block's
+// slack d_i - i*F' goes negative: the stall forecast never fires, and
+// forestall is left with fixed horizon's within-H rule alone.
+const neverFiringF = 1e-12
+
+// forestallAsFixedHorizon runs opts under fixed horizon and under
+// forestall whose forecast never fires, with the same Horizon, and
+// returns the two Results with the Policy name set alike. The two must
+// be equal: forestall's within-H rule is fixed horizon's.
+func forestallAsFixedHorizon(opts ppcsim.Options) (fh, fs ppcsim.Result, err error) {
+	opts.Algorithm = ppcsim.FixedHorizon
+	if fh, err = ppcsim.Run(opts); err != nil {
+		return fh, fs, err
+	}
+	opts.Algorithm, opts.ForestallFixedF = ppcsim.Forestall, neverFiringF
+	fs, err = ppcsim.Run(opts)
+	fs.Policy = fh.Policy
+	return fh, fs, err
+}
+
+// TestMetamorphicForestallHorizonRuleIsFixedHorizon: forestall whose
+// stall forecast never fires fetches exactly as fixed horizon does, at
+// horizons below and above the cache size (with H > K an eviction can
+// make a block missing inside the window the rule already scanned).
+func TestMetamorphicForestallHorizonRuleIsFixedHorizon(t *testing.T) {
+	for _, name := range []string{"cscope1", "synth", "ld", "xds"} {
+		tr, err := ppcsim.NewTrace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr = tr.Truncate(6000)
+		for _, k := range []int{16, 64, 1280} {
+			for _, h := range []int{8, 62, 500} {
+				for _, disks := range []int{1, 4} {
+					fh, fs, err := forestallAsFixedHorizon(ppcsim.Options{
+						Trace: tr, Disks: disks, CacheBlocks: k, Horizon: h,
+					})
+					if err != nil {
+						t.Fatalf("%s/K=%d/H=%d/%dd: %v", name, k, h, disks, err)
+					}
+					if !reflect.DeepEqual(fh, fs) {
+						t.Errorf("%s/K=%d/H=%d/%dd: forestall %.1f s, %d fetches; fixed horizon %.1f s, %d fetches",
+							name, k, h, disks, fs.ElapsedSec, fs.Fetches, fh.ElapsedSec, fh.Fetches)
+					}
+				}
 			}
 		}
 	}

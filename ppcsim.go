@@ -195,6 +195,7 @@ type Options struct {
 	// batch size (default: the paper's Table 6 value for the array size).
 	BatchSize int
 	// Horizon overrides fixed horizon's prefetch horizon H (default 62).
+	// It also sets forestall's within-H rule, which is fixed horizon's.
 	Horizon int
 	// FetchEstimate is reverse aggressive's fixed fetch-time/compute-time
 	// ratio F (default 32).
