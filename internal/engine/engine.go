@@ -44,6 +44,8 @@ type Policy interface {
 
 // Config describes one simulation run.
 type Config struct {
+	// Trace is read in place and never written: it must not change while
+	// the run is in flight.
 	Trace *trace.Trace
 	// Source, when set instead of Trace, streams the reference sequence:
 	// the engine keeps only a bounded ring of upcoming references
@@ -267,17 +269,19 @@ type State struct {
 	Cache  *cache.Cache
 	Drives []*disk.Drive
 
-	trueRefs []layout.BlockID
-	isWrite  []bool
-	writes   int64
+	// refs holds the true references: in a materialized run it is the
+	// caller's Trace.Refs itself, read in place and never written; in a
+	// streaming run it is a ring that load fills.
+	refs   []trace.Ref
+	writes int64
 
-	// The reference columns (Refs, trueRefs, isWrite, compute) hold the
-	// whole trace in a materialized run (mask = -1, a no-op) and a
-	// power-of-two ring in a streaming one; mask folds a position into
-	// its slot. n is the trace length and filled counts the references
-	// loaded so far. src is nil for materialized runs; a streaming run
-	// pulls from it through srcBuf, and fill keeps the ring primed ahead
-	// positions past the cursor.
+	// The reference columns (Refs and refs) hold the whole trace in a
+	// materialized run (mask = -1, a no-op) and a power-of-two ring in a
+	// streaming one; mask folds a position into its slot. n is the trace
+	// length and filled counts the references loaded so far. src is nil
+	// for materialized runs; a streaming run pulls from it through
+	// srcBuf, and fill keeps the ring primed ahead positions past the
+	// cursor.
 	src    trace.Source
 	srcBuf []trace.Ref
 	srcI   int
@@ -296,8 +300,7 @@ type State struct {
 	totalCompute float64
 	traceName    string
 
-	compute []float64
-	now     float64
+	now float64
 	// processAt is the time the process will issue its next reference
 	// (start-of-stall time once it arrives there).
 	processAt float64
@@ -377,10 +380,10 @@ func (s *State) Ref(i int) layout.BlockID { return s.Refs[i&s.mask] }
 
 // trueRef returns the block actually referenced at position i (ring slot
 // in streaming runs).
-func (s *State) trueRef(i int) layout.BlockID { return s.trueRefs[i&s.mask] }
+func (s *State) trueRef(i int) layout.BlockID { return s.refs[i&s.mask].Block }
 
 // writeAt reports whether position i is a write-behind update.
-func (s *State) writeAt(i int) bool { return s.isWrite[i&s.mask] }
+func (s *State) writeAt(i int) bool { return s.refs[i&s.mask].Write }
 
 // DiskOf returns the disk holding block b.
 func (s *State) DiskOf(b layout.BlockID) int { return s.Layout.Lookup(b).Disk }
@@ -484,7 +487,7 @@ func (s *State) recycleRequest(r *disk.Request) {
 }
 
 // ComputeMs returns the inter-reference CPU time that precedes reference i.
-func (s *State) ComputeMs(i int) float64 { return s.compute[i&s.mask] }
+func (s *State) ComputeMs(i int) float64 { return s.refs[i&s.mask].ComputeMs }
 
 // Windowed reports whether the run limits lookahead (Window != 0).
 func (s *State) Windowed() bool { return s.window != 0 }
@@ -528,11 +531,11 @@ func (s *State) Observed(i int) layout.BlockID {
 	if i >= s.Oracle.Cursor() {
 		panic(fmt.Sprintf("engine: Observed(%d) is in the future (cursor %d)", i, s.Oracle.Cursor()))
 	}
-	if i < s.filled-len(s.trueRefs) {
+	if i < s.filled-len(s.refs) {
 		panic(fmt.Sprintf("engine: Observed(%d) is outside the retained streaming window (oldest %d)",
-			i, s.filled-len(s.trueRefs)))
+			i, s.filled-len(s.refs)))
 	}
-	return s.trueRefs[i&s.mask]
+	return s.refs[i&s.mask].Block
 }
 
 // NextUseVisible returns b's next disclosed use as the policy is allowed
@@ -636,8 +639,9 @@ func Run(cfg Config) (Result, error) {
 
 // newState sets up a run from a resident Config.Trace or a streamed
 // Config.Source alike: every rule and default is stated here once. Only
-// three things depend on the mode. The reference columns hold the whole
-// trace or a power-of-two ring; the oracle is built over the whole
+// three things depend on the mode. The true references are the trace
+// itself, read in place, or a power-of-two ring, and the disclosed column
+// is as long as the trace or the ring; the oracle is built over the whole
 // disclosed sequence or slides with the ring; and the per-disk index is
 // built lazily or slides too. A streamed run is byte-identical to the
 // materialized run of the same trace: both load references through load
@@ -748,16 +752,13 @@ func newState(cfg Config) (*State, error) {
 		size = 1 << bits.Len(uint(s.ahead+63)) // the next power of two >= ahead+64
 		s.mask = size - 1
 		s.src, s.srcBuf = cfg.Source, make([]trace.Ref, 4096)
+		s.refs = make([]trace.Ref, size)
+	} else {
+		s.refs = cfg.Trace.Refs
 	}
-	s.trueRefs = make([]layout.BlockID, size)
-	s.compute = make([]float64, size)
-	s.isWrite = make([]bool, size)
-	// Without hints the policy sees the true sequence: Refs aliases
-	// trueRefs until a write, if any, splits them (see load).
-	s.Refs = s.trueRefs
+	s.Refs = make([]layout.BlockID, size)
 	if cfg.Hints != nil {
 		s.blockSpace = nBlocks + 1
-		s.Refs = make([]layout.BlockID, size)
 		s.noiser = newHintNoiser(cfg.Hints, s.phantom, nBlocks)
 	}
 	if streaming {
@@ -801,9 +802,9 @@ func newState(cfg Config) (*State, error) {
 	return s, nil
 }
 
-// load validates reference i and stores it in its column slot: the true
-// block, compute time and write flag, plus the block disclosed to the
-// policy — the phantom for a write, the hint noise's draw otherwise. It
+// load validates reference i and stores the block disclosed to the
+// policy in its Refs slot — the phantom for a write, the hint noise's
+// draw otherwise — and, in a streaming run, r itself in its ring slot. It
 // also accumulates the total compute in trace order, so a streamed run's
 // sum is bit-identical to a materialized run's.
 func (s *State) load(i int, r trace.Ref) error {
@@ -818,20 +819,15 @@ func (s *State) load(i int, r trace.Ref) error {
 		return fmt.Errorf("engine: trace %q total compute overflows at ref %d", s.traceName, i)
 	}
 	slot := i & s.mask
-	s.trueRefs[slot] = r.Block
-	s.compute[slot] = r.ComputeMs
-	s.isWrite[slot] = r.Write
+	if s.src != nil {
+		s.refs[slot] = r
+	}
 	d := r.Block
 	switch {
 	case r.Write:
+		// The first write of an unhinted run brings in the phantom.
 		d = s.phantom
-		if s.blockSpace == int(s.phantom) {
-			// The first write of an unhinted run brings in the phantom
-			// and gives the disclosed sequence a column of its own.
-			s.blockSpace++
-			s.Refs = make([]layout.BlockID, len(s.trueRefs))
-			copy(s.Refs, s.trueRefs[:i])
-		}
+		s.blockSpace = int(s.phantom) + 1
 	case s.noiser != nil:
 		d = s.noiser.draw(r.Block)
 	}

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+
 	"ppcsim/internal/cache"
 	"ppcsim/internal/engine"
 	"ppcsim/internal/layout"
@@ -72,6 +74,11 @@ type Forestall struct {
 
 	// rule is fixed horizon's within-Horizon rule.
 	rule horizonRule
+
+	// Work counters: the missing-list entries forecasts examined, and
+	// the entries listed when each forecast started.
+	examined int64
+	listed   int64
 }
 
 // NewForestall returns the forestall policy with paper defaults.
@@ -181,43 +188,59 @@ func (f *Forestall) forecast(d int) {
 	l := f.idx.classify(d, scanEnd(s, f.window), false)
 	fp := f.fprime(d)
 	i := 0
-	minSlack := 1 << 30
-	trigger := false
-	// Walk the list, compacting stale entries out of it as they surface.
+	// lim is the least slack seen, capped at recheckCap: a negative lim
+	// is the trigger, and otherwise max(lim, 1) is the wait until the
+	// next check. n bounds the rank of every entry still to come: the
+	// live entries so far plus the entries left. An entry after e sits at
+	// e.pos+1 or beyond with rank at most n, so its slack is at least
+	// e.pos+1-c-int(n*F'); once e.pos reaches stop, no later entry can
+	// lower lim, and the walk ends. Stale entries past that point stay
+	// listed.
 	miss := l.miss
+	n := len(miss) - l.lo
+	f.listed += int64(n)
+	lim := recheckCap
+	stop := forecastStop(c, lim, n, fp)
+	// Walk the list, compacting stale entries out of it as they surface.
 	w := 0
 	for r := l.lo; r < len(miss); r++ {
 		e := miss[r]
+		f.examined++
 		if !f.idx.live(e) {
+			n--
 			continue
 		}
 		miss[w] = e
 		w++
 		i++
-		slack := (int(e.pos) - c) - int(float64(i)*fp)
-		if slack < minSlack {
-			minSlack = slack
+		if slack := (int(e.pos) - c) - int(float64(i)*fp); slack < lim {
+			lim = slack
+			stop = forecastStop(c, lim, n, fp)
 		}
-		if slack < 0 {
-			trigger = true
+		if lim < 0 || int(e.pos) >= stop {
 			w += copy(miss[w:], miss[r+1:])
 			break
 		}
 	}
 	l.miss, l.lo = miss[:w], 0
-	if !trigger {
-		wait := minSlack
-		if wait < 1 {
-			wait = 1
-		}
-		if wait > recheckCap {
-			wait = recheckCap
-		}
-		f.nextCheck[d] = c + wait
+	if lim >= 0 {
+		f.nextCheck[d] = c + max(lim, 1)
 		return
 	}
 	f.issueBatch(d)
 	f.nextCheck[d] = c // re-evaluate at the next decision point
+}
+
+// forecastStop returns the position from which a live entry ends the
+// forecast walk, given lim and the rank bound n. A rank bound whose
+// product with F' is not below 2^31 never ends it: converting a larger
+// float to int is implementation-defined.
+func forecastStop(c, lim, n int, fp float64) int {
+	r := float64(n) * fp
+	if !(r < 1<<31) {
+		return math.MaxInt
+	}
+	return c + lim - 1 + int(r)
 }
 
 // issueBatch fetches up to batch-size first-missing blocks on disk d,

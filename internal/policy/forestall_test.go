@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ppcsim/internal/engine"
+	"ppcsim/internal/trace"
 	"ppcsim/internal/trace/tracetest"
 )
 
@@ -208,6 +209,35 @@ func TestForestallSteadyStatePollsAllocateNothing(t *testing.T) {
 			if p.forcedMax != 0 {
 				t.Errorf("%dd: a forced recheck poll allocated %g times, want 0", disks, p.forcedMax)
 			}
+		}
+	}
+}
+
+// TestForestallForecastStopsEarly gates the forecast's work. A forecast
+// that cannot trigger stops walking its disk's missing list once no later
+// entry can trigger or shorten the recheck wait, so over the ten paper
+// traces at 4, 8 and 16 disks the entries examined, summed over the
+// traces, are at most half of the entries listed when each forecast
+// started. The multiple was fixed before measuring. Deleting the stop
+// leaves every Result unchanged, so the differential tests cannot see it;
+// this count can.
+func TestForestallForecastStopsEarly(t *testing.T) {
+	for _, disks := range []int{4, 8, 16} {
+		var examined, listed int64
+		for _, name := range trace.Names {
+			f := NewForestall()
+			if _, err := engine.Run(engine.Config{Trace: tracetest.Bundled(t, name), Policy: f, Disks: disks}); err != nil {
+				t.Fatalf("%s/%dd: %v", name, disks, err)
+			}
+			examined += f.examined
+			listed += f.listed
+		}
+		t.Logf("%dd: %d entries examined of %d listed (%.3f)", disks, examined, listed, float64(examined)/float64(listed))
+		if listed == 0 {
+			t.Fatalf("%dd: no forecast listed an entry", disks)
+		}
+		if 2*examined > listed {
+			t.Errorf("%dd: forecasts examined %d entries of %d listed, want at most half", disks, examined, listed)
 		}
 	}
 }

@@ -217,7 +217,9 @@ func runForestallPair(t *testing.T, name string, tr *trace.Trace, disks int, v f
 
 // TestForestallMatchesLegacy checks the incremental forecast against its
 // statement over random traces, disk counts, lookahead windows, hint
-// accuracy, a fixed F', and materialized and streamed runs.
+// accuracy, fixed F' values (below 1, moderate, and one whose rank
+// products pass the forecast stop's 2^31 guard), and materialized and
+// streamed runs.
 func TestForestallMatchesLegacy(t *testing.T) {
 	var traces []*trace.Trace
 	for seed := int64(1); seed <= 3; seed++ {
@@ -231,7 +233,7 @@ func TestForestallMatchesLegacy(t *testing.T) {
 	var variants []forestallVariant
 	for _, w := range []int{0, 64, 1000} {
 		for _, acc := range []float64{1, 0.7} {
-			for _, fixedF := range []float64{0, 4} {
+			for _, fixedF := range []float64{0, 4, 0.25, 1e12} {
 				variants = append(variants, forestallVariant{w, acc, fixedF, false})
 				if w != 0 {
 					variants = append(variants, forestallVariant{w, acc, fixedF, true})

@@ -22,10 +22,11 @@ import (
 // Ref is a single traced access: the block referenced and the process
 // compute time (in milliseconds) that preceded the reference. The paper's
 // traces are read-only; Write marks the optional write-behind extension's
-// update accesses, which never stall the process.
+// update accesses, which never stall the process. The fields are ordered
+// widest first so a Ref packs into 16 bytes.
 type Ref struct {
-	Block     layout.BlockID
 	ComputeMs float64
+	Block     layout.BlockID
 	Write     bool
 }
 

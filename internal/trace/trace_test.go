@@ -5,9 +5,18 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ppcsim/internal/layout"
 )
+
+// TestRefIsSixteenBytes pins the packed layout of a reference: resident
+// traces and the engine's streaming rings hold one per position.
+func TestRefIsSixteenBytes(t *testing.T) {
+	if size := unsafe.Sizeof(Ref{}); size != 16 {
+		t.Fatalf("Ref is %d bytes, want 16", size)
+	}
+}
 
 // TestTable3Exact pins every generator to the paper's Table 3 (with the
 // postgres compute totals following the self-consistent appendix tables).

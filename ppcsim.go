@@ -173,7 +173,9 @@ func AllTraces() []*Trace { return trace.All() }
 // defaults.
 type Options struct {
 	// Trace to run; see NewTrace. Exactly one of Trace and Source is
-	// required.
+	// required. A run reads the trace's references in place and never
+	// writes them, so runs may share one trace concurrently, but the
+	// trace must not change while a run is in flight.
 	Trace *Trace
 	// Source streams the trace instead of materializing it, keeping the
 	// engine's resident set bounded regardless of trace length. Streaming

@@ -2,6 +2,7 @@ package ppcsim_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ppcsim"
@@ -157,5 +158,28 @@ func TestWritesWithHints(t *testing.T) {
 	}
 	if r.CacheHits+r.CacheMisses != 800 {
 		t.Errorf("reads served = %d, want 800", r.CacheHits+r.CacheMisses)
+	}
+}
+
+// TestRunLeavesTraceUnchanged holds the engine to reading a materialized
+// trace in place: every algorithm, with and without degraded hints, over
+// a trace with writes, must leave the caller's references exactly as they
+// were. Reverse aggressive is offline and takes only full hints.
+func TestRunLeavesTraceUnchanged(t *testing.T) {
+	tr := rwTrace(1500, 4)
+	want := append([]trace.Ref(nil), tr.Refs...)
+	for _, alg := range ppcsim.Algorithms {
+		noisy := &ppcsim.HintSpec{Fraction: 0.8, Accuracy: 0.9, Seed: 3, Window: 100}
+		if alg == ppcsim.ReverseAggressive {
+			noisy = &ppcsim.HintSpec{Fraction: 1, Accuracy: 1, Seed: 3}
+		}
+		for _, hints := range []*ppcsim.HintSpec{nil, noisy} {
+			if _, err := ppcsim.Run(ppcsim.Options{Trace: tr, Algorithm: alg, Disks: 2, Hints: hints}); err != nil {
+				t.Fatalf("%s (hints %v): %v", alg, hints != nil, err)
+			}
+			if !reflect.DeepEqual(tr.Refs, want) {
+				t.Fatalf("%s (hints %v): the run changed the caller's trace", alg, hints != nil)
+			}
+		}
 	}
 }
