@@ -52,25 +52,22 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	o := &experiments.Options{Out: os.Stdout, Quick: *quick, SVGDir: *svgDir, Algs: algs}
-	if *runIDs == "all" {
-		if err := experiments.RunAll(o); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	exps := experiments.Registry()
+	if *runIDs != "all" {
+		exps = nil
+		for _, id := range strings.Split(*runIDs, ",") {
+			id = strings.TrimSpace(id)
+			e, ok := experiments.ByID(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
+				os.Exit(1)
+			}
+			exps = append(exps, e)
 		}
-		return
 	}
-	for _, id := range strings.Split(*runIDs, ",") {
-		id = strings.TrimSpace(id)
-		e, ok := experiments.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
-		}
-		fmt.Printf("### %s — %s\n\n", e.ID, e.Title)
-		if err := e.Run(o); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	o := &experiments.Options{Out: os.Stdout, Quick: *quick, SVGDir: *svgDir, Algs: algs}
+	if err := experiments.RunAll(o, exps); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -31,24 +33,38 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentQuick runs every experiment in quick mode and checks
-// it produces table output without errors. This is the integration test
-// for the whole harness.
+// TestEveryExperimentQuick runs each experiment alone, with fresh
+// Options, and requires exactly its section of golden_all_quick.txt. The
+// runner shares runs across the experiments of one Options, so this
+// checks that no experiment depends on another having run first.
 func TestEveryExperimentQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiments still take a few seconds each")
 	}
-	for _, e := range Registry() {
-		e := e
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_all_quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := Registry()
+	header := func(i int) int {
+		if i == len(reg) {
+			return len(golden)
+		}
+		at := bytes.Index(golden, []byte(fmt.Sprintf("### %s — %s\n\n", reg[i].ID, reg[i].Title)))
+		if at < 0 {
+			t.Fatalf("golden_all_quick.txt has no section for %s", reg[i].ID)
+		}
+		return at
+	}
+	for i, e := range reg {
+		want := string(golden[header(i):header(i+1)])
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			o := &Options{Out: &buf, Quick: true}
-			if err := e.Run(o); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+			if err := RunAll(&Options{Out: &buf, Quick: true}, []Experiment{e}); err != nil {
+				t.Fatal(err)
 			}
-			out := buf.String()
-			if !strings.Contains(out, "---") {
-				t.Errorf("%s: no table rendered:\n%.400s", e.ID, out)
+			if got := buf.String(); got != want {
+				t.Errorf("%s alone differs from its golden section.\ngot:\n%s\nwant:\n%s", e.ID, got, want)
 			}
 		})
 	}

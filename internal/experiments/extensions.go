@@ -23,15 +23,8 @@ func ExtLRU(o *Options) error {
 	}
 	for _, name := range names {
 		disks := diskCounts(name)
-		if len(disks) > 4 {
-			disks = disks[:4]
-		}
-		series := []algSeries{
-			collect(o, name, ppcsim.DemandLRU, disks, nil),
-			collect(o, name, ppcsim.Demand, disks, nil),
-			collect(o, name, ppcsim.Forestall, disks, nil),
-		}
-		t := appendixTable(fmt.Sprintf("LRU vs optimal replacement vs prefetching on %s", name), disks, series)
+		t, _ := algTable(o, fmt.Sprintf("LRU vs optimal replacement vs prefetching on %s", name), getTrace(o, name), disks[:min(len(disks), 4)],
+			[]ppcsim.Algorithm{ppcsim.DemandLRU, ppcsim.Demand, ppcsim.Forestall}, nil)
 		t.Notes = append(t.Notes,
 			"demand-lru = no hints at all; demand = hints used only for replacement; forestall = hints used for replacement and prefetching")
 		t.Render(o.Out)
@@ -55,24 +48,17 @@ func ExtWrites(o *Options) error {
 	for _, a := range algs {
 		t.Columns = append(t.Columns, string(a))
 	}
+	var labels []string
+	var rows [][]cell
 	for _, every := range ratios {
-		tr := withWrites(base, every)
 		label := "no writes"
 		if every > 0 {
 			label = fmt.Sprintf("1 write per %d reads", every)
 		}
-		row := []string{label}
-		var cfgs []ppcsim.Options
-		for _, a := range algs {
-			cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: a, Disks: disks})
-		}
-		for _, r := range runParallel(cfgs) {
-			row = append(row, report.F(r.ElapsedSec))
-		}
-		t.AddRow(row...)
+		labels, rows = append(labels, label), append(rows, algCells(withWrites(base, every), algs, disks, nil))
 	}
 	t.Notes = append(t.Notes, "writes are issued write-behind: the process never waits for them, but the disks do")
-	t.Render(o.Out)
+	elapsedTable(o, t, labels, rows)
 	return nil
 }
 
@@ -198,24 +184,21 @@ func ExtHints(o *Options) error {
 			t.Columns = append(t.Columns, string(a))
 		}
 		t.Columns = append(t.Columns, "demand-lru")
-		lru := run(ppcsim.Options{Trace: tr, Algorithm: ppcsim.DemandLRU, Disks: disks})
+		var labels []string
+		var rows [][]cell
 		addRow := func(label string, h *ppcsim.HintSpec) {
-			row := []string{label}
-			var cfgs []ppcsim.Options
-			for _, a := range algs {
-				cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: a, Disks: disks, Hints: h})
-			}
-			for _, r := range runParallel(cfgs) {
-				row = append(row, report.F(r.ElapsedSec))
-			}
-			row = append(row, report.F(lru.ElapsedSec))
-			t.AddRow(row...)
+			labels, rows = append(labels, label), append(rows, algCells(tr, algs, disks, h))
 		}
 		for _, f := range fractions {
 			addRow(fmt.Sprintf("%.0f%% disclosed", f*100), &ppcsim.HintSpec{Fraction: f, Accuracy: 1, Seed: 42})
 		}
 		for _, a := range accuracies[1:] {
 			addRow(fmt.Sprintf("100%% disclosed, %.0f%% accurate", a*100), &ppcsim.HintSpec{Fraction: 1, Accuracy: a, Seed: 42})
+		}
+		// The hint-less baseline is the same run on every row; ask once.
+		res := o.run(append(rows, algCells(tr, []ppcsim.Algorithm{ppcsim.DemandLRU}, disks, nil))...)
+		for i, label := range labels {
+			elapsedRow(t, label, res[i], res[len(labels)])
 		}
 		t.Notes = append(t.Notes,
 			"undisclosed references surface as demand misses; inaccurate hints waste fetches on blocks never used")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"ppcsim"
 	"ppcsim/internal/report"
@@ -20,20 +21,21 @@ func Table2(o *Options) error {
 		t := &report.Table{
 			Title:   fmt.Sprintf("%s elapsed times (secs): full HP 97560 model vs simple fixed-latency model", name),
 			Columns: []string{"disks", "F.H. full", "Agg. full", "F.H. simple", "Agg. simple"},
+			Notes:   []string{"the paper cross-validated UW (HP 97560) and CMU (IBM Lightning) simulators; we compare our two drive models the same way"},
 		}
+		tr := getTrace(o, name)
+		var labels []string
+		var rows [][]cell
 		for _, d := range disks {
-			tr := getTrace(o, name)
-			fhF := run(ppcsim.Options{Trace: tr, Algorithm: ppcsim.FixedHorizon, Disks: d})
-			agF := run(ppcsim.Options{Trace: tr, Algorithm: ppcsim.Aggressive, Disks: d})
-			fhS := run(ppcsim.Options{Trace: tr, Algorithm: ppcsim.FixedHorizon, Disks: d, SimpleDiskModel: true})
-			agS := run(ppcsim.Options{Trace: tr, Algorithm: ppcsim.Aggressive, Disks: d, SimpleDiskModel: true})
-			t.AddRow(fmt.Sprintf("%d", d),
-				report.F(fhF.ElapsedSec), report.F(agF.ElapsedSec),
-				report.F(fhS.ElapsedSec), report.F(agS.ElapsedSec))
+			var row []cell
+			for _, simple := range []bool{false, true} {
+				for _, alg := range []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive} {
+					row = append(row, cell{opts: ppcsim.Options{Trace: tr, Algorithm: alg, Disks: d, SimpleDiskModel: simple}})
+				}
+			}
+			labels, rows = append(labels, fmt.Sprint(d)), append(rows, row)
 		}
-		t.Notes = append(t.Notes,
-			"the paper cross-validated UW (HP 97560) and CMU (IBM Lightning) simulators; we compare our two drive models the same way")
-		t.Render(o.Out)
+		elapsedTable(o, t, labels, rows)
 	}
 	return nil
 }
@@ -57,86 +59,93 @@ func Table3(o *Options) error {
 	return nil
 }
 
-// Fig2 reproduces Figure 2: optimal demand fetching and the three
-// prefetching algorithms on postgres-select across 1–16 disks.
-func Fig2(o *Options) error {
-	disks := diskCounts("postgres-select")
-	series := []algSeries{
-		collect(o, "postgres-select", ppcsim.Demand, disks, nil),
-		collect(o, "postgres-select", ppcsim.FixedHorizon, disks, nil),
-		collect(o, "postgres-select", ppcsim.Aggressive, disks, nil),
-		collectRevAggBest(o, "postgres-select", disks, nil),
-	}
-	renderFigure(o, "fig2", breakdownFigure("Performance on the postgres-select trace", disks, series))
-	appendixTable("postgres-select elapsed-time breakdown", disks, series).Render(o.Out)
-	return nil
+var (
+	prefetchers   = []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.ReverseAggressive}
+	withForestall = []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.Forestall}
+	// postgresSelect is Figure 2's and Table 4's lineup: optimal demand
+	// fetching against the three prefetchers.
+	postgresSelect = append([]ppcsim.Algorithm{ppcsim.Demand}, prefetchers...)
+)
+
+// breakdown is one of the paper's stacked-bar figures: for each array
+// size, one bar per algorithm split into cpu, driver, and stall time. Its
+// detail table holds the same runs in the appendix layout.
+type breakdown struct {
+	fig, trace, detail string
+	disks              []int
+	algs               []ppcsim.Algorithm
 }
 
-// Fig3 reproduces Figure 3: synth and cscope1 with the three prefetching
-// algorithms on 1–4 disks.
-func Fig3(o *Options) error {
-	for _, name := range []string{"synth", "cscope1"} {
-		disks := []int{1, 2, 3, 4}
-		series := []algSeries{
-			collect(o, name, ppcsim.FixedHorizon, disks, nil),
-			collect(o, name, ppcsim.Aggressive, disks, nil),
-			collectRevAggBest(o, name, disks, nil),
+// breakdowns lists the breakdown figures: Figures 2–5 compare the
+// prefetchers, Figures 8–10 add forestall.
+var breakdowns = []breakdown{
+	{"fig2", "postgres-select", "postgres-select elapsed-time breakdown", diskCounts("postgres-select"), postgresSelect},
+	{"fig3-synth", "synth", "synth detail", []int{1, 2, 3, 4}, prefetchers},
+	{"fig3-cscope1", "cscope1", "cscope1 detail", []int{1, 2, 3, 4}, prefetchers},
+	{"fig4", "ld", "ld detail", diskCounts("ld"), prefetchers},
+	{"fig5", "cscope3", "cscope3 detail", []int{1, 2, 3, 4, 5, 6, 7, 8}, prefetchers},
+	{"fig8-synth", "synth", "synth detail", []int{1, 2, 3, 4}, withForestall},
+	{"fig8-xds", "xds", "xds detail", []int{1, 2, 3, 4, 5, 6}, withForestall},
+	{"fig9", "cscope2", "cscope2 detail", diskCounts("cscope2"), withForestall},
+	{"fig10", "glimpse", "glimpse detail", diskCounts("glimpse"), withForestall},
+}
+
+// breakdownFigures returns an experiment rendering the named breakdowns,
+// each as its figure and then its detail table.
+func breakdownFigures(figs ...string) func(*Options) error {
+	return func(o *Options) error {
+		for _, b := range breakdowns {
+			if !slices.Contains(figs, b.fig) {
+				continue
+			}
+			title := fmt.Sprintf("Performance on the %s trace", b.trace)
+			if slices.Contains(b.algs, ppcsim.Forestall) {
+				title += " (with forestall)"
+			}
+			t, res := algTable(o, b.detail, getTrace(o, b.trace), b.disks, b.algs, nil)
+			f := &report.Figure{Title: title, SegNames: []string{"cpu", "driver", "stall"}, Unit: "s"}
+			for j, d := range b.disks {
+				for i, a := range b.algs {
+					r := res[i][j]
+					f.Add(fmt.Sprintf("%2dd %-9s", d, abbrev(string(a))), r.ComputeSec, r.DriverTimeSec, r.StallTimeSec)
+				}
+			}
+			renderFigure(o, b.fig, f)
+			t.Render(o.Out)
 		}
-		renderFigure(o, "fig3-"+name, breakdownFigure(fmt.Sprintf("Performance on the %s trace", name), disks, series))
-		appendixTable(fmt.Sprintf("%s detail", name), disks, series).Render(o.Out)
+		return nil
 	}
-	return nil
 }
 
-// Table4 reproduces Table 4: disk utilization on postgres-select.
-func Table4(o *Options) error {
+// utilization renders the average disk utilization of algs on
+// postgres-select, one column (headed by cols) per algorithm.
+func utilization(o *Options, title string, algs []ppcsim.Algorithm, cols ...string) error {
 	disks := diskCounts("postgres-select")
-	series := []algSeries{
-		collect(o, "postgres-select", ppcsim.Demand, disks, nil),
-		collect(o, "postgres-select", ppcsim.FixedHorizon, disks, nil),
-		collect(o, "postgres-select", ppcsim.Aggressive, disks, nil),
-		collectRevAggBest(o, "postgres-select", disks, nil),
-	}
-	t := &report.Table{
-		Title:   "Disk utilization on the postgres-select trace",
-		Columns: []string{"disks", "demand", "fixed horizon", "aggressive", "reverse aggressive"},
-	}
-	for _, d := range disks {
-		t.AddRow(fmt.Sprintf("%d", d),
-			report.F2(series[0].res[d].AvgUtilization),
-			report.F2(series[1].res[d].AvgUtilization),
-			report.F2(series[2].res[d].AvgUtilization),
-			report.F2(series[3].res[d].AvgUtilization))
+	res := o.run(algRows(getTrace(o, "postgres-select"), disks, algs, nil)...)
+	t := &report.Table{Title: title, Columns: append([]string{"disks"}, cols...)}
+	for j, d := range disks {
+		row := []string{fmt.Sprint(d)}
+		for i := range algs {
+			row = append(row, report.F2(res[i][j].AvgUtilization))
+		}
+		t.AddRow(row...)
 	}
 	t.Render(o.Out)
 	return nil
 }
 
-// Fig4 reproduces Figure 4: the ld trace, 1–16 disks.
-func Fig4(o *Options) error {
-	disks := diskCounts("ld")
-	series := []algSeries{
-		collect(o, "ld", ppcsim.FixedHorizon, disks, nil),
-		collect(o, "ld", ppcsim.Aggressive, disks, nil),
-		collectRevAggBest(o, "ld", disks, nil),
-	}
-	renderFigure(o, "fig4", breakdownFigure("Performance on the ld trace", disks, series))
-	appendixTable("ld detail", disks, series).Render(o.Out)
-	return nil
+// Table4 reproduces Table 4: disk utilization on postgres-select, from
+// Figure 2's runs.
+func Table4(o *Options) error {
+	return utilization(o, "Disk utilization on the postgres-select trace", postgresSelect,
+		"demand", "fixed horizon", "aggressive", "reverse aggressive")
 }
 
-// Fig5 reproduces Figure 5: the cscope3 trace, where reverse aggressive's
-// fixed fetch-time estimate conflicts with bursty compute times.
-func Fig5(o *Options) error {
-	disks := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	series := []algSeries{
-		collect(o, "cscope3", ppcsim.FixedHorizon, disks, nil),
-		collect(o, "cscope3", ppcsim.Aggressive, disks, nil),
-		collectRevAggBest(o, "cscope3", disks, nil),
-	}
-	renderFigure(o, "fig5", breakdownFigure("Performance on the cscope3 trace", disks, series))
-	appendixTable("cscope3 detail", disks, series).Render(o.Out)
-	return nil
+// Table8 reproduces Table 8: forestall's disk utilization on
+// postgres-select.
+func Table8(o *Options) error {
+	return utilization(o, "Utilization of disks by forestall on the postgres-select trace",
+		[]ppcsim.Algorithm{ppcsim.Forestall}, "util.")
 }
 
 // Table5 reproduces Table 5: the percentage improvement of CSCAN over
@@ -147,26 +156,15 @@ func Table5(o *Options) error {
 		Title:   "Percentage improvement of CSCAN over FCFS on the postgres-select trace",
 		Columns: []string{"disks", "fixed horizon", "aggressive", "reverse aggressive"},
 	}
-	algs := []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive, ppcsim.ReverseAggressive}
 	tr := getTrace(o, "postgres-select")
-	for _, d := range disks {
-		row := []string{fmt.Sprintf("%d", d)}
-		for _, alg := range algs {
-			var cs, fc ppcsim.Result
-			if alg == ppcsim.ReverseAggressive {
-				var err error
-				if cs, _, err = ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: tr, Disks: d}, o.revAggGrid()); err != nil {
-					return err
-				}
-				if fc, _, err = ppcsim.RunBestReverseAggressive(ppcsim.Options{Trace: tr, Disks: d, Scheduler: ppcsim.FCFS}, o.revAggGrid()); err != nil {
-					return err
-				}
-			} else {
-				cs = run(ppcsim.Options{Trace: tr, Algorithm: alg, Disks: d})
-				fc = run(ppcsim.Options{Trace: tr, Algorithm: alg, Disks: d, Scheduler: ppcsim.FCFS})
-			}
-			imp := (fc.ElapsedSec - cs.ElapsedSec) / fc.ElapsedSec * 100
-			row = append(row, fmt.Sprintf("%.2f", imp))
+	cscan := algRows(tr, disks, prefetchers, nil)
+	fcfs := algRows(tr, disks, prefetchers, func(c *ppcsim.Options) { c.Scheduler = ppcsim.FCFS })
+	res := o.run(append(cscan, fcfs...)...)
+	for j, d := range disks {
+		row := []string{fmt.Sprint(d)}
+		for i := range prefetchers {
+			cs, fc := res[i][j], res[len(prefetchers)+i][j]
+			row = append(row, fmt.Sprintf("%.2f", (fc.ElapsedSec-cs.ElapsedSec)/fc.ElapsedSec*100))
 		}
 		t.AddRow(row...)
 	}
@@ -188,77 +186,19 @@ func Table7(o *Options) error {
 	for _, d := range disks {
 		t.Columns = append(t.Columns, fmt.Sprintf("%d disks", d))
 	}
+	var rows [][]cell
 	for _, k := range caches {
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, d := range disks {
-			fh := run(ppcsim.Options{Trace: getTrace(o, "glimpse"), Algorithm: ppcsim.FixedHorizon, Disks: d, CacheBlocks: k})
-			ag := run(ppcsim.Options{Trace: getTrace(o, "glimpse"), Algorithm: ppcsim.Aggressive, Disks: d, CacheBlocks: k})
+		setK := func(c *ppcsim.Options) { c.CacheBlocks = k }
+		rows = append(rows, algRows(getTrace(o, "glimpse"), disks, []ppcsim.Algorithm{ppcsim.FixedHorizon, ppcsim.Aggressive}, setK)...)
+	}
+	res := o.run(rows...)
+	for i, k := range caches {
+		row := []string{fmt.Sprint(k)}
+		for j := range disks {
+			fh, ag := res[2*i][j], res[2*i+1][j]
 			row = append(row, fmt.Sprintf("%.1f", (fh.ElapsedSec-ag.ElapsedSec)/ag.ElapsedSec*100))
 		}
 		t.AddRow(row...)
-	}
-	t.Render(o.Out)
-	return nil
-}
-
-// Fig8 reproduces Figure 8: forestall against fixed horizon and
-// aggressive on synth and xds.
-func Fig8(o *Options) error {
-	for _, spec := range []struct {
-		name  string
-		disks []int
-	}{
-		{"synth", []int{1, 2, 3, 4}},
-		{"xds", []int{1, 2, 3, 4, 5, 6}},
-	} {
-		series := []algSeries{
-			collect(o, spec.name, ppcsim.FixedHorizon, spec.disks, nil),
-			collect(o, spec.name, ppcsim.Aggressive, spec.disks, nil),
-			collect(o, spec.name, ppcsim.Forestall, spec.disks, nil),
-		}
-		renderFigure(o, "fig8-"+spec.name, breakdownFigure(fmt.Sprintf("Performance on the %s trace (with forestall)", spec.name), spec.disks, series))
-		appendixTable(fmt.Sprintf("%s detail", spec.name), spec.disks, series).Render(o.Out)
-	}
-	return nil
-}
-
-// Fig9 reproduces Figure 9: forestall on cscope2, 1–16 disks.
-func Fig9(o *Options) error {
-	disks := diskCounts("cscope2")
-	series := []algSeries{
-		collect(o, "cscope2", ppcsim.FixedHorizon, disks, nil),
-		collect(o, "cscope2", ppcsim.Aggressive, disks, nil),
-		collect(o, "cscope2", ppcsim.Forestall, disks, nil),
-	}
-	renderFigure(o, "fig9", breakdownFigure("Performance on the cscope2 trace (with forestall)", disks, series))
-	appendixTable("cscope2 detail", disks, series).Render(o.Out)
-	return nil
-}
-
-// Fig10 reproduces Figure 10: forestall on glimpse, 1–16 disks.
-func Fig10(o *Options) error {
-	disks := diskCounts("glimpse")
-	series := []algSeries{
-		collect(o, "glimpse", ppcsim.FixedHorizon, disks, nil),
-		collect(o, "glimpse", ppcsim.Aggressive, disks, nil),
-		collect(o, "glimpse", ppcsim.Forestall, disks, nil),
-	}
-	renderFigure(o, "fig10", breakdownFigure("Performance on the glimpse trace (with forestall)", disks, series))
-	appendixTable("glimpse detail", disks, series).Render(o.Out)
-	return nil
-}
-
-// Table8 reproduces Table 8: forestall's disk utilization on
-// postgres-select.
-func Table8(o *Options) error {
-	disks := diskCounts("postgres-select")
-	s := collect(o, "postgres-select", ppcsim.Forestall, disks, nil)
-	t := &report.Table{
-		Title:   "Utilization of disks by forestall on the postgres-select trace",
-		Columns: []string{"disks", "util."},
-	}
-	for _, d := range disks {
-		t.AddRow(fmt.Sprintf("%d", d), report.F2(s.res[d].AvgUtilization))
 	}
 	t.Render(o.Out)
 	return nil

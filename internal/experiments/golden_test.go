@@ -2,11 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
+	"ppcsim"
 	"ppcsim/internal/trace/tracetest"
 )
 
@@ -78,11 +84,53 @@ func TestGoldenLookaheadStable(t *testing.T) {
 // TestGoldenAllQuick pins the quick rendering of every experiment in the
 // registry (all paper tables and figures plus the extensions), so a
 // refactor that moves any reproduced number fails here rather than only
-// in the full experiments_output.txt diff.
+// in the full experiments_output.txt diff. The same run, one Options
+// throughout as in ppc-experiments -run all, also pins one SHA-256 per
+// artifact over the full-precision Results it asked for
+// (artifact_digests.json), so a move below the printed precision fails
+// too. table3 runs no simulation and ext-multi runs RunMulti rather than
+// the runner, so neither has a digest.
 func TestGoldenAllQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(&Options{Out: &buf, Quick: true}); err != nil {
-		t.Fatal(err)
+	o := &Options{Out: &buf, Quick: true}
+	digests := map[string]string{}
+	for _, e := range Registry() {
+		var seen []ppcsim.Result
+		o.seen = &seen
+		if err := RunAll(o, []Experiment{e}); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) > 0 {
+			digests[e.ID] = resultsDigest(t, seen)
+		}
 	}
-	checkGolden(t, "golden_all_quick.txt", buf.String())
+	t.Run("text", func(t *testing.T) { checkGolden(t, "golden_all_quick.txt", buf.String()) })
+	t.Run("digests", func(t *testing.T) {
+		b, err := json.MarshalIndent(digests, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "artifact_digests.json", string(b)+"\n")
+	})
+}
+
+// resultsDigest hashes the sorted JSON encodings of rs, one per line, so
+// neither cell order nor run order matters. encoding/json writes each
+// float as the shortest decimal that parses back to the same bits, so
+// the encoding is full precision.
+func resultsDigest(t *testing.T, rs []ppcsim.Result) string {
+	encs := make([]string, len(rs))
+	for i, r := range rs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs[i] = string(b)
+	}
+	sort.Strings(encs)
+	h := sha256.New()
+	for _, e := range encs {
+		io.WriteString(h, e+"\n")
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

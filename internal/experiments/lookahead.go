@@ -51,42 +51,33 @@ func lookaheadSweep(o *Options, figID string, tr *ppcsim.Trace, disks int, windo
 		t.Columns = append(t.Columns, string(a))
 	}
 
-	// The hint-less baselines ignore the window entirely; run them once.
-	var onlineCfgs []ppcsim.Options
-	for _, a := range online {
-		onlineCfgs = append(onlineCfgs, ppcsim.Options{Trace: tr, Algorithm: a, Disks: disks})
-	}
-	onlineRes := runParallel(onlineCfgs)
-
 	fig := &report.Figure{
 		Title:    fmt.Sprintf("Lookahead window sweep on %s (%d disks)", tr.Name, disks),
 		SegNames: []string{"cpu", "driver", "stall"},
 		Unit:     "s",
 	}
-	for _, w := range windows {
-		label := fmt.Sprintf("W=%d", w)
+	// The hint-less baselines ignore the window entirely; ask for them once.
+	rows := [][]cell{algCells(tr, online, disks, nil)}
+	labels := make([]string, len(windows))
+	for i, w := range windows {
+		labels[i] = fmt.Sprintf("W=%d", w)
 		var hints *ppcsim.HintSpec
 		if w == 0 {
-			label = "unlimited"
+			labels[i] = "unlimited"
 		} else {
 			hints = &ppcsim.HintSpec{Fraction: 1, Accuracy: 1, Window: w}
 		}
-		var cfgs []ppcsim.Options
-		for _, a := range algs {
-			cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: a, Disks: disks, Hints: hints})
-		}
-		row := []string{label}
-		for i, r := range runParallel(cfgs) {
-			row = append(row, report.F(r.ElapsedSec))
-			fig.Add(fmt.Sprintf("%-9s %-9s", label, abbrev(string(algs[i]))),
+		rows = append(rows, algCells(tr, algs, disks, hints))
+	}
+	res := o.run(rows...)
+	for i, label := range labels {
+		elapsedRow(t, label, res[i+1], res[0])
+		for j, r := range res[i+1] {
+			fig.Add(fmt.Sprintf("%-9s %-9s", label, abbrev(string(algs[j]))),
 				r.ComputeSec, r.DriverTimeSec, r.StallTimeSec)
 		}
-		for _, r := range onlineRes {
-			row = append(row, report.F(r.ElapsedSec))
-		}
-		t.AddRow(row...)
 	}
-	for i, r := range onlineRes {
+	for i, r := range res[0] {
 		fig.Add(fmt.Sprintf("%-9s %-9s", "no hints", abbrev(string(online[i]))),
 			r.ComputeSec, r.DriverTimeSec, r.StallTimeSec)
 	}

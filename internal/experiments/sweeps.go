@@ -4,66 +4,33 @@ import (
 	"fmt"
 
 	"ppcsim"
-	"ppcsim/internal/report"
 )
+
+// setBatch assigns the batch size a sweep varies.
+func setBatch(c *ppcsim.Options, b int) { c.BatchSize = b }
+
+// appendixDisks returns the trace's appendix array sizes, at most six.
+func appendixDisks(name string) []int {
+	disks := diskCounts(name)
+	return disks[:min(len(disks), 6)]
+}
 
 // Fig6 reproduces Figure 6: aggressive's elapsed time on cscope2 as a
 // function of batch size, for 1–5 disks.
 func Fig6(o *Options) error {
-	batches := []int{4, 8, 16, 40, 80, 160, 320, 640, 1280}
-	disks := []int{1, 2, 3, 4, 5}
-	t := &report.Table{
-		Title:   "Aggressive elapsed time (secs) on cscope2 vs batch size",
-		Columns: []string{"batch"},
-	}
-	for _, d := range disks {
-		t.Columns = append(t.Columns, fmt.Sprintf("%dd", d))
-	}
-	tr := getTrace(o, "cscope2")
-	for _, b := range batches {
-		var cfgs []ppcsim.Options
-		for _, d := range disks {
-			cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: ppcsim.Aggressive, Disks: d, BatchSize: b})
-		}
-		res := runParallel(cfgs)
-		row := []string{fmt.Sprintf("%d", b)}
-		for _, r := range res {
-			row = append(row, report.F(r.ElapsedSec))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes, "performance first improves with batch size (better scheduling), then degrades (out-of-order fetching, early replacement)")
-	t.Render(o.Out)
+	sweep(o, "Aggressive elapsed time (secs) on cscope2 vs batch size", "batch",
+		getTrace(o, "cscope2"), ppcsim.Aggressive, []int{4, 8, 16, 40, 80, 160, 320, 640, 1280}, []int{1, 2, 3, 4, 5}, setBatch,
+		"performance first improves with batch size (better scheduling), then degrades (out-of-order fetching, early replacement)")
 	return nil
 }
 
 // Fig7 reproduces Figure 7: fixed horizon's elapsed time on cscope1 and
 // cscope2 as a function of the prefetch horizon, for 1–3 disks.
 func Fig7(o *Options) error {
-	horizons := []int{16, 32, 64, 128, 256, 512, 1024, 2048}
-	disks := []int{1, 2, 3}
 	for _, name := range []string{"cscope1", "cscope2"} {
-		t := &report.Table{
-			Title:   fmt.Sprintf("Fixed horizon elapsed time (secs) on %s vs horizon H", name),
-			Columns: []string{"H"},
-		}
-		for _, d := range disks {
-			t.Columns = append(t.Columns, fmt.Sprintf("%dd", d))
-		}
-		tr := getTrace(o, name)
-		for _, h := range horizons {
-			var cfgs []ppcsim.Options
-			for _, d := range disks {
-				cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: ppcsim.FixedHorizon, Disks: d, Horizon: h})
-			}
-			res := runParallel(cfgs)
-			row := []string{fmt.Sprintf("%d", h)}
-			for _, r := range res {
-				row = append(row, report.F(r.ElapsedSec))
-			}
-			t.AddRow(row...)
-		}
-		t.Render(o.Out)
+		sweep(o, fmt.Sprintf("Fixed horizon elapsed time (secs) on %s vs horizon H", name), "H",
+			getTrace(o, name), ppcsim.FixedHorizon, []int{16, 32, 64, 128, 256, 512, 1024, 2048}, []int{1, 2, 3},
+			func(c *ppcsim.Options, h int) { c.Horizon = h })
 	}
 	return nil
 }
@@ -72,37 +39,13 @@ func Fig7(o *Options) error {
 // appendix-E tables (elapsed times shown; the full per-metric data is in
 // appendix A format for the baseline batch).
 func AppendixE(o *Options) error {
-	batches := []int{4, 8, 16, 40, 80, 160}
 	names := []string{"dinero", "cscope1", "cscope2", "cscope3", "glimpse", "ld", "postgres-join", "postgres-select", "xds"}
 	if o.Quick {
 		names = []string{"cscope1", "ld"}
 	}
 	for _, name := range names {
-		disks := diskCounts(name)
-		if len(disks) > 6 {
-			disks = disks[:6]
-		}
-		t := &report.Table{
-			Title:   fmt.Sprintf("Aggressive elapsed time (secs) on %s as a function of batch size", name),
-			Columns: []string{"batch"},
-		}
-		for _, d := range disks {
-			t.Columns = append(t.Columns, fmt.Sprintf("%dd", d))
-		}
-		tr := getTrace(o, name)
-		for _, b := range batches {
-			var cfgs []ppcsim.Options
-			for _, d := range disks {
-				cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: ppcsim.Aggressive, Disks: d, BatchSize: b})
-			}
-			res := runParallel(cfgs)
-			row := []string{fmt.Sprintf("%d", b)}
-			for _, r := range res {
-				row = append(row, report.F(r.ElapsedSec))
-			}
-			t.AddRow(row...)
-		}
-		t.Render(o.Out)
+		sweep(o, fmt.Sprintf("Aggressive elapsed time (secs) on %s as a function of batch size", name), "batch",
+			getTrace(o, name), ppcsim.Aggressive, []int{4, 8, 16, 40, 80, 160}, appendixDisks(name), setBatch)
 	}
 	return nil
 }
@@ -119,32 +62,10 @@ func AppendixF(o *Options) error {
 		batches = []int{8, 40, 160}
 	}
 	for _, name := range names {
-		disks := diskCounts(name)
-		if len(disks) > 6 {
-			disks = disks[:6]
-		}
-		tr := getTrace(o, name)
 		for _, f := range estimates {
-			t := &report.Table{
-				Title:   fmt.Sprintf("Reverse aggressive elapsed time (secs) on %s, fetch time estimate %g", name, f),
-				Columns: []string{"batch"},
-			}
-			for _, d := range disks {
-				t.Columns = append(t.Columns, fmt.Sprintf("%dd", d))
-			}
-			for _, b := range batches {
-				var cfgs []ppcsim.Options
-				for _, d := range disks {
-					cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: ppcsim.ReverseAggressive, Disks: d, FetchEstimate: f, BatchSize: b})
-				}
-				res := runParallel(cfgs)
-				row := []string{fmt.Sprintf("%d", b)}
-				for _, r := range res {
-					row = append(row, report.F(r.ElapsedSec))
-				}
-				t.AddRow(row...)
-			}
-			t.Render(o.Out)
+			sweep(o, fmt.Sprintf("Reverse aggressive elapsed time (secs) on %s, fetch time estimate %g", name, f), "batch",
+				getTrace(o, name), ppcsim.ReverseAggressive, batches, appendixDisks(name),
+				func(c *ppcsim.Options, b int) { c.FetchEstimate, c.BatchSize = f, b })
 		}
 	}
 	return nil
@@ -153,31 +74,19 @@ func AppendixF(o *Options) error {
 // AppendixG sweeps fixed horizon's prefetch horizon, reproducing the
 // appendix-G tables.
 func AppendixG(o *Options) error {
-	horizons := []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 	names := []string{"dinero", "cscope1", "cscope2", "postgres-select"}
 	if o.Quick {
 		names = []string{"cscope1"}
 	}
 	for _, name := range names {
-		disks := diskCounts(name)
-		if len(disks) > 6 {
-			disks = disks[:6]
+		disks := appendixDisks(name)
+		var labels []string
+		var rows [][]cell
+		for _, h := range []int{16, 32, 64, 128, 256, 512, 1024, 2048} {
+			labels = append(labels, fmt.Sprintf("horizon %d", h))
+			rows = append(rows, diskRow(getTrace(o, name), ppcsim.FixedHorizon, disks, func(c *ppcsim.Options) { c.Horizon = h }))
 		}
-		tr := getTrace(o, name)
-		var series []algSeries
-		for _, h := range horizons {
-			s := algSeries{name: fmt.Sprintf("horizon %d", h), res: map[int]ppcsim.Result{}}
-			var cfgs []ppcsim.Options
-			for _, d := range disks {
-				cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: ppcsim.FixedHorizon, Disks: d, Horizon: h})
-			}
-			res := runParallel(cfgs)
-			for i, d := range disks {
-				s.res[d] = res[i]
-			}
-			series = append(series, s)
-		}
-		appendixTable(fmt.Sprintf("Fixed horizon on %s as a function of the horizon", name), disks, series).Render(o.Out)
+		appendixTable(fmt.Sprintf("Fixed horizon on %s as a function of the horizon", name), disks, labels, o.run(rows...)).Render(o.Out)
 	}
 	return nil
 }
@@ -192,29 +101,16 @@ func AppendixH(o *Options) error {
 		fixed = []float64{2, 15, 60}
 	}
 	for _, name := range names {
-		disks := diskCounts(name)
-		if len(disks) > 6 {
-			disks = disks[:6]
-		}
+		disks := appendixDisks(name)
 		tr := getTrace(o, name)
-		var series []algSeries
 		// Dynamic estimation first, for reference.
-		dyn := collect(o, name, ppcsim.Forestall, disks, nil)
-		dyn.name = "forestall (dynamic F)"
-		series = append(series, dyn)
+		labels := []string{"forestall (dynamic F)"}
+		rows := [][]cell{diskRow(tr, ppcsim.Forestall, disks, nil)}
 		for _, f := range fixed {
-			s := algSeries{name: fmt.Sprintf("forestall (F'=%g)", f), res: map[int]ppcsim.Result{}}
-			var cfgs []ppcsim.Options
-			for _, d := range disks {
-				cfgs = append(cfgs, ppcsim.Options{Trace: tr, Algorithm: ppcsim.Forestall, Disks: d, ForestallFixedF: f})
-			}
-			res := runParallel(cfgs)
-			for i, d := range disks {
-				s.res[d] = res[i]
-			}
-			series = append(series, s)
+			labels = append(labels, fmt.Sprintf("forestall (F'=%g)", f))
+			rows = append(rows, diskRow(tr, ppcsim.Forestall, disks, func(c *ppcsim.Options) { c.ForestallFixedF = f }))
 		}
-		appendixTable(fmt.Sprintf("Forestall on %s with fixed fetch time estimates", name), disks, series).Render(o.Out)
+		appendixTable(fmt.Sprintf("Forestall on %s with fixed fetch time estimates", name), disks, labels, o.run(rows...)).Render(o.Out)
 	}
 	return nil
 }
