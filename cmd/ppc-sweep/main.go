@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -418,57 +419,38 @@ func named(spec serve.RunSpec, err error) error {
 	return fmt.Errorf("%s/%s/d=%d: %w", r.Trace, r.Algorithm, r.Disks, err)
 }
 
-// retryDo runs do, retrying connection-level failures every 100ms for up
-// to retryFor (an HTTP error status is a response, not a failure).
-func retryDo(retryFor time.Duration, do func() (*http.Response, error)) (*http.Response, error) {
+// retryDo runs do, retrying transport failures (the *url.Error an
+// http.Client returns when no response arrived) every 100ms for up to
+// retryFor. An HTTP error status is a response, not a failure.
+func retryDo[T any](retryFor time.Duration, do func() (T, error)) (T, error) {
 	for waited := time.Duration(0); ; waited += 100 * time.Millisecond {
-		resp, err := do()
-		if err == nil || waited >= retryFor {
-			return resp, err
+		v, err := do()
+		var transport *url.Error
+		if !errors.As(err, &transport) || waited >= retryFor {
+			return v, err
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
 // ensureTrace makes sure the cluster holds the columnar trace file at
-// path, whose hash is given: a HEAD probe against the coordinator's
-// trace store, then a PUT of the file bytes on a miss. The probe honors
+// path, whose hash is given, through the coordinator's trace store: a
+// probe, then an upload of the file bytes on a miss. The probe honors
 // retryFor so scripted bring-ups can race the coordinator's startup.
 func ensureTrace(coordBase, path, hash string, retryFor time.Duration, stderr io.Writer) error {
-	url := coordBase + "/v1/traces/" + hash
-	resp, err := retryDo(retryFor, func() (*http.Response, error) {
-		return http.Head(url)
-	})
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil // already on a worker; preflight replicates as needed
-	case http.StatusNotFound:
-	default:
-		return fmt.Errorf("trace probe: %s", resp.Status)
+	c := coord.NewHTTPBackend("coordinator", coordBase, nil)
+	ctx := context.Background()
+	held, err := retryDo(retryFor, func() (bool, error) { return c.TraceHas(ctx, hash) })
+	if err != nil || held {
+		return err // held: already on a worker; preflight replicates as needed
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	req, err := http.NewRequest(http.MethodPut, url, f)
-	if err != nil {
+	if err := c.TracePut(ctx, hash, f); err != nil {
 		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	putResp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer putResp.Body.Close()
-	if putResp.StatusCode != http.StatusCreated && putResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(putResp.Body, 4096))
-		return fmt.Errorf("trace upload: %s: %s", putResp.Status, strings.TrimSpace(string(msg)))
 	}
 	fmt.Fprintf(stderr, "ppc-sweep: uploaded trace %s (%s)\n", hash[:12], path)
 	return nil

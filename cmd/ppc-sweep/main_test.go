@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -296,6 +297,7 @@ func TestBuildSpecVariants(t *testing.T) {
 }
 
 func TestRetryDo(t *testing.T) {
+	refused := &url.Error{Op: "Post", URL: "http://coord", Err: errors.New("refused")}
 	calls := 0
 	resp, err := retryDo(0, func() (*http.Response, error) {
 		calls++
@@ -308,16 +310,24 @@ func TestRetryDo(t *testing.T) {
 	calls = 0
 	if _, err := retryDo(0, func() (*http.Response, error) {
 		calls++
-		return nil, errors.New("refused")
+		return nil, refused
 	}); err == nil || calls != 1 {
 		t.Errorf("zero budget must not retry: %v calls=%d", err, calls)
+	}
+
+	calls = 0
+	if _, err := retryDo(300e6, func() (bool, error) {
+		calls++
+		return false, errors.New("trace probe: status 502")
+	}); err == nil || calls != 1 {
+		t.Errorf("a failure with a response must not retry: %v calls=%d", err, calls)
 	}
 
 	calls = 0
 	resp, err = retryDo(300e6, func() (*http.Response, error) { // 300ms budget
 		calls++
 		if calls < 3 {
-			return nil, errors.New("refused")
+			return nil, refused
 		}
 		return &http.Response{StatusCode: 200}, nil
 	})

@@ -139,7 +139,11 @@ func convert(args []string, stdout, stderr io.Writer) int {
 		}
 		if trace.IsColumnar(data) {
 			toColumnar = false
-			if tr, err = trace.ReadColumnar(bytes.NewReader(data)); err != nil {
+			var src *trace.ColumnarSource
+			if src, err = trace.NewColumnarSource(bytes.NewReader(data)); err == nil {
+				tr, err = trace.Materialize(src)
+			}
+			if err != nil {
 				fmt.Fprintln(stderr, "ppc-traces convert:", err)
 				return 1
 			}

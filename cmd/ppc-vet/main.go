@@ -17,11 +17,10 @@
 //	-fixtures          run the analyzer fixture self-check and exit
 //	-suppressions      list every //ppcvet:ignore directive with its
 //	                   file:line and reason; exit 1 if any is stale
-//	-parallel          package analysis workers (capped at GOMAXPROCS)
-//	-detrand.exempt    comma-separated import-path prefixes detrand skips
-//	-obsguard.skip     comma-separated import paths obsguard skips
-//	-ctxflow.allow     comma-separated pkgpath.TypeName struct types
-//	                   allowed to carry a context.Context field
+//
+// Packages are analyzed on GOMAXPROCS workers. The analyzers' settings
+// (the packages detrand and obsguard skip, the types ctxflow lets carry
+// a context) are fixed in configuredAnalyzers.
 //
 // A finding is suppressed by a trailing or immediately-preceding
 // //ppcvet:ignore <reason> comment; the reason is mandatory, and a
@@ -36,7 +35,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"ppcsim/internal/analysis"
@@ -51,34 +49,10 @@ import (
 	"ppcsim/internal/analysis/obsguard"
 )
 
-// obsguardSkipDefault excludes the package that owns the Observer
-// contract: its Multi fan-out iterates members Tee has already
-// nil-filtered, so per-call guards there would be dead code.
-const obsguardSkipDefault = "ppcsim/internal/obs"
-
-// detrandExemptDefault excludes the HTTP serving layer and its load
-// harness: both measure real request latency and deadlines, so
-// wall-clock reads there are the point, not a determinism leak (the
-// harness's request stream is still seeded; only its schedule walks the
-// wall clock). The simulator itself (everything the serving layer calls
-// into) remains covered.
-const detrandExemptDefault = "ppcsim/internal/serve,ppcsim/cmd/ppc-serve,ppcsim/internal/load,ppcsim/cmd/ppc-load"
-
-// ctxflowAllowDefault names the two struct types with a documented
-// reason to carry a context: the engine Config threads cooperative
-// cancellation into a synchronous simulation loop that predates
-// context plumbing, and the coordinator's jobRun scopes one sweep job's
-// retries and streams to the request that created it.
-const ctxflowAllowDefault = "ppcsim/internal/engine.Config,ppcsim/internal/serve/coord.jobRun"
-
 func main() {
 	jsonOut := flag.Bool("json", false, "emit the full report as one JSON object")
 	fixtures := flag.Bool("fixtures", false, "run the analyzer fixture self-check and exit")
 	suppressions := flag.Bool("suppressions", false, "audit //ppcvet:ignore directives; exit 1 on stale ones")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "package analysis workers (capped at GOMAXPROCS)")
-	detrandExempt := flag.String("detrand.exempt", detrandExemptDefault, "comma-separated import-path prefixes detrand skips")
-	obsguardSkip := flag.String("obsguard.skip", obsguardSkipDefault, "comma-separated import paths obsguard skips")
-	ctxflowAllow := flag.String("ctxflow.allow", ctxflowAllowDefault, "comma-separated pkgpath.TypeName structs allowed to store a context")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -90,12 +64,11 @@ func main() {
 		return
 	}
 
-	analyzers := configuredAnalyzers(*detrandExempt, *obsguardSkip, *ctxflowAllow)
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := analysis.Vet(".", patterns, analyzers, *parallel)
+	res, err := analysis.Vet(".", patterns, configuredAnalyzers(), 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ppc-vet:", err)
 		os.Exit(2)
@@ -118,35 +91,41 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: ppc-vet [flags] [packages]\n\nanalyzers:\n")
-	for _, a := range configuredAnalyzers(detrandExemptDefault, obsguardSkipDefault, ctxflowAllowDefault) {
+	for _, a := range configuredAnalyzers() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
 	fmt.Fprintf(os.Stderr, "\nflags:\n")
 	flag.PrintDefaults()
 }
 
-func configuredAnalyzers(detrandExempt, obsguardSkip, ctxflowAllow string) []*analysis.Analyzer {
+// configuredAnalyzers returns the analyzers with the repository's
+// settings:
+//   - detrand skips the HTTP serving layer and its load harness: both
+//     measure real request latency and deadlines, so wall-clock reads
+//     there are the point, not a determinism leak (the harness's request
+//     stream is still seeded; only its schedule walks the wall clock).
+//     The simulator itself (everything the serving layer calls into)
+//     remains covered.
+//   - obsguard skips the package that owns the Observer contract: its
+//     Multi fan-out iterates members Tee has already nil-filtered, so
+//     per-call guards there would be dead code.
+//   - ctxflow allows the two struct types with a documented reason to
+//     carry a context: the engine Config threads cooperative
+//     cancellation into a synchronous simulation loop that predates
+//     context plumbing, and the coordinator's jobRun scopes one sweep
+//     job's retries and streams to the request that created it.
+func configuredAnalyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		detrand.New(splitList(detrandExempt)),
+		detrand.New([]string{"ppcsim/internal/serve", "ppcsim/cmd/ppc-serve", "ppcsim/internal/load", "ppcsim/cmd/ppc-load"}),
 		maporder.Analyzer,
 		floateq.Analyzer,
-		obsguard.New(splitList(obsguardSkip)),
+		obsguard.New([]string{"ppcsim/internal/obs"}),
 		lockguard.Analyzer,
 		goroleak.Analyzer,
-		ctxflow.New(splitList(ctxflowAllow)),
+		ctxflow.New([]string{"ppcsim/internal/engine.Config", "ppcsim/internal/serve/coord.jobRun"}),
 		errenvelope.Analyzer,
 		hotalloc.Analyzer,
 	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // relPath shortens filename to a cwd-relative path when that stays

@@ -37,8 +37,7 @@ func TestDogfoodTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module analysis in -short mode")
 	}
-	res, err := analysis.Vet("../..", []string{"./..."},
-		configuredAnalyzers(detrandExemptDefault, obsguardSkipDefault, ctxflowAllowDefault), 0)
+	res, err := analysis.Vet("../..", []string{"./..."}, configuredAnalyzers(), 0)
 	if err != nil {
 		t.Fatalf("vet: %v", err)
 	}
@@ -128,14 +127,5 @@ func TestSuppressionsAudit(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("audit output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestSplitList(t *testing.T) {
-	if got := splitList(" a , ,b,"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("splitList = %v", got)
-	}
-	if got := splitList(""); got != nil {
-		t.Errorf("splitList(\"\") = %v, want nil", got)
 	}
 }

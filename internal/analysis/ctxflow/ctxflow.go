@@ -106,7 +106,7 @@ func checkStoredContexts(pass *analysis.Pass, f *ast.File, allowed map[string]bo
 			if allowed[qualified] {
 				continue
 			}
-			pass.Reportf(field.Pos(), "context.Context stored in struct field of %s; pass it as a call parameter (or allowlist the carrier via -ctxflow.allow)", ts.Name.Name)
+			pass.Reportf(field.Pos(), "context.Context stored in struct field of %s; pass it as a call parameter (or allowlist the carrier in ppc-vet)", ts.Name.Name)
 		}
 		return true
 	})

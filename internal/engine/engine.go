@@ -299,6 +299,7 @@ type State struct {
 	noiser       *hintNoiser
 	totalCompute float64
 	traceName    string
+	policyName   string
 
 	now float64
 	// processAt is the time the process will issue its next reference
@@ -310,13 +311,10 @@ type State struct {
 	driverMs  float64
 	overhead  float64
 	fetches   int64
-	// In-flight fetch tracking for stall lookups: per block the disk
-	// holding its outstanding fetch plus one (0 = none), and the count of
-	// outstanding fetches. A flat slice instead of a map keeps the
-	// per-fetch bookkeeping allocation free.
-	inFlightDisk []int32
-	inFlightN    int
-	issueErr     error
+	// inFlightN counts outstanding fetches; the cache records which
+	// blocks they are.
+	inFlightN int
+	issueErr  error
 
 	// busyEnds mirrors each drive's in-service completion time (+Inf when
 	// idle) in one contiguous slice, refreshed after every enqueue and
@@ -562,7 +560,7 @@ func (s *State) Fetches() int64 { return s.fetches }
 func (s *State) Issue(b, victim layout.BlockID) {
 	if err := s.Cache.StartFetch(b, victim); err != nil {
 		if s.issueErr == nil {
-			s.issueErr = fmt.Errorf("policy %T: %w", s, err)
+			s.issueErr = fmt.Errorf("policy %s: %w", s.policyName, err)
 		}
 		return
 	}
@@ -571,7 +569,6 @@ func (s *State) Issue(b, victim layout.BlockID) {
 	req.Block, req.LBN = b, pl.LBN
 	s.Drives[pl.Disk].Enqueue(req, s.now)
 	s.refreshDrive(pl.Disk)
-	s.inFlightDisk[b] = int32(pl.Disk) + 1
 	s.inFlightN++
 	s.fetches++
 	s.driverMs += s.overhead
@@ -740,6 +737,7 @@ func newState(cfg Config) (*State, error) {
 		phantom:    layout.BlockID(nBlocks),
 		blockSpace: nBlocks,
 		traceName:  m.Name,
+		policyName: cfg.Policy.Name(),
 	}
 	size := n
 	if streaming {
@@ -786,7 +784,6 @@ func newState(cfg Config) (*State, error) {
 	for i := range s.Drives {
 		s.Drives[i] = disk.NewDrive(model(), cfg.Discipline)
 	}
-	s.inFlightDisk = make([]int32, s.blockSpace)
 	s.busyEnds = make([]float64, cfg.Disks)
 	for i := range s.busyEnds {
 		s.busyEnds[i] = math.Inf(1)
@@ -1034,7 +1031,6 @@ func runLoop(s *State, cfg Config) (Result, error) {
 		serviceMs := req.ServiceMs
 		s.recycleRequest(req)
 		s.Cache.CompleteFetch(fetched)
-		s.inFlightDisk[fetched] = 0
 		s.inFlightN--
 		if s.OnComplete != nil {
 			s.OnComplete(nextDisk, serviceMs)
@@ -1223,20 +1219,14 @@ func emitFetchCompleted(s *State, req *disk.Request, d int) {
 // fetch; in that case the engine retries after the next disk completion.
 // It is an error only if no fetch is in flight anywhere (deadlock).
 func ensureStallFetch(s *State, p Policy, b layout.BlockID, cursor int) error {
-	if s.inFlightDisk[b] != 0 {
-		return nil
-	}
 	if !s.Cache.Absent(b) {
-		return nil // completed while polling
+		return nil // in flight, or completed while polling
 	}
 	p.OnStall(b)
 	if s.issueErr != nil {
 		return s.issueErr
 	}
-	if s.inFlightDisk[b] != 0 {
-		return nil
-	}
-	if s.inFlightN == 0 {
+	if s.Cache.Absent(b) && s.inFlightN == 0 {
 		return fmt.Errorf("engine: policy %s did not fetch stalled block %d at position %d",
 			p.Name(), b, cursor)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ppcsim/internal/cache"
@@ -220,6 +221,15 @@ func TestIllegalIssueAborts(t *testing.T) {
 	tr := mkTrace(2, 1.0, 0, 1)
 	if _, err := Run(Config{Trace: tr, Policy: &illegalPolicy{}, Disks: 1}); err == nil {
 		t.Error("expected error from illegal issue")
+	}
+}
+
+// TestIllegalIssueNamesPolicy: the error of an illegal fetch names the
+// policy that issued it, not the engine's own state type.
+func TestIllegalIssueNamesPolicy(t *testing.T) {
+	_, err := Run(Config{Trace: mkTrace(2, 1.0, 0, 1), Policy: &illegalPolicy{}, Disks: 1})
+	if err == nil || !strings.HasPrefix(err.Error(), "policy illegal: ") {
+		t.Errorf("illegal issue: error %v, want it to start with \"policy illegal: \"", err)
 	}
 }
 

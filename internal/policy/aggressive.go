@@ -105,7 +105,7 @@ func (a *Aggressive) Poll() {
 		if next == noMiss {
 			break
 		}
-		ok, victim, _ := issueWithVictim(s, next.blk, int(next.pos))
+		ok, victim, _ := IssueWithVictim(s, next.blk, int(next.pos))
 		if !ok {
 			// Do no harm disallows any further fetch: every later missing
 			// block is needed even later than this one.

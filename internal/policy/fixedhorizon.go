@@ -124,7 +124,7 @@ func (r *horizonRule) poll(s *engine.State, evicted func(layout.BlockID)) {
 // the paper's measured fetch counts at H = 2048 show its implementation
 // still prefetching, which only do-no-harm permits.
 func (r *horizonRule) fetch(s *engine.State, b layout.BlockID, p int, evicted func(layout.BlockID)) bool {
-	ok, v, vUse := issueWithVictim(s, b, p)
+	ok, v, vUse := IssueWithVictim(s, b, p)
 	if !ok {
 		return false
 	}

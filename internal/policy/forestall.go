@@ -256,7 +256,7 @@ func (f *Forestall) issueBatch(d int) {
 		if e == noMiss {
 			break
 		}
-		ok, victim, _ := issueWithVictim(s, e.blk, int(e.pos))
+		ok, victim, _ := IssueWithVictim(s, e.blk, int(e.pos))
 		if !ok {
 			break // do no harm stops everything later too
 		}

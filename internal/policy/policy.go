@@ -34,13 +34,15 @@ func scanEnd(s *engine.State, ahead int) int {
 	return s.WindowLimit(min(s.Cursor()+ahead, s.Len()))
 }
 
-// issueWithVictim fetches block b applying the optimal replacement rule
+// IssueWithVictim fetches block b applying the optimal replacement rule
 // and the do-no-harm rule: the victim is the present block whose next
 // reference is furthest in the future; the fetch happens only if a free
 // buffer exists or the victim's next use is after needPos. It reports
 // whether the fetch was issued, and the victim used (NoBlock if none)
-// with its next use.
-func issueWithVictim(s *engine.State, b layout.BlockID, needPos int) (bool, layout.BlockID, int) {
+// with its next use. It is the one victim rule: the online policies and
+// reverse aggressive's replay, once its scheduled victim is gone, fetch
+// through it.
+func IssueWithVictim(s *engine.State, b layout.BlockID, needPos int) (bool, layout.BlockID, int) {
 	if s.Cache.FreeBuffers() > 0 {
 		s.Issue(b, cache.NoBlock)
 		return true, cache.NoBlock, 0
@@ -64,6 +66,6 @@ func issueWithVictim(s *engine.State, b layout.BlockID, needPos int) (bool, layo
 // When every buffer is reserved by an in-flight fetch it does nothing;
 // the engine retries after the next completion.
 func demandFetch(s *engine.State, b layout.BlockID) layout.BlockID {
-	_, v, _ := issueWithVictim(s, b, -1)
+	_, v, _ := IssueWithVictim(s, b, -1)
 	return v
 }

@@ -37,7 +37,7 @@ func (a specAggressive) Poll() {
 		}
 	}
 	view(s).Batch(s.Cursor(), scanEnd(s, a.horizon), budget, func(b layout.BlockID, p int) bool {
-		ok, _, _ := issueWithVictim(s, b, p)
+		ok, _, _ := IssueWithVictim(s, b, p)
 		return ok
 	})
 }
@@ -144,7 +144,7 @@ func (f specForestall) Poll() {
 		budget := make([]int, len(s.Drives))
 		budget[d] = f.batch
 		view(s).Batch(c, limit, budget, func(b layout.BlockID, p int) bool {
-			ok, victim, _ := issueWithVictim(s, b, p)
+			ok, victim, _ := IssueWithVictim(s, b, p)
 			if ok {
 				f.noteEviction(victim)
 			}

@@ -532,33 +532,34 @@ func (p *Policy) markIssued(g int32) {
 	p.ready[g>>6] &^= 1 << (g & 63)
 }
 
+// issue fetches op's block, evicting its scheduled victim while that is
+// still present and otherwise choosing one by the shared victim rule
+// against the reference at needPos. It reports whether the fetch issued
+// and whether it evicted a block the schedule did not name.
+func (p *Policy) issue(op *Op, needPos int) (issued, fallback bool) {
+	if op.Evict != cache.NoBlock && p.s.Cache.Present(op.Evict) {
+		p.s.Issue(op.Fetch, op.Evict)
+		return true, false
+	}
+	issued, v, _ := policy.IssueWithVictim(p.s, op.Fetch, needPos)
+	return issued, v != cache.NoBlock
+}
+
 // issueOp executes the op at queue position g. Returns false if it
 // cannot be issued legally.
 func (p *Policy) issueOp(g int32) bool {
-	s := p.s
 	op := &p.ops[g]
-	if !s.Cache.Absent(op.Fetch) {
-		// Already fetched (e.g. by a stall fallback); consume silently.
-		p.markIssued(g)
-		return true
-	}
-	victim := cache.NoBlock
-	switch {
-	case op.Evict != cache.NoBlock && s.Cache.Present(op.Evict):
-		victim = op.Evict
-	case s.Cache.FreeBuffers() > 0:
-		victim = cache.NoBlock
-	default:
-		// The scheduled victim is gone (consumed by a fallback); evict
-		// the furthest-future block instead.
-		v, vUse := s.Cache.FurthestEvictable()
-		if v == cache.NoBlock || vUse <= int(op.NeedIdx) {
+	if p.s.Cache.Absent(op.Fetch) {
+		issued, fallback := p.issue(op, int(op.NeedIdx))
+		if !issued {
 			return false
 		}
-		victim = v
-		p.Stat.FallbackEvts++
+		if fallback {
+			p.Stat.FallbackEvts++
+		}
 	}
-	s.Issue(op.Fetch, victim)
+	// An op whose block is already fetched (e.g. by a stall fallback)
+	// is consumed silently.
 	p.markIssued(g)
 	return true
 }
@@ -628,20 +629,11 @@ func (p *Policy) OnStall(b layout.BlockID) {
 	p.blockHead[b] = h
 	if h < end {
 		g := p.blockPos[h]
-		op := &p.ops[g]
-		victim := cache.NoBlock
-		switch {
-		case op.Evict != cache.NoBlock && s.Cache.Present(op.Evict):
-			victim = op.Evict
-		case s.Cache.FreeBuffers() > 0:
-			victim = cache.NoBlock
-		default:
-			victim, _ = s.Cache.FurthestEvictable()
-			if victim == cache.NoBlock {
-				return // every buffer in flight; the engine retries
-			}
+		// Do no harm never refuses a stalled block: a victim's next use
+		// is never before the cursor.
+		if issued, _ := p.issue(&p.ops[g], -1); !issued {
+			return // every buffer in flight; the engine retries
 		}
-		s.Issue(b, victim)
 		p.markIssued(g)
 		p.quiet[s.DiskOf(b)] = false
 		p.Stat.ForcedIssues++
@@ -650,11 +642,5 @@ func (p *Policy) OnStall(b layout.BlockID) {
 	// No scheduled fetch (should not happen with a sound schedule): plain
 	// demand fetch.
 	p.Stat.AdHocIssues++
-	if s.Cache.FreeBuffers() > 0 {
-		s.Issue(b, cache.NoBlock)
-		return
-	}
-	if v, _ := s.Cache.FurthestEvictable(); v != cache.NoBlock {
-		s.Issue(b, v)
-	}
+	policy.IssueWithVictim(s, b, -1)
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"ppcsim"
 	"ppcsim/internal/load"
 	"ppcsim/internal/serve"
+	"ppcsim/internal/trace/tracetest"
 )
 
 // TestLocalBackendTakesRecordedRequest: an embedded worker runs the
@@ -216,5 +218,32 @@ func TestEmbeddedMatchesHTTPWorkers(t *testing.T) {
 				t.Errorf("job %d cell %d: error %s, want a timeout exactly in job 2", i, ec.Index, ej)
 			}
 		}
+	}
+}
+
+// TestOverclaimingColumnarCell: a job cell whose inline columnar trace
+// claims far more references than it carries, under a window that
+// covers the claim, fails as a cell error record on embedded workers,
+// and the coordinator keeps serving.
+func TestOverclaimingColumnarCell(t *testing.T) {
+	embedded, closeAll := NewEmbeddedBackends(2, serve.Config{Workers: 1})
+	defer closeAll()
+	c, err := New(Config{Backends: embedded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	b64 := base64.StdEncoding.EncodeToString(tracetest.OverclaimingColumnar(1 << 50))
+	st := submitJob(t, ts.URL, fmt.Sprintf(`{"trace_text":%q,"algorithms":["demand"],"windows":[%d]}`, b64, uint64(1)<<62))
+	if st.status != http.StatusOK || len(st.cells) != 1 {
+		t.Fatalf("job: status %d, %d cells", st.status, len(st.cells))
+	}
+	if e := st.cells[0].Error; e == nil || e.Code != serve.CodeInvalidRequest || e.Field != "TraceText" {
+		t.Fatalf("cell: %+v, want an invalid_request error on TraceText", st.cells[0])
+	}
+	if r := postRun(t, ts.URL, []byte(`{"trace":"xds","algorithm":"demand"}`)); r.status != http.StatusOK {
+		t.Fatalf("after the hostile job, /v1/run: status %d %s", r.status, r.body)
 	}
 }

@@ -318,11 +318,11 @@ type SourceEnv struct {
 //
 // Trace-source routing: trace_spec cells stream from the generator,
 // trace_hash cells stream from the store blob, and inline columnar
-// trace_text bodies stream from the decoded bytes whenever a bounded
-// window is set (the sliding-window engine requires one; unbounded or
-// trace-covering windows and cpu_scale fall back to materializing,
-// which is byte-identical). Text traces and bundled names materialize
-// as before. It finishes with ppcsim.Options.Validate, so every
+// trace_text bodies open one ColumnarSource over the decoded bytes and
+// stream it when the run is windowed, unscaled and its window is shorter
+// than the trace (what the sliding-window engine requires); otherwise
+// they materialize it, which is byte-identical. Text traces and bundled
+// names materialize. It finishes with ppcsim.Options.Validate, so every
 // configuration error the library can diagnose surfaces here as a
 // *ppcsim.ConfigError before any queue slot is consumed.
 func (r *RunSpec) BuildOptions(env SourceEnv) (ppcsim.Options, func(), error) {
@@ -356,19 +356,16 @@ func (r *RunSpec) BuildOptions(env SourceEnv) (ppcsim.Options, func(), error) {
 			if derr != nil {
 				return ppcsim.Options{}, cleanup, &ppcsim.ConfigError{Field: "TraceText", Reason: fmt.Sprintf("columnar body is not valid base64: %v", derr)}
 			}
-			if r.Window != nil && !r.scaled() {
-				var s *trace.ColumnarSource
-				s, err = trace.NewColumnarSource(bytes.NewReader(raw))
-				if err == nil && int64(*r.Window) < s.Meta().Refs {
+			var s *trace.ColumnarSource
+			if s, err = trace.NewColumnarSource(bytes.NewReader(raw)); err == nil {
+				if r.Window != nil && !r.scaled() && int64(*r.Window) < s.Meta().Refs {
 					opts.Source = s
-				} else if err == nil {
-					// The window covers the whole trace, which the
-					// sliding-window engine rejects; materializing is
-					// byte-identical, so keep the old acceptance.
+				} else {
+					// The sliding-window engine needs a window shorter
+					// than the trace and cannot scale compute;
+					// materializing is byte-identical.
 					opts.Trace, err = trace.Materialize(s)
 				}
-			} else {
-				opts.Trace, err = trace.ReadColumnar(bytes.NewReader(raw))
 			}
 		} else {
 			opts.Trace, err = trace.Read(strings.NewReader(r.TraceText))

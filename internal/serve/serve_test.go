@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"ppcsim"
 	"ppcsim/internal/trace"
+	"ppcsim/internal/trace/tracetest"
 )
 
 // inlineTrace renders a small deterministic trace in the ppctrace text
@@ -153,6 +155,32 @@ func TestSimulateColumnarInline(t *testing.T) {
 	resp, got := post(t, ts, `{"trace_text":"`+trace.ColumnarBase64Prefix+`!!!","algorithm":"demand"}`)
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(got, []byte("TraceText")) {
 		t.Errorf("corrupt columnar body: status %d, body %s", resp.StatusCode, got)
+	}
+}
+
+// TestOverclaimingColumnarBody: an inline columnar body whose header
+// claims far more references than it carries draws a 400 on TraceText
+// before anything is sized from the claim, even under a window that
+// covers the claim, which takes the materializing path.
+func TestOverclaimingColumnarBody(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, claim := range []uint64{1 << 26, 1 << 50} {
+		b64 := base64.StdEncoding.EncodeToString(tracetest.OverclaimingColumnar(claim))
+		body := fmt.Sprintf(`{"trace_text":%q,"algorithm":"demand","window":%d}`, b64, claim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, got := post(t, ts, body)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(got, []byte("TraceText")) {
+			t.Errorf("claim %d: status %d, body %s", claim, resp.StatusCode, got)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("claim %d: the request allocated %d bytes", claim, alloc)
+		}
 	}
 }
 

@@ -384,8 +384,16 @@ type ColumnarSource struct {
 }
 
 // NewColumnarSource parses the header at the start of rs and returns a
-// streaming source positioned at the first reference.
+// streaming source positioned at the first reference. It is the one
+// columnar reader: Materialize it for a resident *Trace. A header that
+// claims more references than the bytes after it can encode is rejected
+// before anything is sized from the claim — every reference takes at
+// least two payload bytes (a block delta and a compute varint).
 func NewColumnarSource(rs io.ReadSeeker) (*ColumnarSource, error) {
+	size, err := rs.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
@@ -398,15 +406,19 @@ func NewColumnarSource(rs io.ReadSeeker) (*ColumnarSource, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	dataOff := cr.n - int64(br.Buffered())
+	if m.Refs > (size-dataOff)/2 {
+		return nil, fmt.Errorf("trace %q: header claims %d references, but %d bytes follow it", m.Name, m.Refs, size-dataOff)
+	}
 	s := &ColumnarSource{
 		rs:        rs,
 		cr:        cr,
 		br:        br,
 		meta:      m,
 		nBlocks:   m.NumBlocks(),
-		dataOff:   cr.n - int64(br.Buffered()),
+		dataOff:   dataOff,
 		remaining: m.Refs,
-		frame:     make([]Ref, 0, frameRefs),
+		frame:     make([]Ref, 0, min(frameRefs, m.Refs)),
 	}
 	return s, nil
 }
@@ -471,50 +483,6 @@ func OpenColumnarFile(path string) (*FileSource, error) {
 
 // Close releases the underlying file.
 func (s *FileSource) Close() error { return s.f.Close() }
-
-// ReadColumnar decodes a whole columnar trace from r into a materialized
-// *Trace. It reads the header and frames sequentially (the footer index
-// is for seeking consumers and is not required here) and validates the
-// result exactly as Read does for the text format.
-func ReadColumnar(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	m, err := readColumnarHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	nBlocks := m.NumBlocks()
-	capHint := m.Refs
-	if capHint > 1<<20 {
-		// Don't trust a hostile header with a huge allocation; grow as
-		// frames actually arrive.
-		capHint = 1 << 20
-	}
-	t := &Trace{
-		Name:        m.Name,
-		Files:       m.Files,
-		PlaceByFile: m.PlaceByFile,
-		CacheBlocks: m.CacheBlocks,
-		Refs:        make([]Ref, 0, capHint),
-	}
-	remaining := m.Refs
-	var frame []Ref
-	var payload []byte
-	for remaining > 0 {
-		frame, payload, err = decodeFrame(br, nBlocks, remaining, payload, frame)
-		if err != nil {
-			return nil, err
-		}
-		t.Refs = append(t.Refs, frame...)
-		remaining -= int64(len(frame))
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
 
 // ColumnarInfo summarizes a columnar trace file without decoding its
 // references: the header metadata plus the footer's frame index.

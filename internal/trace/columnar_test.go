@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
@@ -160,8 +161,8 @@ func TestTruncateNegative(t *testing.T) {
 
 // TestColumnarRoundTrip: encode -> decode must reproduce the trace
 // bit-exactly (the binary format stores float64 bits, so unlike the text
-// format there is no precision loss), through both the materializing
-// reader and the streaming source.
+// format there is no precision loss), through the streaming source and
+// through Materialize, twice to cover Reset.
 func TestColumnarRoundTrip(t *testing.T) {
 	for _, refs := range []int{1, 100, frameRefs, frameRefs + 1, 3*frameRefs + 17} {
 		tr := genTestTrace("columnar round trip", refs)
@@ -176,14 +177,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if !IsColumnar(buf.Bytes()) {
 			t.Fatalf("refs=%d: output does not sniff as columnar", refs)
 		}
-		back, err := ReadColumnar(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("refs=%d: ReadColumnar: %v", refs, err)
-		}
-		if !reflect.DeepEqual(back, tr) {
-			t.Fatalf("refs=%d: columnar round trip changed the trace", refs)
-		}
-
 		src, err := NewColumnarSource(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("refs=%d: NewColumnarSource: %v", refs, err)
@@ -220,8 +213,69 @@ func TestColumnarRejectsTruncation(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{0, 1, 7, 8, 20, len(data) / 2, len(data) - 30} {
-		if _, err := ReadColumnar(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("ReadColumnar accepted a %d-byte prefix of a %d-byte file", cut, len(data))
+		if _, err := readColumnar(data[:cut]); err == nil {
+			t.Errorf("columnar reader accepted a %d-byte prefix of a %d-byte file", cut, len(data))
+		}
+	}
+}
+
+// readColumnar opens data through the one columnar reader and
+// materializes it.
+func readColumnar(data []byte) (*Trace, error) {
+	src, err := NewColumnarSource(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return Materialize(src)
+}
+
+// columnarHeader is the columnar header of an unnamed trace of one
+// two-block file whose reference count claims refs.
+func columnarHeader(refs uint64) []byte {
+	b := []byte(columnarMagic)
+	b = binary.AppendUvarint(b, 0) // name length
+	b = append(b, 0)               // placeByFile
+	b = binary.AppendUvarint(b, 1) // cacheBlocks
+	b = binary.AppendUvarint(b, 1) // file count
+	b = binary.AppendUvarint(b, 2) // file 0 blocks
+	return binary.AppendUvarint(b, refs)
+}
+
+// TestColumnarRejectsOverclaim: a header that claims more references
+// than the bytes after it can encode fails at open, before anything is
+// sized from the claim, while the densest valid encoding (identical
+// zero-compute references, two payload bytes each) still opens.
+func TestColumnarRejectsOverclaim(t *testing.T) {
+	const n = 3*frameRefs + 5
+	dense := &Trace{Files: []layout.File{{First: 0, Blocks: 2}}, CacheBlocks: 1, Refs: make([]Ref, n)}
+	var buf bytes.Buffer
+	if _, err := WriteColumnar(&buf, dense.Source()); err != nil {
+		t.Fatal(err)
+	}
+	hdr := columnarHeader(n)
+	if !bytes.HasPrefix(buf.Bytes(), hdr) {
+		t.Fatal("columnarHeader no longer matches the encoder's header")
+	}
+	body := buf.Len() - len(hdr)
+	if body >= 2*n+64 {
+		t.Fatalf("%d identical references took %d bytes; no longer the densest encoding", n, body)
+	}
+	back, err := readColumnar(buf.Bytes())
+	if err != nil {
+		t.Fatalf("densest valid encoding rejected: %v", err)
+	}
+	if !reflect.DeepEqual(back, dense) {
+		t.Fatal("densest encoding round trip changed the trace")
+	}
+
+	tight := append(columnarHeader(uint64(body/2+1)), buf.Bytes()[len(hdr):]...)
+	if _, err := NewColumnarSource(bytes.NewReader(tight)); err == nil {
+		t.Errorf("a claim of %d references over %d bytes opened", body/2+1, body)
+	}
+	for _, claim := range []uint64{1 << 26, 1 << 50, math.MaxInt64} {
+		hostile := append(columnarHeader(claim), make([]byte, 100)...)
+		if _, err := NewColumnarSource(bytes.NewReader(hostile)); err == nil {
+			t.Errorf("a claim of %d references over 100 bytes opened", claim)
 		}
 	}
 }
@@ -299,7 +353,7 @@ func TestLargeSpecSource(t *testing.T) {
 	}
 }
 
-// FuzzReadColumnar checks the binary decoder never panics and that
+// FuzzReadColumnar checks the columnar reader never panics and that
 // anything it accepts round-trips through the encoder bit-exactly.
 func FuzzReadColumnar(f *testing.F) {
 	// Seed with real encodings of varied shapes plus near-miss corruptions.
@@ -317,19 +371,20 @@ func FuzzReadColumnar(f *testing.F) {
 	}
 	f.Add([]byte(columnarMagic))
 	f.Add([]byte("garbage"))
+	f.Add(append(columnarHeader(1<<50), make([]byte, 64)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tr, err := ReadColumnar(bytes.NewReader(in))
+		tr, err := readColumnar(in)
 		if err != nil {
 			return
 		}
 		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("ReadColumnar accepted an invalid trace: %v", verr)
+			t.Fatalf("columnar reader accepted an invalid trace: %v", verr)
 		}
 		var buf bytes.Buffer
 		if _, werr := WriteColumnar(&buf, tr.Source()); werr != nil {
 			t.Fatalf("WriteColumnar failed on accepted trace: %v", werr)
 		}
-		back, rerr := ReadColumnar(&buf)
+		back, rerr := readColumnar(buf.Bytes())
 		if rerr != nil {
 			t.Fatalf("re-read failed: %v", rerr)
 		}

@@ -142,7 +142,7 @@ func Materialize(src Source) (*Trace, error) {
 		CacheBlocks: m.CacheBlocks,
 		Refs:        make([]Ref, 0, m.Refs),
 	}
-	buf := make([]Ref, 4096)
+	buf := make([]Ref, min(4096, m.Refs))
 	for {
 		n, err := src.ReadRefs(buf)
 		t.Refs = append(t.Refs, buf[:n]...)

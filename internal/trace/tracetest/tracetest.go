@@ -6,6 +6,7 @@
 package tracetest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -139,4 +140,16 @@ func Repeat(tr *trace.Trace, k int) *trace.Trace {
 		out.Refs = append(out.Refs, tr.Refs...)
 	}
 	return out
+}
+
+// OverclaimingColumnar returns a ~100-byte columnar trace whose header
+// claims refs references over one two-block file: far more than its
+// bytes can encode. It is the hostile input a columnar reader must
+// reject before it sizes anything from the claim.
+func OverclaimingColumnar(refs uint64) []byte {
+	// Magic, empty name, placeByFile 0, cacheBlocks 1, one file of two
+	// blocks, then the claim and bytes that look like frames.
+	b := append([]byte("ppccolv1"), 0, 0, 1, 1, 2)
+	b = binary.AppendUvarint(b, refs)
+	return append(b, make([]byte, 80)...)
 }
