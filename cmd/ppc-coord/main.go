@@ -38,11 +38,6 @@ func main() {
 		backends = flag.String("backends", "", "comma-separated worker base URLs (empty = embedded workers)")
 		embedded = flag.Int("embedded", 2, "in-process workers when -backends is empty")
 		storeDir = flag.String("store", "", "directory for persisted grids (empty = in-memory)")
-		perBack  = flag.Int("per-backend", 0, "cells in flight per worker (0 = 2)")
-		replicas = flag.Int("replicas", 0, "virtual ring points per worker (0 = 64)")
-		attempts = flag.Int("max-attempts", 0, "tries per cell before permanent failure (0 = workers+1)")
-		backoff  = flag.Duration("backoff", 0, "pause before retrying a busy worker (0 = 50ms)")
-		maxCells = flag.Int("max-cells", 0, "grid expansion bound per job (0 = 1024)")
 		maxBody  = flag.Int64("max-body", 0, "request body byte limit (0 = 8 MiB)")
 		workers  = flag.Int("workers", 0, "embedded mode: concurrent simulations per worker (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "embedded mode: per-run simulation deadline (0 = 60s)")
@@ -81,12 +76,7 @@ func main() {
 
 	cfg := coord.Config{
 		Backends:     fleet,
-		Replicas:     *replicas,
-		PerBackend:   *perBack,
-		MaxAttempts:  *attempts,
-		Backoff:      *backoff,
 		MaxBodyBytes: *maxBody,
-		MaxCells:     *maxCells,
 	}
 	if *storeDir != "" {
 		store, err := coord.NewDirStore(*storeDir)

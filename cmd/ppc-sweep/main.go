@@ -51,9 +51,6 @@ import (
 	"ppcsim/internal/serve/coord"
 )
 
-// maxCells bounds a grid; the coordinator applies its own limit.
-const maxCells = 1 << 20
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -167,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cells, err := sw.spec.Cells(maxCells)
+	cells, err := sw.spec.Cells(coord.MaxCells)
 	var ce *coord.CellError
 	if errors.As(err, &ce) {
 		return named(ce.Spec, ce.Err)
@@ -206,14 +203,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return runErr
 }
 
-// runLocal builds every cell's options before it runs any, so a bad
+// runLocal checks every cell's options before it runs any, so a bad
 // cell fails the sweep (nil results) before anything is written. It
-// then runs the cells on sw.parallel workers. On a failed run it
-// returns the results of the cells before it, and the failure.
+// then runs the cells on sw.parallel workers, each building a cell's
+// options as it takes the cell, so no more trace handles are open than
+// there are workers. On a failed run it returns the results of the
+// cells before it, and the failure.
 func (sw *sweep) runLocal(cells []coord.Cell) ([]*ppcsim.Result, error) {
+	var mu sync.Mutex
 	loaded := map[string]*ppcsim.Trace{}
 	env := serve.SourceEnv{LoadTrace: func(name string) (*ppcsim.Trace, error) {
 		// One read-only *Trace per name, shared by every worker.
+		mu.Lock()
+		defer mu.Unlock()
 		if tr, ok := loaded[name]; ok {
 			return tr, nil
 		}
@@ -226,17 +228,12 @@ func (sw *sweep) runLocal(cells []coord.Cell) ([]*ppcsim.Result, error) {
 	if sw.traceFile != nil {
 		env.OpenHash = sw.traceFile.OpenHash
 	}
-	opts := make([]ppcsim.Options, len(cells))
-	cleanups := make([]func(), len(cells))
-	for i, c := range cells {
-		o, cleanup, err := c.Spec.BuildOptions(env)
+	for _, c := range cells {
+		_, cleanup, err := c.Spec.BuildOptions(env)
+		cleanup()
 		if err != nil {
-			for _, f := range cleanups[:i] {
-				f()
-			}
 			return nil, named(c.Spec, err)
 		}
-		opts[i], cleanups[i] = o, cleanup
 	}
 
 	timeout := time.Duration(sw.spec.TimeoutMs * float64(time.Millisecond))
@@ -249,9 +246,7 @@ func (sw *sweep) runLocal(cells []coord.Cell) ([]*ppcsim.Result, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				res, err := runCell(opts[idx], timeout)
-				cleanups[idx]()
-				results[idx], errs[idx] = &res, err
+				results[idx], errs[idx] = runCell(cells[idx].Spec, env, timeout)
 			}
 		}()
 	}
@@ -268,14 +263,22 @@ func (sw *sweep) runLocal(cells []coord.Cell) ([]*ppcsim.Result, error) {
 	return results, nil
 }
 
-// runCell runs one cell, under a deadline when timeout is positive.
-func runCell(opts ppcsim.Options, timeout time.Duration) (ppcsim.Result, error) {
+// runCell builds one cell's options and runs it, under a deadline when
+// timeout is positive.
+func runCell(spec serve.RunSpec, env serve.SourceEnv, timeout time.Duration) (*ppcsim.Result, error) {
+	opts, cleanup, err := spec.BuildOptions(env)
+	defer cleanup()
+	if err != nil {
+		return nil, err
+	}
 	if timeout <= 0 {
-		return ppcsim.Run(opts)
+		res, err := ppcsim.Run(opts)
+		return &res, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return ppcsim.RunContext(ctx, opts)
+	res, err := ppcsim.RunContext(ctx, opts)
+	return &res, err
 }
 
 // runCluster posts the grid to the coordinator and collects each cell's

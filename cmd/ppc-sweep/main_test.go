@@ -10,7 +10,9 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ppcsim"
@@ -87,7 +89,7 @@ func TestSweepStreamsLargeSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := sw.spec.Cells(maxCells)
+	cells, err := sw.spec.Cells(coord.MaxCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,5 +560,34 @@ func TestLocalTimeout(t *testing.T) {
 	var ce *ppcsim.ConfigError
 	if err == nil || errors.As(err, &ce) || !strings.Contains(err.Error(), "synth/aggressive/d=1") {
 		t.Errorf("err = %v, want a named runtime failure", err)
+	}
+}
+
+// TestGridBoundBothModes: a grid over coord.MaxCells is a ConfigError
+// on JobSpec locally and with -coord alike, and the cluster run fails
+// before anything reaches the coordinator.
+func TestGridBoundBothModes(t *testing.T) {
+	var posted atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posted.Add(1)
+		http.Error(w, "unexpected request", http.StatusBadRequest)
+	}))
+	defer ts.Close()
+
+	caches := make([]string, coord.MaxCells/32+1)
+	for i := range caches {
+		caches[i] = strconv.Itoa(i + 2)
+	}
+	grid := []string{"-traces", "xds", "-algs", "demand,forestall", "-disks", "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16",
+		"-caches", strings.Join(caches, ",")} // 2 × 16 × 513 cells
+	for _, mode := range [][]string{{"-coord", ts.URL}, nil} {
+		out, err := sweepCSV(t, append(grid, mode...)...)
+		var ce *ppcsim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "JobSpec" || out != "" {
+			t.Fatalf("%v: err %v, output %q; want a ConfigError on JobSpec and no output", mode, err, out)
+		}
+	}
+	if n := posted.Load(); n != 0 {
+		t.Errorf("the coordinator got %d requests for an over-bound grid", n)
 	}
 }

@@ -487,13 +487,6 @@ func (s *State) recycleRequest(r *disk.Request) {
 // ComputeMs returns the inter-reference CPU time that precedes reference i.
 func (s *State) ComputeMs(i int) float64 { return s.refs[i&s.mask].ComputeMs }
 
-// Windowed reports whether the run limits lookahead (Window != 0).
-func (s *State) Windowed() bool { return s.window != 0 }
-
-// WindowSize returns the effective lookahead window: 0 for unlimited,
-// WindowNone for no future visibility, otherwise the positive W.
-func (s *State) WindowSize() int { return s.window }
-
 // WindowLimit clamps a policy's scan limit (an exclusive upper position
 // bound) to the lookahead horizon cursor+W. With unlimited lookahead it
 // returns limit unchanged; with WindowNone the horizon is the cursor

@@ -20,7 +20,7 @@ const DefaultHorizon = 62
 // than H accesses away. It may have up to H outstanding requests, giving
 // the disk scheduler reordering opportunities.
 type FixedHorizon struct {
-	H int
+	H int // the prefetch horizon; Attach reads H <= 0 as DefaultHorizon
 
 	s    *engine.State
 	rule horizonRule
@@ -28,12 +28,7 @@ type FixedHorizon struct {
 
 // NewFixedHorizon returns a fixed-horizon policy with the given prefetch
 // horizon (DefaultHorizon if h <= 0).
-func NewFixedHorizon(h int) *FixedHorizon {
-	if h <= 0 {
-		h = DefaultHorizon
-	}
-	return &FixedHorizon{H: h}
-}
+func NewFixedHorizon(h int) *FixedHorizon { return &FixedHorizon{H: h} }
 
 // Name implements engine.Policy.
 func (f *FixedHorizon) Name() string { return "fixed-horizon" }

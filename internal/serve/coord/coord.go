@@ -34,30 +34,37 @@ import (
 	"ppcsim/internal/serve"
 )
 
+// MaxCells bounds a job's grid expansion, at the coordinator and in
+// ppc-sweep's local runs alike, so a grid is accepted or refused the
+// same way in both. It is over 12 times the paper's full grid (10
+// traces × 8 algorithms × 16 array sizes), yet keeps a typo'd grid from
+// fanning a million simulations onto the fleet.
+const MaxCells = 1 << 14
+
+// The scheduler's fixed settings.
+const (
+	// ringReplicas is the number of virtual ring points per backend.
+	ringReplicas = 64
+	// cellsInFlight is the number of cells kept in flight per backend:
+	// workers pipeline one queued cell behind each running one without
+	// tripping their own backpressure.
+	cellsInFlight = 2
+	// busyBackoff is the pause before retrying a cell on a backend that
+	// answered 429.
+	busyBackoff = 50 * time.Millisecond
+)
+
 // Config parameterizes a Coordinator. The zero value of each field
 // selects the noted default.
 type Config struct {
 	// Backends is the worker fleet. Required, non-empty, unique names.
+	// A cell is tried at most len(Backends)+1 times before it is failed
+	// permanently.
 	Backends []Backend
-	// Replicas is the number of virtual ring points per backend
-	// (default 64).
-	Replicas int
-	// PerBackend is the number of cells kept in flight per backend
-	// (default 2 — workers pipeline one queued cell behind each running
-	// one without tripping their own backpressure).
-	PerBackend int
-	// MaxAttempts bounds how many times one cell is tried before it is
-	// failed permanently (default len(Backends)+1).
-	MaxAttempts int
-	// Backoff is the pause before retrying a cell on a backend that
-	// answered 429 (default 50ms).
-	Backoff time.Duration
 	// MaxBodyBytes bounds the /v1/jobs request body (default 8 MiB, the
 	// same limit workers apply, since a job body can carry an inline
 	// trace).
 	MaxBodyBytes int64
-	// MaxCells bounds a job's grid expansion (default 1024).
-	MaxCells int
 	// Store persists completed grids (default an in-process MemStore;
 	// use DirStore to survive restarts).
 	Store Store
@@ -108,23 +115,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("coord: at least one backend is required")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 64
-	}
-	if cfg.PerBackend <= 0 {
-		cfg.PerBackend = 2
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(cfg.Backends) + 1
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.MaxCells <= 0 {
-		cfg.MaxCells = 1024
 	}
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
@@ -145,7 +137,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.names = append(c.names, name)
 	}
 	sort.Strings(c.names)
-	c.ring = newRing(c.names, cfg.Replicas)
+	c.ring = newRing(c.names, ringReplicas)
 	c.mux.HandleFunc("/v1/jobs", c.handleJobs)
 	c.mux.HandleFunc("/v1/run", c.handleRun)
 	c.mux.HandleFunc("/v1/traces/", c.handleTraces)
@@ -268,7 +260,7 @@ func (c *Coordinator) newJobRun(ctx context.Context, cells []Cell, timeoutMs flo
 func (j *jobRun) start() {
 	for _, name := range j.c.names {
 		b := j.c.byName[name]
-		for i := 0; i < j.c.cfg.PerBackend; i++ {
+		for i := 0; i < cellsInFlight; i++ {
 			j.wg.Add(1)
 			go func() {
 				defer j.wg.Done()
@@ -426,14 +418,14 @@ func (j *jobRun) runCell(b Backend, t *cellTask) {
 	switch {
 	case ce.kind == errPermanent:
 		j.failLocked(t, ce.status, ce.err)
-	case t.attempts >= j.c.cfg.MaxAttempts:
+	case t.attempts >= len(j.c.names)+1:
 		j.failLocked(t, http.StatusBadGateway,
 			fmt.Errorf("coord: cell %d failed %d attempts, last: %w", t.cell.Index, t.attempts, ce.err))
 	case ce.kind == errBusy:
 		// Backpressure: pause outside the lock, then try the same backend
 		// again — its queue drains in bounded time.
 		j.mu.Unlock()
-		time.Sleep(j.c.cfg.Backoff)
+		time.Sleep(busyBackoff)
 		j.mu.Lock()
 		if j.closed {
 			return

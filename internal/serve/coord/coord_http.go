@@ -45,7 +45,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	cells, err := spec.Cells(c.cfg.MaxCells)
+	cells, err := spec.Cells(MaxCells)
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, err)
 		return

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ppcsim/internal/serve"
 )
@@ -265,7 +264,7 @@ func TestWorkerKilledMidJob(t *testing.T) {
 	_, _, bB := newHTTPWorker(t, "b")
 	bA := NewHTTPBackend("a", tsA.URL, nil)
 
-	c, err := New(Config{Backends: []Backend{bA, bB}, PerBackend: 1, Backoff: time.Millisecond})
+	c, err := New(Config{Backends: []Backend{bA, bB}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,13 +435,22 @@ func TestEmbeddedSingleProcess(t *testing.T) {
 func TestJobBoundaries(t *testing.T) {
 	backends, closeAll := NewEmbeddedBackends(1, serve.Config{Workers: 1})
 	defer closeAll()
-	c, err := New(Config{Backends: backends, MaxCells: 16})
+	c, err := New(Config{Backends: backends})
 	if err != nil {
 		t.Fatal(err)
 	}
 	coordTS := httptest.NewServer(c.Handler())
 	defer coordTS.Close()
 
+	// sizes lists n valid cache sizes or disk counts, 2..n+1.
+	sizes := func(n int) string {
+		vals := make([]int, n)
+		for i := range vals {
+			vals[i] = i + 2
+		}
+		b, _ := json.Marshal(vals)
+		return string(b)
+	}
 	cases := []struct {
 		name  string
 		body  string
@@ -464,7 +472,8 @@ func TestJobBoundaries(t *testing.T) {
 		{"no trace", `{"algorithms":["demand"]}`, "Trace"},
 		{"both traces", `{"trace":"synth","trace_text":"x","algorithms":["demand"]}`, "Trace"},
 		{"bad scheduler", `{"trace":"synth","algorithms":["demand"],"scheduler":"sstf"}`, "Scheduler"},
-		{"grid too large", `{"trace":"synth","algorithms":["demand"],"disk_counts":[1,2,3,4,5],"cache_sizes":[8,16,32,64]}`, "JobSpec"},
+		{"grid too large", fmt.Sprintf(`{"trace":"synth","algorithms":["demand","aggressive"],"disk_counts":%s,"cache_sizes":%s}`,
+			sizes(128), sizes(MaxCells/256+1)), "JobSpec"}, // 2 × 128 × 65 cells
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -148,8 +148,8 @@ func (s *JobSpec) Validate() error {
 // sizes, horizons) and checks every cell with RunSpec.Validate, so a
 // cell that breaks a rule checkable without its trace fails the whole
 // job, as a *CellError, before any worker is touched. maxCells bounds
-// the expansion before anything is allocated, so a typo'd grid cannot
-// fan a million simulations onto the fleet.
+// the expansion before anything is allocated; the coordinator and
+// ppc-sweep both pass MaxCells.
 func (s *JobSpec) Cells(maxCells int) ([]Cell, error) {
 	algs := s.Algorithms
 	if len(algs) == 0 {

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"ppcsim"
 	"ppcsim/internal/serve"
@@ -285,7 +284,7 @@ func TestWorkerKilledMidStreamedJob(t *testing.T) {
 	_, _, bB := newHTTPWorker(t, "b")
 	bA := NewHTTPBackend("a", tsA.URL, nil)
 
-	c, err := New(Config{Backends: []Backend{bA, bB}, PerBackend: 1, Backoff: time.Millisecond})
+	c, err := New(Config{Backends: []Backend{bA, bB}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 type Request struct {
 	RunSpec
 	// TimeoutMs caps this request's simulation time (host milliseconds).
-	// It is clamped to the server's MaxTimeout and excluded from the
+	// It is clamped to the server's DefaultTimeout and excluded from the
 	// result-cache key: two requests for the same simulation share one
 	// run and one cache entry regardless of their deadlines.
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`

@@ -184,6 +184,28 @@ func TestOverclaimingColumnarBody(t *testing.T) {
 	}
 }
 
+// TestStreamedWindowBound: a streamed run's window is at most 2^20
+// references, so a generator request whose window would size a 16 GiB
+// reference ring is a 400 on Hints, rejected without allocating it; the
+// bound itself parses.
+func TestStreamedWindowBound(t *testing.T) {
+	const body = `{"trace_spec":{"refs":2000000000,"blocks":65536},"algorithm":"demand","window":%d}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseRequest([]byte(fmt.Sprintf(body, 1000000000)))
+	runtime.ReadMemStats(&after)
+	var ce *ppcsim.ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Hints" || StatusForError(err) != http.StatusBadRequest {
+		t.Errorf("window 1e9: err %v, want a 400 on Hints", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("window 1e9: parsing allocated %d bytes", alloc)
+	}
+	if _, err := ParseRequest([]byte(fmt.Sprintf(body, 1<<20))); err != nil {
+		t.Errorf("window 2^20: %v", err)
+	}
+}
+
 // TestDecoderBoundaries is the HTTP half of the boundary-validation
 // table: every malformed or out-of-range request must draw a 400 with a
 // ConfigError-derived JSON body naming the field — never a panic, never

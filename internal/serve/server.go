@@ -60,11 +60,9 @@ type Config struct {
 	// trace (default 8 MiB).
 	MaxBodyBytes int64
 	// DefaultTimeout is the per-request simulation deadline when the
-	// request does not set timeout_ms (default 60s; negative disables).
+	// request does not set timeout_ms, and the cap on one that does
+	// (default 60s; negative disables).
 	DefaultTimeout time.Duration
-	// MaxTimeout caps a request-supplied timeout_ms (default: the
-	// resolved DefaultTimeout).
-	MaxTimeout time.Duration
 	// Runner executes one simulation (default ppcsim.RunContext). Tests
 	// substitute instrumented runners.
 	Runner func(ctx context.Context, opts ppcsim.Options) (ppcsim.Result, error)
@@ -142,9 +140,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DefaultTimeout == 0 {
 		cfg.DefaultTimeout = 60 * time.Second
-	}
-	if cfg.MaxTimeout == 0 {
-		cfg.MaxTimeout = cfg.DefaultTimeout
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = ppcsim.RunContext
@@ -568,15 +563,12 @@ func sampleHeapPeak() func() int64 {
 }
 
 // timeoutFor resolves a request's simulation deadline: the request's
-// timeout_ms clamped to MaxTimeout, or DefaultTimeout when unset.
+// timeout_ms clamped to DefaultTimeout, or DefaultTimeout when unset.
 // Non-positive resolved values disable the deadline.
 func (s *Server) timeoutFor(req *Request) time.Duration {
 	if req.TimeoutMs > 0 {
 		t := time.Duration(req.TimeoutMs * float64(time.Millisecond))
-		if t > s.cfg.MaxTimeout {
-			t = s.cfg.MaxTimeout
-		}
-		return t
+		return min(t, s.cfg.DefaultTimeout)
 	}
 	return s.cfg.DefaultTimeout
 }

@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // flightGroup deduplicates concurrent work by key: the first caller of a
 // key (the leader) runs fn; callers arriving while that run is in flight
@@ -21,7 +24,9 @@ type flight struct {
 }
 
 // do returns fn's result for key, running fn at most once per in-flight
-// key. shared reports whether this caller joined an existing flight.
+// key. shared reports whether this caller joined an existing flight. A
+// panic in fn finishes the flight with an error, which the leader and
+// every follower return, so the key is never left wedged.
 func (g *flightGroup) do(key string, fn func() ([]byte, error)) (val []byte, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -36,11 +41,16 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (val []byte, err
 	g.m[key] = f
 	g.mu.Unlock()
 
+	defer func() {
+		if p := recover(); p != nil {
+			f.val, f.err = nil, fmt.Errorf("serve: panic: %v", p)
+		}
+		close(f.done)
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		val, err = f.val, f.err
+	}()
 	f.val, f.err = fn()
-	close(f.done)
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
 	return f.val, f.err, false
 }

@@ -93,6 +93,11 @@ func (o Options) Validate() error {
 // The rules that need the trace's length wait for Validate.
 func (o Options) ValidateUnopened(stream bool) error { return o.check(-1, stream) }
 
+// maxStreamWindow bounds a streamed run's window. The engine keeps the
+// window resident in a power-of-two reference ring, so this caps the
+// ring at 2^21 slots, about 64 MiB.
+const maxStreamWindow = 1 << 20
+
 // check states every run rule once. refs is the trace's length, or -1
 // when it is not open yet; stream says whether the run streams from
 // Options.Source rather than materializing the trace.
@@ -113,6 +118,9 @@ func (o Options) check(refs int64, stream bool) error {
 		}
 		if o.Hints == nil || o.Hints.Window == 0 {
 			return &ConfigError{Field: "Hints", Reason: "streaming runs require a bounded lookahead window (set Hints with Window > 0 or WindowNone)"}
+		}
+		if o.Hints.Window > maxStreamWindow {
+			return &ConfigError{Field: "Hints", Reason: fmt.Sprintf("streaming runs keep the window resident, so it may be at most %d references, got %d", maxStreamWindow, o.Hints.Window)}
 		}
 		if opened && int64(o.Hints.Window) >= refs {
 			return &ConfigError{Field: "Hints", Reason: fmt.Sprintf("streaming runs require a window smaller than the trace (window %d, trace %d references)", o.Hints.Window, refs)}

@@ -179,11 +179,11 @@ type Options struct {
 	Trace *Trace
 	// Source streams the trace instead of materializing it, keeping the
 	// engine's resident set bounded regardless of trace length. Streaming
-	// runs require Hints with a bounded Window (positive and smaller than
-	// the trace, or WindowNone) — the window is what bounds how much
-	// future the policies may consult — and reject the offline reverse
-	// aggressive algorithm. Results are byte-identical to running the
-	// materialized trace with the same options.
+	// runs require Hints with a bounded Window (positive, at most 2^20
+	// and smaller than the trace, or WindowNone) — the window is what
+	// bounds how much future the policies may consult — and reject the
+	// offline reverse aggressive algorithm. Results are byte-identical to
+	// running the materialized trace with the same options.
 	Source TraceSource
 	// Algorithm to simulate. Required.
 	Algorithm Algorithm

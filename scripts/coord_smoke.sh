@@ -8,7 +8,8 @@
 # requires the coordinator to serve every cell from its persisted store
 # with zero recomputation, checked against /v1/statsz counters. A grid
 # with one bad cell past the first must draw a 400 envelope from the
-# coordinator without reaching either worker.
+# coordinator without reaching either worker. Last, a 1,152-cell grid
+# must run byte-identically in both modes, which share one grid bound.
 #
 # Usage: scripts/coord_smoke.sh [port-base]   (default 18200)
 set -euo pipefail
@@ -159,6 +160,23 @@ if ! grep -q '2 from store' "$WORK/stream-replay.log"; then
     echo "FAIL: streamed resubmission was not served from the store" >&2
     exit 1
 fi
+
+echo "== a 1,152-cell grid: one grid bound, locally and through the cluster"
+BIGGRID=(-large 2000:256:zipf:1 -window 64 -algs demand,fixed-horizon,aggressive,forestall
+    -disks "$(seq -s, 1 16)" -caches "$(seq -s, 16 16 288)")
+"$WORK/ppc-sweep" "${BIGGRID[@]}" -o "$WORK/big-cluster.csv" "${COORD[@]}" 2>"$WORK/big.log"
+cat "$WORK/big.log"
+"$WORK/ppc-sweep" "${BIGGRID[@]}" -o "$WORK/big-local.csv"
+rows=$(($(wc -l <"$WORK/big-local.csv") - 1))
+if [ "$rows" != 1152 ]; then
+    echo "FAIL: the local sweep wrote $rows rows, want 1152" >&2
+    exit 1
+fi
+if ! diff -q "$WORK/big-cluster.csv" "$WORK/big-local.csv"; then
+    echo "FAIL: the 1,152-cell cluster sweep is not byte-identical to the local one" >&2
+    exit 1
+fi
+echo "byte-identical ($rows rows)"
 
 echo "== coordinator log"
 cat "$WORK/coord.log"
