@@ -86,8 +86,14 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	}
 	n := len(refs)
 	rev := make([]layout.BlockID, n)
+	refsOn := make([]int, disks) // references per disk, write stand-ins aside
+	onDisks := 0
 	for i, b := range refs {
 		rev[n-1-i] = b
+		if int(b) < nBlocks {
+			refsOn[diskOf(b)]++
+			onDisks++
+		}
 	}
 	oracle := future.New(rev, nBlocks+1)
 
@@ -104,7 +110,21 @@ func BuildSchedule(refs []layout.BlockID, diskOf func(layout.BlockID) int, nBloc
 	for i := range lastUse {
 		lastUse[i] = -1
 	}
-	heaps := make([]evictHeap, disks) // per-disk furthest-next-use heaps
+	// Per-disk furthest-next-use heaps, carved from one array so that no
+	// push ever regrows one. Disk d's heap never holds more than
+	// 2·refsOn[d] entries, since that bounds its pushes: a push either
+	// consumes a reference on d or fills a missing reverse position on
+	// d (warmup or completion), and each position is consumed once and
+	// filled once, because do no harm never evicts a block before the
+	// position it was fetched for. Capacity does not change a heap's
+	// array layout, so ties among equal keys resolve as before.
+	heaps := make([]evictHeap, disks)
+	slab := make([]evEntry, 2*onDisks)
+	for d, off := 0, 0; d < disks; d++ {
+		end := off + 2*refsOn[d]
+		heaps[d] = slab[off:off:end]
+		off = end
+	}
 	freeAt := make([]float64, disks)
 
 	// Paired forward ops in emission order: each fetches the block B the
@@ -433,8 +453,7 @@ func (p *Policy) Attach(s *engine.State) {
 	if p.batch <= 0 {
 		p.batch = policy.DefaultBatchSize(len(s.Drives))
 	}
-	sched, err := BuildSchedule(s.Refs, func(b layout.BlockID) int { return s.DiskOf(b) },
-		s.Layout.NumBlocks(), len(s.Drives), s.Cache.Capacity(), f, p.batch)
+	sched, err := BuildSchedule(s.Refs, s.DiskOf, s.Layout.NumBlocks(), len(s.Drives), s.Cache.Capacity(), f, p.batch)
 	if err != nil {
 		panic(fmt.Sprintf("revagg: %v", err))
 	}
@@ -450,41 +469,46 @@ func (p *Policy) Attach(s *engine.State) {
 	// release is past the refetched block's use, and the engine's stall
 	// handling force-issues any fetch the cursor catches up with.
 	// Stable counting sorts by NeedIdx, then by disk, order each disk's
-	// ops by (NeedIdx, schedule rank).
-	ranks := make([]int32, m)
-	for k := range ranks {
-		ranks[k] = int32(k)
-	}
-	byNeed, _ := sortByKey(ranks, n+1, func(k int32) int { return int(ops[k].NeedIdx) })
-	var order []int32 // queue position → schedule rank
-	order, p.diskEnd = sortByKey(byNeed, disks, func(k int32) int { return s.DiskOf(ops[k].Fetch) })
+	// ops by (NeedIdx, schedule rank). The sorts keyed by request index
+	// share one count buffer, and each spent column is reused.
+	count := make([]int32, n+1)
+	byNeed := make([]int32, m)
+	sortByKey(byNeed, count, m, nil, func(k int) int { return int(ops[k].NeedIdx) })
+	order := make([]int32, m) // queue position → schedule rank
+	p.diskEnd = make([]int32, disks)
+	sortByKey(order, p.diskEnd, m, byNeed, func(i int) int { return s.DiskOf(ops[byNeed[i]].Fetch) })
 	p.ptr = make([]int32, disks)
 	copy(p.ptr[1:], p.diskEnd)
 	p.quiet = make([]bool, disks)
 
 	p.issued = make([]uint64, (m+63)/64)
 	p.ready = make([]uint64, len(p.issued))
-	slot := make([]int32, m) // schedule rank → queue position
-	gated := make([]int32, 0, m)
+	slot := byNeed // schedule rank → queue position
+	gated := 0
 	for g, k := range order {
 		slot[k] = int32(g)
 		if ops[k].Evict == cache.NoBlock {
 			p.ready[g>>6] |= 1 << (g & 63)
 		} else {
-			gated = append(gated, int32(g))
+			gated++
 		}
 	}
-	p.gated, _ = sortByKey(gated, n+1, func(g int32) int { return int(ops[order[g]].Release) })
+	clear(count)
+	p.gated = make([]int32, gated)
+	sortByKey(p.gated, count, m, nil, func(g int) int {
+		if op := &ops[order[g]]; op.Evict != cache.NoBlock {
+			return int(op.Release)
+		}
+		return -1
+	})
 	p.relNext = 0
 
-	// Per block, its ops' queue positions in schedule order.
-	blockPos, blockEnd := sortByKey(ranks, s.Layout.NumBlocks(), func(k int32) int { return int(ops[k].Fetch) })
-	for i, k := range blockPos {
-		blockPos[i] = slot[k]
-	}
-	p.blockPos, p.blockEnd = blockPos, blockEnd
-	p.blockHead = make([]int32, len(blockEnd))
-	copy(p.blockHead[1:], blockEnd)
+	// Per block, its ops' queue positions in schedule order, in the
+	// spent order column.
+	p.blockPos, p.blockEnd = order, make([]int32, s.Layout.NumBlocks())
+	sortByKey(p.blockPos, p.blockEnd, m, slot, func(k int) int { return int(ops[k].Fetch) })
+	p.blockHead = make([]int32, len(p.blockEnd))
+	copy(p.blockHead[1:], p.blockEnd)
 
 	// Lay the schedule out in queue order in place, following the cycles
 	// of the rank → queue-position permutation: each swap moves one op
@@ -498,25 +522,34 @@ func (p *Policy) Attach(s *engine.State) {
 	p.ops = ops
 }
 
-// sortByKey returns idx stably sorted by key(i), which lies in [0, nKeys),
-// and the end of each key's run in the sorted slice.
-func sortByKey(idx []int32, nKeys int, key func(int32) int) (sorted, end []int32) {
-	end = make([]int32, nKeys)
-	for _, i := range idx {
-		end[key(i)]++
+// sortByKey stably sorts the items 0..n-1 by key(i) into dst, writing
+// val[i] for item i, or i itself when val is nil. An item whose key is
+// negative is left out, and dst has room for exactly the others. end
+// must be zero on entry, with an entry per key; on return end[k] is the
+// end of key k's run in dst.
+func sortByKey(dst, end []int32, n int, val []int32, key func(int) int) {
+	for i := 0; i < n; i++ {
+		if k := key(i); k >= 0 {
+			end[k]++
+		}
 	}
 	var sum int32
 	for k, c := range end {
 		end[k] = sum // the run's start, advanced to its end below
 		sum += c
 	}
-	sorted = make([]int32, len(idx))
-	for _, i := range idx {
+	for i := 0; i < n; i++ {
 		k := key(i)
-		sorted[end[k]] = i
+		if k < 0 {
+			continue
+		}
+		v := int32(i)
+		if val != nil {
+			v = val[i]
+		}
+		dst[end[k]] = v
 		end[k]++
 	}
-	return sorted, end
 }
 
 // scanWindow bounds how far past the first unissued op a disk's queue is

@@ -508,6 +508,47 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutWithoutDefault: a worker with no default deadline
+// (a negative DefaultTimeout) still applies a request's own timeout_ms.
+func TestRequestTimeoutWithoutDefault(t *testing.T) {
+	s := New(Config{Workers: 1, DefaultTimeout: -time.Second})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := post(t, ts, `{"trace":"synth","algorithm":"reverse-aggressive","timeout_ms":1}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504; body %s", resp.StatusCode, body)
+	}
+	if s.timeouts.Load() != 1 {
+		t.Errorf("timeout counter %d, want 1", s.timeouts.Load())
+	}
+}
+
+// TestTimeoutFor: the request's timeout_ms is capped only by a positive
+// default, and a set one always yields a deadline.
+func TestTimeoutFor(t *testing.T) {
+	for _, c := range []struct {
+		def  time.Duration
+		ms   float64
+		want time.Duration
+	}{
+		{60 * time.Second, 0, 60 * time.Second},
+		{-time.Second, 0, -time.Second},
+		{60 * time.Second, 5, 5 * time.Millisecond},
+		{time.Second, 5000, time.Second},
+		{-time.Second, 1, time.Millisecond},
+		{-time.Second, 1e-9, 1},
+		{60 * time.Second, 1e300, 60 * time.Second},
+		{-time.Second, 1e300, math.MaxInt64},
+	} {
+		s := &Server{cfg: Config{DefaultTimeout: c.def}}
+		if got := s.timeoutFor(&Request{TimeoutMs: c.ms}); got != c.want {
+			t.Errorf("DefaultTimeout %v, timeout_ms %g: %v, want %v", c.def, c.ms, got, c.want)
+		}
+	}
+}
+
 // TestHealthzAndStatsz: endpoint shapes and counter consistency.
 func TestHealthzAndStatsz(t *testing.T) {
 	s := New(Config{Workers: 1})

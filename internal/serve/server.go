@@ -60,8 +60,10 @@ type Config struct {
 	// trace (default 8 MiB).
 	MaxBodyBytes int64
 	// DefaultTimeout is the per-request simulation deadline when the
-	// request does not set timeout_ms, and the cap on one that does
-	// (default 60s; negative disables).
+	// request does not set timeout_ms, and, when positive, the cap on
+	// one that does (default 60s). A negative DefaultTimeout gives
+	// requests without timeout_ms no deadline and leaves a request's
+	// own timeout_ms uncapped.
 	DefaultTimeout time.Duration
 	// Runner executes one simulation (default ppcsim.RunContext). Tests
 	// substitute instrumented runners.
@@ -563,14 +565,23 @@ func sampleHeapPeak() func() int64 {
 }
 
 // timeoutFor resolves a request's simulation deadline: the request's
-// timeout_ms clamped to DefaultTimeout, or DefaultTimeout when unset.
-// Non-positive resolved values disable the deadline.
+// timeout_ms, clamped to DefaultTimeout when that is positive, or
+// DefaultTimeout when unset. A non-positive result disables the
+// deadline. A set timeout_ms always yields a deadline: one too small
+// for a nanosecond gets one, and one past time.Duration's range the
+// largest.
 func (s *Server) timeoutFor(req *Request) time.Duration {
-	if req.TimeoutMs > 0 {
-		t := time.Duration(req.TimeoutMs * float64(time.Millisecond))
-		return min(t, s.cfg.DefaultTimeout)
+	if req.TimeoutMs <= 0 {
+		return s.cfg.DefaultTimeout
 	}
-	return s.cfg.DefaultTimeout
+	t := time.Duration(math.MaxInt64)
+	if ns := req.TimeoutMs * float64(time.Millisecond); ns < float64(t) {
+		t = max(time.Duration(ns), 1)
+	}
+	if s.cfg.DefaultTimeout > 0 {
+		t = min(t, s.cfg.DefaultTimeout)
+	}
+	return t
 }
 
 // loadTrace returns a bundled trace, generating it once and caching it
